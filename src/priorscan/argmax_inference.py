@@ -10,16 +10,14 @@ covariance plays the same role.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import logsumexp
 from scipy.stats import chi2
 
 from priorscan.chain_runtime import ChainTrace, TourSums, as_ratio_family
-from priorscan.estimators import _log_f_grid
+from priorscan.estimators import _grid_sums
 from priorscan.prior_family import HyperRect
 
 __all__ = [
@@ -63,22 +61,19 @@ def maximize_surface(trace: ChainTrace, spec_or_family, rect: HyperRect, *,
     if trace.n == 0:
         raise ValueError("empty trace")
     family = as_ratio_family(spec_or_family, trace)
-    log_n = np.log(trace.n)
 
-    def neg_obj(h):
-        return -(float(logsumexp(family.log_f(np.asarray(h, dtype=float),
-                                              trace.Tmat))) - log_n)
+    def log_B(grid):
+        shift, c, _, _ = _grid_sums(family, np.atleast_2d(grid), trace.Tmat)
+        return shift + np.log(c)
 
     grid = rect.grid(grid_points)
-    logf = _log_f_grid(family, grid, trace.Tmat)
-    obj = logsumexp(logf, axis=0) - log_n
-    best = int(np.argmax(obj))  # argmax returns the lowest index on ties
+    best = int(np.argmax(log_B(grid)))  # argmax returns the lowest index on ties
 
     bounds = list(zip(rect.lower, rect.upper))
     opts = {"xatol": tol, "fatol": 1e-12, "maxiter": 2000}
 
     def refine(x0):
-        res = minimize(neg_obj, np.asarray(x0, dtype=float),
+        res = minimize(lambda h: -log_B(h)[0], np.asarray(x0, dtype=float),
                        method="Nelder-Mead", bounds=bounds, options=opts)
         return rect.clip(res.x), -float(res.fun)
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from priorscan.chain_runtime import ChainTrace, as_ratio_family
-from priorscan.estimators import _log_f_grid
+from priorscan.estimators import (ESS_UNRELIABLE, _deviations, _grid_sums,
+                                  _segmentation)
 
 __all__ = ["BandReport", "global_band"]
 
@@ -33,6 +34,7 @@ class BandReport:
     sup_stats: np.ndarray     # (M,) the batch sup statistics, unsorted
     n: int
     target: str               # "I:<name>" or "B"
+    ess: np.ndarray           # (G,) weight ESS of the center at each point
 
     @property
     def lower(self) -> np.ndarray:
@@ -47,14 +49,10 @@ class BandReport:
         return bool(np.all(np.abs(truth - self.center) <= self.half_width + 1e-12))
 
     def to_csv(self, path) -> None:
-        k = self.grid.shape[1]
-        with open(path, "w") as fh:
-            fh.write(",".join(f"h_{i+1}" for i in range(k))
-                     + ",center,lower,upper\n")
-            for row, c in zip(self.grid, self.center):
-                cells = ["%.17g" % x for x in
-                         (*row, c, c - self.half_width, c + self.half_width)]
-                fh.write(",".join(cells) + "\n")
+        header = ",".join(f"h_{i+1}" for i in range(self.grid.shape[1]))
+        np.savetxt(path, np.column_stack([self.grid, self.center, self.lower, self.upper]),
+                   fmt="%.17g", delimiter=",", header=header + ",center,lower,upper",
+                   comments="")
 
     def to_json(self, extra: dict | None = None) -> str:
         payload = {
@@ -64,6 +62,8 @@ class BandReport:
             "n": self.n,
             "target": self.target,
             "sup_stats_sorted": np.sort(self.sup_stats).tolist(),
+            "ess_min": float(self.ess.min()),
+            "n_unreliable": int(np.count_nonzero(self.ess < ESS_UNRELIABLE)),
         }
         if extra:
             payload.update(extra)
@@ -83,35 +83,22 @@ def global_band(trace: ChainTrace, spec_or_family, g_name: str | None,
         raise ValueError("alpha must lie in (0, 1)")
     family = as_ratio_family(spec_or_family, trace)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    n = trace.n
-    if M is None:
-        M = max(2, int(np.ceil(np.sqrt(n))))
-    if M < 2:
-        raise ValueError("need at least 2 batches for an order statistic")
-    L = n // M
+    _, n_used, starts = _segmentation(trace.n, None, M)
+    M = starts.size
+    L = n_used // M
     if L < MIN_BATCH_LEN:
         raise ValueError(f"batch length {L} < {MIN_BATCH_LEN}; reduce M")
-    n_used = M * L
+    Tmat = trace.Tmat[:n_used]
+    g = None if g_name is None else trace.functional(g_name)[:n_used]
+    shift, c, ess, I = _grid_sums(family, grid, Tmat, g)
 
-    logf = _log_f_grid(family, grid, trace.Tmat[:n_used])     # (n_used, G)
-    shift = logf.max(axis=0)
-    f = np.exp(logf - shift[None, :])
-    G = grid.shape[0]
-    fb = f.reshape(M, L, G)
-
-    if g_name is None:
-        center = f.mean(axis=0) * np.exp(shift)
-        batch = fb.mean(axis=1) * np.exp(shift)[None, :]
-        target = "B"
-    else:
-        g = trace.functional(g_name)[:n_used]
-        center = (g @ f) / f.sum(axis=0)
-        gb = g.reshape(M, L)
-        batch = np.einsum("ml,mlj->mj", gb, fb) / fb.sum(axis=1)
-        target = f"I:{g_name}"
-
-    sup_stats = np.sqrt(n_used / M) * np.abs(batch - center[None, :]).max(axis=1)
+    sup_stats = np.empty(M)
+    for ids, dB, dI in _deviations(family, grid, Tmat, shift, c, I, starts, g,
+                                   ratio=True):
+        dev = dB * np.exp(shift) if g is None else dI
+        sup_stats[ids] = np.sqrt(L) * np.abs(dev).max(axis=1)
     order = int(np.ceil((1.0 - alpha) * M))                    # 1-based index
     half_width = float(np.sort(sup_stats)[order - 1] / np.sqrt(n_used))
-    return BandReport(grid=grid, center=center, half_width=half_width, M=M,
-                      alpha=alpha, sup_stats=sup_stats, n=n_used, target=target)
+    return BandReport(grid=grid, center=c * np.exp(shift) if g is None else I,
+                      half_width=half_width, M=M, alpha=alpha, sup_stats=sup_stats,
+                      n=n_used, target="B" if g is None else f"I:{g_name}", ess=ess)

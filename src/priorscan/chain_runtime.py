@@ -9,10 +9,9 @@ formula.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Protocol, Sequence
+from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -104,13 +103,12 @@ def save_trace(trace: ChainTrace, path) -> None:
         "ends_at_regen": trace.ends_at_regen,
         "meta": trace.meta,
     }
+    body = np.column_stack([trace.Tmat, *(trace.g[name] for name in names),
+                            trace.delta])
+    row = "%.17g," * (body.shape[1] - 1) + "%d\n"
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        gcols = [trace.g[name] for name in names]
-        for i in range(trace.n):
-            vals = [*trace.Tmat[i], *(col[i] for col in gcols)]
-            fh.write(",".join("%.17g" % v for v in vals))
-            fh.write(",%d\n" % int(trace.delta[i]))
+        fh.write(row * trace.n % tuple(body.ravel().tolist()))
 
 
 def load_trace(path) -> ChainTrace:

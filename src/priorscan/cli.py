@@ -5,7 +5,8 @@ Configuration is a plain key=value file with sections (stdlib configparser);
 all randomness flows from per-stream generators derived from (seed, stream
 name), so identical configs produce byte-identical outputs.  Exit codes:
 0 ok, 1 runtime warning (boundary argmax / tuning non-convergence /
-oracle mismatch), 2 configuration error.
+oracle mismatch), 2 configuration error, 3 runtime error (an unreadable
+input or output file, or a numerically singular J_n).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from priorscan.argmax_inference import (
 )
 from priorscan.band_inference import global_band
 from priorscan.chain_runtime import ChainTrace, save_trace, segment_tours, tour_sums
-from priorscan.estimators import functional_on_grid, surface_on_grid
+from priorscan.estimators import grid_estimates, surface_on_grid
 from priorscan.models.lda import LDAModel, load_corpus, save_corpus, synth_corpus
 from priorscan.models.normal_hier import NormalHierModel
 from priorscan.models.varsel import VSModel, synth_regression
@@ -50,6 +51,7 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_WARN = 1
 EXIT_CONFIG = 2
+EXIT_RUNTIME = 3
 
 
 class ConfigError(Exception):
@@ -209,11 +211,8 @@ def ratio_family(model, h1):
 # ------------------------------------------------------------------
 
 def write_csv(path: Path, header: str, rows, cfg_hash: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# config_sha256={cfg_hash}\n")
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", comments="",
+               header=f"# config_sha256={cfg_hash}\n{header}")
 
 
 def write_json(path: Path, payload: dict, cfg_hash: str) -> None:
@@ -239,17 +238,11 @@ def cmd_surface(cfg: RunConfig) -> int:
     trace = run_chain(model, cfg, "surface")
     family = ratio_family(model, cfg.h1())
     grid = cfg.grid(cfg.rect())
-    tours = None
-    if trace.delta.sum() >= 2 or trace.ends_at_regen:
-        try:
-            tours = segment_tours(trace)
-        except ValueError:
-            tours = None
-    est = surface_on_grid(trace, family, grid, tours=tours, M=cfg.M)
-    _estimate_csv(cfg.out_dir / "surface.csv", est, cfg.sha256)
+    tours = segment_tours(trace) if trace.delta.sum() >= 2 or trace.ends_at_regen else None
     g_name = cfg.functional
-    if g_name is not None:
-        fest = functional_on_grid(trace, family, g_name, grid, tours=tours, M=cfg.M)
+    est, fest = grid_estimates(trace, family, grid, g_name, tours=tours, M=cfg.M)
+    _estimate_csv(cfg.out_dir / "surface.csv", est, cfg.sha256)
+    if fest is not None:
         _estimate_csv(cfg.out_dir / f"functional_{g_name}.csv", fest, cfg.sha256)
     save_trace(trace, cfg.out_dir / "trace.txt")
     return EXIT_OK
@@ -263,8 +256,7 @@ def cmd_argmax(cfg: RunConfig) -> int:
     res = maximize_surface(trace, family, rect)
     alpha = cfg.alpha
 
-    has_tours = bool(trace.delta.sum() >= 2 or trace.ends_at_regen)
-    if has_tours:
+    if trace.delta.sum() >= 2 or trace.ends_at_regen:
         tours = segment_tours(trace)
         tsums = tour_sums(trace, tours, family, res.h)
         J = hessian_Jn(tsums)
@@ -273,6 +265,7 @@ def cmd_argmax(cfg: RunConfig) -> int:
         R = tours.R
         n_eff = tours.n_eff
         method = "tour"
+        n_boundary = None
     else:
         M = cfg.M or max(2, int(np.ceil(np.sqrt(trace.n))))
         cov, n_boundary = batch_argmax_cov(trace, family, rect, M, h_n=res.h)
@@ -287,7 +280,10 @@ def cmd_argmax(cfg: RunConfig) -> int:
         h_n=res.h, J_n=J, tau_n_sq=tau, v_n_sq=v, R=R, n=n_eff,
         E_N1_hat=n_eff / R, alpha=alpha, chi2_threshold=ellipse.threshold,
         boundary_flag=res.boundary, ellipse=ellipse, method=method)
-    payload = json.loads(report.to_json())
+    payload = json.loads(report.to_json(extra={
+        "multistart_consistent": res.multistart_consistent,
+        "batch_boundary_count": n_boundary,
+    }))
     write_json(cfg.out_dir / "argmax.json", payload, cfg.sha256)
     if ellipse.boundary.size:
         write_csv(cfg.out_dir / "ellipse.csv", "h_1,h_2",
@@ -431,9 +427,7 @@ def cmd_oracle_check(cfg: RunConfig) -> int:
     trace = run_chain(model, cfg, "oracle-check")
     family = ratio_family(model, cfg.h1())
     grid = cfg.grid(cfg.rect())
-    tours = None
-    if trace.delta.sum() >= 2 or trace.ends_at_regen:
-        tours = segment_tours(trace)
+    tours = segment_tours(trace) if trace.delta.sum() >= 2 or trace.ends_at_regen else None
     est = surface_on_grid(trace, family, grid, tours=tours, M=cfg.M)
     h1 = cfg.h1()
     truth = np.array([model.oracle_B(h, h1) for h in grid])
@@ -487,6 +481,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (OSError, np.linalg.LinAlgError) as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -9,8 +9,7 @@ alternative is provided for traces without regeneration marks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -20,7 +19,6 @@ from priorscan.chain_runtime import (
     TourIndex,
     TourSums,
     as_ratio_family,
-    tour_sums,
 )
 from priorscan.prior_family import RatioFamily
 
@@ -36,6 +34,7 @@ __all__ = [
     "cov_I_pair",
     "batch_values",
     "batch_se",
+    "grid_estimates",
     "surface_on_grid",
     "functional_on_grid",
     "ESS_UNRELIABLE",
@@ -66,60 +65,36 @@ class SurfaceEstimate:
         return self.ess < ESS_UNRELIABLE
 
     def to_csv(self, path) -> None:
-        _emit_csv(path, self.grid, self.values, self.se, self.ess)
+        grid = np.atleast_2d(self.grid)
+        header = ",".join(f"h_{i+1}" for i in range(grid.shape[1])) + ",value,se,ess"
+        np.savetxt(path, np.column_stack([grid, self.values, self.se, self.ess]),
+                   fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 @dataclass
-class FunctionalEstimate:
+class FunctionalEstimate(SurfaceEstimate):
     """I_hat_g over a grid with pointwise SEs and effective sample sizes."""
 
-    grid: np.ndarray
-    values: np.ndarray
-    se: np.ndarray
-    ess: np.ndarray
     g_name: str = ""
-    n: int = 0
-    R: int | None = None
-    se_method: str = "tour"
-
-    @property
-    def unreliable(self) -> np.ndarray:
-        return self.ess < ESS_UNRELIABLE
-
-    def to_csv(self, path) -> None:
-        _emit_csv(path, self.grid, self.values, self.se, self.ess)
-
-
-def _emit_csv(path, grid, values, se, ess_vals) -> None:
-    grid = np.atleast_2d(grid)
-    k = grid.shape[1]
-    with open(path, "w") as fh:
-        fh.write(",".join(f"h_{i+1}" for i in range(k)) + ",value,se,ess\n")
-        for row, v, s, e in zip(grid, values, se, ess_vals):
-            cells = ["%.17g" % x for x in (*row, v, s, e)]
-            fh.write(",".join(cells) + "\n")
 
 
 # ------------------------------------------------------------------
 # point estimates
 # ------------------------------------------------------------------
 
-def _logf(trace: ChainTrace, spec_or_family, h) -> np.ndarray:
-    family = as_ratio_family(spec_or_family, trace)
-    return family.log_f(np.asarray(h, dtype=float), trace.Tmat)
-
-
 def estimate_B(trace: ChainTrace, spec_or_family, h) -> float:
-    """(1/n) sum_i f_h(theta_i), computed as exp(logsumexp - log n)."""
+    """(1/n) sum_i f_h(theta_i), with log f_h shifted by its max."""
     if trace.n == 0:
         raise ValueError("empty trace")
-    logf = _logf(trace, spec_or_family, h)
-    return float(np.exp(logsumexp(logf) - np.log(trace.n)))
+    shift, c, _, _ = _grid_sums(as_ratio_family(spec_or_family, trace),
+                                np.atleast_2d(h), trace.Tmat)
+    return float(c[0] * np.exp(shift[0]))
 
 
 def weights(trace: ChainTrace, spec_or_family, h) -> np.ndarray:
     """Normalized importance weights w_i^(h); nonnegative, sum to 1."""
-    logf = _logf(trace, spec_or_family, h)
+    family = as_ratio_family(spec_or_family, trace)
+    logf = family.log_f(np.asarray(h, dtype=float), trace.Tmat)
     logw = logf - logsumexp(logf)
     return np.exp(logw)
 
@@ -199,18 +174,15 @@ def batch_values(trace: ChainTrace, spec_or_family, h, M: int,
                  g_name: str | None = None) -> np.ndarray:
     """Per-batch B_n (or I_hat_g when ``g_name`` given) over M consecutive
     batches of floor(n/M) draws; the trailing remainder is dropped."""
-    if M < 2:
-        raise ValueError("need at least 2 batches")
-    L = trace.n // M
-    if L < 1:
-        raise ValueError("more batches than draws")
-    logf = _logf(trace, spec_or_family, h)[:M * L].reshape(M, L)
-    shift = logf.max()
-    f = np.exp(logf - shift)
-    if g_name is None:
-        return f.mean(axis=1) * np.exp(shift)
-    g = trace.functional(g_name)[:M * L].reshape(M, L)
-    return (g * f).sum(axis=1) / f.sum(axis=1)
+    family = as_ratio_family(spec_or_family, trace)
+    h = np.atleast_2d(np.asarray(h, dtype=float))
+    _, n_used, starts = _segmentation(trace.n, None, M)
+    g = None if g_name is None else trace.functional(g_name)[:n_used]
+    shift, c, _, I = _grid_sums(family, h, trace.Tmat[:n_used], g)
+    devs = [dB if g is None else dI for _, dB, dI in _deviations(
+        family, h, trace.Tmat[:n_used], shift, c, I, starts, g, ratio=True)]
+    d = np.concatenate(devs)[:, 0]
+    return (d + c) * np.exp(shift) if g is None else d + I
 
 
 def batch_se(trace: ChainTrace, spec_or_family, h, M: int,
@@ -221,30 +193,131 @@ def batch_se(trace: ChainTrace, spec_or_family, h, M: int,
 
 
 # ------------------------------------------------------------------
-# grid sweeps
+# grid sweeps: one chunked pass over the draws
 # ------------------------------------------------------------------
 
-def _log_f_grid(family: RatioFamily, grid: np.ndarray, Tmat: np.ndarray,
-                chunk: int = 64) -> np.ndarray:
-    """(n, G) matrix of log f_h over a grid of hyperparameters."""
-    if hasattr(family, "log_f_many"):
-        return family.log_f_many(grid, Tmat)
-    cols = [family.log_f(h, Tmat) for h in grid]
-    return np.stack(cols, axis=1)
+# Floats in one (draws, G) block of the grid passes: 1 MB, which keeps a
+# block in a core's cache (larger blocks ran slower) and holds a pass to a
+# few such blocks whatever the trace length and grid size.
+CHUNK_FLOATS = 2 ** 17
 
 
-def _grid_core(trace, spec_or_family, grid, tours, M):
-    """Shared per-grid-point f evaluation; returns scaled f, segmentation info."""
+def _log_f_chunks(family: RatioFamily, grid: np.ndarray, Tmat: np.ndarray):
+    """Yield (first row, (rows, G) block of log f_h) over consecutive chunks."""
+    rows = max(1, CHUNK_FLOATS // grid.shape[0])
+    for a in range(0, Tmat.shape[0], rows):
+        yield a, family.log_f_many(grid, Tmat[a:a + rows])
+
+
+def _grid_sums(family: RatioFamily, grid: np.ndarray, Tmat: np.ndarray,
+               g: np.ndarray | None = None):
+    """(shift, c, ess, I) over the grid from one pass over the draws.
+
+    ``shift`` is the column max of log f_h and ``c`` the mean of
+    f_h exp(-shift), so B_n = c exp(shift); ``I`` (None without ``g``) is
+    I_hat_g.  The pass keeps a running column max and sums rescaled to it,
+    the online normalizer of Milakov & Gimelshein (2018).
+    """
+    shift = np.full(grid.shape[0], -np.inf)
+    f_sum = f2_sum = gf_sum = np.zeros_like(shift)
+    for a, logf in _log_f_chunks(family, grid, Tmat):
+        new = np.maximum(shift, logf.max(axis=0))
+        scale = np.exp(shift - new)
+        f = np.exp(np.subtract(logf, new, out=logf), out=logf)
+        f_sum = f_sum * scale + f.sum(axis=0)
+        f2_sum = f2_sum * scale ** 2 + np.einsum("ij,ij->j", f, f)
+        if g is not None:
+            gf_sum = gf_sum * scale + g[a:a + f.shape[0]] @ f
+        shift = new
+    return (shift, f_sum / Tmat.shape[0], f_sum ** 2 / f2_sum,
+            None if g is None else gf_sum / f_sum)
+
+
+def _deviations(family, grid, Tmat, shift, c, I, starts, g=None,
+                ratio: bool = False):
+    """Yield (ids, dB, dI): deviations from the full-trace values of the
+    segments of rows beginning at ``starts`` (the last ends with Tmat).
+
+    With S_r, T_r the sums over segment r of f = f_h exp(-shift) and g f, and
+    N_r its length: dB_r = (S_r - N_r c) / Nbar; dI_r = (T_r - I S_r) / Sbar
+    (delta method over tours, whose rows are those ``c`` is the mean over),
+    or with ``ratio`` the batch estimate T_r / S_r - I; None without ``g``.
+    The segment open at a chunk's end is carried into the next chunk.
+    """
+    n, R, G = Tmat.shape[0], starts.size, grid.shape[0]
+    lengths = np.diff(np.append(starts, n))
+
+    def deviations(ids, x):
+        S, T = x[:, :G], x[:, G:]
+        dB = (S - lengths[ids, None] * c) / (n / R)
+        if g is None:
+            return ids, dB, None
+        return ids, dB, (T / S - I if ratio else (T - I * S) / (c * n / R))
+
+    open_id, carry = 0, 0.0
+    for a, logf in _log_f_chunks(family, grid, Tmat):
+        rows = logf.shape[0]
+        f = np.exp(np.subtract(logf, shift, out=logf), out=logf)
+        x = f if g is None else np.hstack([f, g[a:a + rows, None] * f])
+        first = int(np.searchsorted(starts, a, side="right")) - 1
+        if first != open_id:                  # the carried segment ended at a
+            yield deviations(np.array([open_id]), carry[None, :])
+            carry = 0.0
+        last = np.searchsorted(starts, a + rows)    # first segment after the chunk
+        cuts = np.concatenate(([0], starts[first + 1:last] - a))
+        # one segment per row (unit tours): reduceat would only copy, slowly
+        x = x if cuts.size == rows else np.add.reduceat(x, cuts, axis=0)
+        x[0] += carry
+        open_id, carry = first + cuts.size - 1, x[-1].copy()
+        if cuts.size > 1:
+            yield deviations(first + np.arange(cuts.size - 1), x[:-1])
+    yield deviations(np.array([open_id]), carry[None, :])
+
+
+def _segmentation(n: int, tours: TourIndex | None, M: int | None):
+    """(rows used, rows segmented, 0-based segment starts) for the tours, or
+    for M consecutive batches of floor(n/M) draws (default M = ceil(sqrt(n)))."""
+    if tours is not None:
+        return tours.n_eff, tours.n_eff, tours.starts0
+    M = max(2, int(np.ceil(np.sqrt(n)))) if M is None else M
+    if M < 2:
+        raise ValueError("need at least 2 batches")
+    if n < M:
+        raise ValueError("more batches than draws")
+    return n, M * (n // M), np.arange(M) * (n // M)
+
+
+def grid_estimates(trace: ChainTrace, spec_or_family, grid,
+                   g_name: str | None = None, tours: TourIndex | None = None,
+                   M: int | None = None
+                   ) -> tuple[SurfaceEstimate, FunctionalEstimate | None]:
+    """B_n and, when ``g_name`` is given, I_hat_g over a grid with pointwise
+    SEs: one pass over the draws for the values, one for the SEs.
+
+    SEs are tour-based when a :class:`TourIndex` is supplied, otherwise
+    batch-means with ``M`` batches (default ceil(sqrt(n))).
+    """
     family = as_ratio_family(spec_or_family, trace)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    if tours is not None:
-        n_eff = tours.n_eff
-    else:
-        n_eff = trace.n
-        if M is None:
-            M = max(2, int(np.ceil(np.sqrt(trace.n))))
-    logf = _log_f_grid(family, grid, trace.Tmat[:n_eff])
-    return family, grid, logf, n_eff, M
+    n_eff, n_seg, starts = _segmentation(trace.n, tours, M)
+    g = None if g_name is None else trace.functional(g_name)[:n_eff]
+    shift, c, ess_vals, I = _grid_sums(family, grid, trace.Tmat[:n_eff], g)
+    # sums of the deviations and of their squares, for B then for I; the
+    # SEs center them at their mean over the R segments
+    acc = np.zeros((4, grid.shape[0]))
+    for _, *devs in _deviations(family, grid, trace.Tmat[:n_seg], shift, c, I,
+                                starts, g, ratio=tours is None):
+        for k, d in enumerate(devs if g is not None else devs[:1]):
+            acc[2 * k] += d.sum(axis=0)
+            acc[2 * k + 1] += np.einsum("rj,rj->j", d, d)
+    R = starts.size
+    se = np.sqrt(np.maximum(acc[1::2] - acc[::2] ** 2 / R, 0.0) / (R - 1) / R)
+    common = dict(grid=grid, ess=ess_vals, n=n_eff, R=None if tours is None else R,
+                  se_method="batch" if tours is None else "tour")
+    est = SurfaceEstimate(values=c * np.exp(shift), se=se[0] * np.exp(shift), **common)
+    if g is None:
+        return est, None
+    return est, FunctionalEstimate(values=I, se=se[1], g_name=g_name, **common)
 
 
 def surface_on_grid(trace: ChainTrace, spec_or_family, grid,
@@ -254,64 +327,11 @@ def surface_on_grid(trace: ChainTrace, spec_or_family, grid,
 
     SEs are tour-based when a :class:`TourIndex` is supplied, otherwise
     batch-means with ``M`` batches (default ceil(sqrt(n)))."""
-    family, grid, logf, n_eff, M = _grid_core(trace, spec_or_family, grid, tours, M)
-    shift = logf.max(axis=0)
-    f = np.exp(logf - shift[None, :])                    # (n_eff, G)
-    sums = f.sum(axis=0)
-    values = sums / n_eff * np.exp(shift)
-    ess_vals = sums ** 2 / np.einsum("ij,ij->j", f, f)
-
-    G = grid.shape[0]
-    se = np.empty(G)
-    if tours is not None:
-        N = tours.lengths.astype(float)
-        unit_tours = bool(N.max() == 1.0)
-        S = f if unit_tours else np.add.reduceat(f, tours.starts0, axis=0)
-        R = tours.R
-        Sbar, Nbar = S.mean(axis=0), N.mean()
-        a = S - np.outer(N / Nbar, Sbar)
-        a /= Nbar
-        var = np.einsum("rj,rj->j", a, a) / (R - 1)
-        se = np.sqrt(var / R) * np.exp(shift)
-        return SurfaceEstimate(grid=grid, values=values, se=se, ess=ess_vals,
-                               n=n_eff, R=R, se_method="tour")
-    L = n_eff // M
-    fb = f[:M * L].reshape(M, L, G).mean(axis=1)         # (M, G) batch means
-    se = fb.std(axis=0, ddof=1) / np.sqrt(M) * np.exp(shift)
-    return SurfaceEstimate(grid=grid, values=values, se=se, ess=ess_vals,
-                           n=n_eff, R=None, se_method="batch")
+    return grid_estimates(trace, spec_or_family, grid, tours=tours, M=M)[0]
 
 
 def functional_on_grid(trace: ChainTrace, spec_or_family, g_name: str, grid,
                        tours: TourIndex | None = None,
                        M: int | None = None) -> FunctionalEstimate:
     """I_hat_g with pointwise SEs over a grid (tour- or batch-based)."""
-    family, grid, logf, n_eff, M = _grid_core(trace, spec_or_family, grid, tours, M)
-    g = trace.functional(g_name)[:n_eff]
-    shift = logf.max(axis=0)
-    f = np.exp(logf - shift[None, :])
-    sums = f.sum(axis=0)
-    values = (g @ f) / sums
-    ess_vals = sums ** 2 / np.einsum("ij,ij->j", f, f)
-
-    G = grid.shape[0]
-    if tours is not None:
-        unit_tours = bool(tours.lengths.max() == 1)
-        if unit_tours:
-            S, T = f, g[:, None] * f
-        else:
-            S = np.add.reduceat(f, tours.starts0, axis=0)
-            T = np.add.reduceat(g[:, None] * f, tours.starts0, axis=0)
-        R = tours.R
-        a = (T - values[None, :] * S) / S.mean(axis=0)[None, :]
-        var = np.einsum("rj,rj->j", a, a) / (R - 1)
-        se = np.sqrt(var / R)
-        return FunctionalEstimate(grid=grid, values=values, se=se, ess=ess_vals,
-                                  g_name=g_name, n=n_eff, R=R, se_method="tour")
-    L = n_eff // M
-    fb = f[:M * L].reshape(M, L, G)
-    gb = g[:M * L].reshape(M, L)
-    Ib = np.einsum("ml,mlj->mj", gb, fb) / fb.sum(axis=1)
-    se = Ib.std(axis=0, ddof=1) / np.sqrt(M)
-    return FunctionalEstimate(grid=grid, values=values, se=se, ess=ess_vals,
-                              g_name=g_name, n=n_eff, R=None, se_method="batch")
+    return grid_estimates(trace, spec_or_family, grid, g_name, tours=tours, M=M)[1]

@@ -13,7 +13,7 @@ last step.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -252,6 +252,19 @@ def ratio_hess(spec: ExpFamilySpec, h, h1, T) -> np.ndarray:
 # vectorized ratio families (what the estimators consume)
 # ------------------------------------------------------------------
 
+def grid_canon(family, h_grid) -> tuple[np.ndarray, np.ndarray]:
+    """omega(h) and A(h) of ``family.spec`` over a grid, kept for the last
+    grid: the grid estimators evaluate one grid once per chunk of draws."""
+    key = np.asarray(h_grid, dtype=float).tobytes()
+    cached = getattr(family, "_grid_canon", None)
+    if cached is None or cached[0] != key:
+        spec = family.spec
+        cached = family._grid_canon = (
+            key, np.array([spec.canon(h) for h in h_grid], dtype=float),
+            np.array([spec.log_norm(h) for h in h_grid], dtype=float))
+    return cached[1], cached[2]
+
+
 class RatioFamily:
     """Vectorized evaluation of log f_h and its h-derivatives over a trace.
 
@@ -263,6 +276,10 @@ class RatioFamily:
 
     def log_f(self, h: np.ndarray, Tmat: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def log_f_many(self, h_grid: np.ndarray, Tmat: np.ndarray) -> np.ndarray:
+        """log f_h for a whole grid at once, shape (n, G)."""
+        return np.stack([self.log_f(h, Tmat) for h in h_grid], axis=1)
 
     def grad_log_f(self, h: np.ndarray, Tmat: np.ndarray) -> np.ndarray:
         h = np.asarray(h, dtype=float)
@@ -286,21 +303,6 @@ class RatioFamily:
             gm = self.grad_log_f(h - e, Tmat)
             out[:, :, i] = (gp - gm) / (2 * step[i])
         return 0.5 * (out + np.swapaxes(out, 1, 2))
-
-    # derived quantities --------------------------------------------------
-    def grad_f(self, h, Tmat, logf=None) -> np.ndarray:
-        """Per-draw gradient of f_h itself, shape (n, k)."""
-        if logf is None:
-            logf = self.log_f(h, Tmat)
-        return np.exp(logf)[:, None] * self.grad_log_f(h, Tmat)
-
-    def hess_f(self, h, Tmat, logf=None) -> np.ndarray:
-        """Per-draw Hessian of f_h, shape (n, k, k)."""
-        if logf is None:
-            logf = self.log_f(h, Tmat)
-        u = self.grad_log_f(h, Tmat)
-        outer = u[:, :, None] * u[:, None, :]
-        return np.exp(logf)[:, None, None] * (outer + self.hess_log_f(h, Tmat))
 
 
 class ExpFamilyRatio(RatioFamily):
@@ -332,9 +334,8 @@ class ExpFamilyRatio(RatioFamily):
 
     def log_f_many(self, h_grid: np.ndarray, Tmat: np.ndarray) -> np.ndarray:
         """log f_h for a whole grid at once, shape (n, G)."""
-        omegas = np.stack([np.asarray(self.spec.canon(h), dtype=float) for h in h_grid])
-        As = np.array([float(self.spec.log_norm(h)) for h in h_grid])
-        return Tmat @ (omegas - self._omega1).T - As[None, :] + self._A1
+        omegas, As = grid_canon(self, h_grid)
+        return Tmat @ (omegas - self._omega1).T - (As - self._A1)
 
 
 # ------------------------------------------------------------------

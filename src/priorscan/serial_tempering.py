@@ -10,14 +10,15 @@ regeneration construction is attempted).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Protocol
+from dataclasses import dataclass, replace
+from typing import Protocol
 
 import numpy as np
 from scipy.special import logsumexp
 
 from priorscan.chain_runtime import ChainTrace, simulate
-from priorscan.prior_family import ExpFamilySpec, HyperRect, RatioFamily
+from priorscan.estimators import _grid_sums
+from priorscan.prior_family import ExpFamilySpec, HyperRect, RatioFamily, grid_canon
 
 __all__ = [
     "STGrid",
@@ -126,8 +127,7 @@ class MixtureRatio(RatioFamily):
         return np.tensordot(Tmat, hc, axes=(1, 0)) - self.spec.hess_A(h)[None, :, :]
 
     def log_f_many(self, h_grid, Tmat):
-        omegas = np.stack([np.asarray(self.spec.canon(h), dtype=float) for h in h_grid])
-        As = np.array([float(self.spec.log_norm(h)) for h in h_grid])
+        omegas, As = grid_canon(self, h_grid)
         denom = st_log_denominator(self.spec, self.grid, Tmat)
         return Tmat @ omegas.T - As[None, :] - denom[:, None]
 
@@ -269,9 +269,9 @@ def tune_zeta(model: STModel, spec: ExpFamilySpec, grid: STGrid, *,
             return replace(grid, occupancies=occ), True
         if mode == "reweight":
             family = MixtureRatio(spec, grid)
-            logf = family.log_f_many(grid.anchors, trace.Tmat)   # (n, m)
-            log_B = logsumexp(logf, axis=0) - np.log(trace.n)
-            log_z = log_B - log_B.mean()
+            shift, c, _, _ = _grid_sums(family, grid.anchors, trace.Tmat)
+            log_z = shift + np.log(c)
+            log_z -= log_z.mean()
             zetas = np.exp(log_z)
         else:
             zetas = grid.zetas * (grid.m * occ) ** kappa

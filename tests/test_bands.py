@@ -122,3 +122,17 @@ class TestStatistics:
             widths.append(w)
         # ~ n^{-1/2} scaling: a 16x larger run should shrink the width ~4x
         assert widths[1] < 0.5 * widths[0]
+
+
+def test_wide_rectangle_flags_low_ess(toy_model):
+    """A wide rectangle leaves corners where one draw carries all the weight;
+    the band reports them instead of passing silently."""
+    from priorscan.prior_family import HyperRect
+    rect = HyperRect(lower=[-6.0, 0.05], upper=[6.0, 20.0])
+    trace = toy_model.exact_trace(h1=H1, n=40_000, seed=1)
+    rep = global_band(trace, ExpFamilyRatio(toy_model.spec(), H1), "theta1",
+                      rect.grid(11))
+    d = json.loads(rep.to_json())
+    assert d["n_unreliable"] > 0
+    assert d["ess_min"] == pytest.approx(rep.ess.min())
+    assert d["ess_min"] < 50.0

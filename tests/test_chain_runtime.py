@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -247,6 +249,37 @@ class TestTraceIO:
         assert np.array_equal(trace.g["theta1"], back.g["theta1"])
         assert back.ends_at_regen == trace.ends_at_regen
         assert back.meta["h1"] == trace.meta["h1"]
+
+    def test_bulk_writer_matches_row_loop(self, tmp_path):
+        # the writer before it became one bulk %-format, kept as the reference
+        def row_loop(trace, path):
+            names = trace.functional_names
+            header = {"version": 1, "n": trace.n, "stat_dim": trace.stat_dim,
+                      "functionals": names, "ends_at_regen": trace.ends_at_regen,
+                      "meta": trace.meta}
+            with open(path, "w") as fh:
+                fh.write(json.dumps(header, sort_keys=True) + "\n")
+                gcols = [trace.g[name] for name in names]
+                for i in range(trace.n):
+                    vals = [*trace.Tmat[i], *(col[i] for col in gcols)]
+                    fh.write(",".join("%.17g" % v for v in vals))
+                    fh.write(",%d\n" % int(trace.delta[i]))
+
+        special = [-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300,
+                   3.0, -7.0, 2.0 ** 53, 0.1, 1.0 / 3.0]
+        rng = np.random.default_rng(2)
+        n = 40
+        Tmat = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-300, 300, (n, 2))
+        Tmat[:len(special), 0] = special
+        Tmat[:len(special), 1] = special[::-1]
+        g = {"a": np.arange(n, dtype=float) - 5.0, "b": rng.normal(size=n)}
+        g["b"][-len(special):] = special
+        delta = rng.random(n) < 0.3
+        delta[0] = True
+        trace = ChainTrace(Tmat=Tmat, g=g, delta=delta, meta={"h1": [0.0, 1.0]})
+        save_trace(trace, tmp_path / "bulk.txt")
+        row_loop(trace, tmp_path / "loop.txt")
+        assert (tmp_path / "bulk.txt").read_bytes() == (tmp_path / "loop.txt").read_bytes()
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.txt"

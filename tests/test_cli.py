@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from priorscan.cli import EXIT_CONFIG, EXIT_OK, main, stream_rng
+from priorscan.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main, stream_rng,
+                           write_csv)
 
 TOY_COMMON = """\
 [run]
@@ -36,6 +37,18 @@ def _read_csv(path):
     header = lines[1].split(",")
     body = np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]])
     return header, body
+
+
+def test_write_csv_matches_row_loop(tmp_path):
+    # the writer before it became one np.savetxt call, kept as the reference
+    rows = np.array([[-0.0, 5e-324, 1e300, -1e300], [3.0, np.nan, np.inf, -np.inf],
+                     [0.1, 1.0 / 3.0, 2.0 ** 53, -7.0]])
+    with open(tmp_path / "loop.csv", "w") as fh:
+        fh.write("# config_sha256=abc\n" + "a,b,c,d\n")
+        for row in rows:
+            fh.write(",".join("%.17g" % v for v in row) + "\n")
+    write_csv(tmp_path / "bulk.csv", "a,b,c,d", rows, "abc")
+    assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
 
 class TestStreamRng:
@@ -96,6 +109,8 @@ class TestArgmax:
         assert d["alpha"] == 0.05
         assert not d["boundary_flag"]
         assert np.linalg.norm(np.array(d["h_n"]) - [0.0, 1.0]) < 0.3
+        assert d["multistart_consistent"] is True
+        assert d["batch_boundary_count"] is None
         assert (out / "ellipse.csv").exists()
 
     def test_batch_method_without_regeneration(self, tmp_path):
@@ -136,6 +151,8 @@ M = 10
         d = json.loads((out / "argmax.json").read_text())
         assert d["method"] == "batch"
         assert d["J_n"] is None
+        assert isinstance(d["multistart_consistent"], bool)
+        assert 0 <= d["batch_boundary_count"] <= 10
 
 
 class TestBand:
@@ -151,6 +168,7 @@ class TestBand:
         assert np.allclose(width, width[0])
         d = json.loads((out / "band.json").read_text())
         assert d["M"] == 40 and d["target"] == "I:theta1"
+        assert d["ess_min"] > 0.0 and d["n_unreliable"] == 0
 
     def test_replicate_coverage(self, tmp_path):
         out = tmp_path / "out"
@@ -274,3 +292,27 @@ class TestConfigErrors:
     def test_unparseable_config(self, tmp_path):
         cfg = _write(tmp_path, "this is not an ini file\n")
         assert main(["surface", cfg]) == EXIT_CONFIG
+
+
+class TestRuntimeErrors:
+    def test_missing_corpus(self, tmp_path, capsys):
+        cfg = _write(tmp_path, f"""\
+[run]
+model = lda-dirichlet
+seed = 1
+n = 10
+out = {tmp_path / "out"}
+
+[model]
+corpus = {tmp_path / "no-such-corpus.txt"}
+K = 2
+
+[hyper]
+rect_lower = 0.1, 0.1
+rect_upper = 2, 2
+h1 = 0.5, 0.5
+""")
+        assert main(["surface", cfg]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
