@@ -11,15 +11,12 @@ from priorscan.prior_family import (
     HyperRect,
     ExpFamilySpec,
     EnvelopeSet,
-    RatioFamily,
     ExpFamilyRatio,
     log_ratio,
     ratio_grad,
     ratio_hess,
     envelope_corners,
     check_envelope,
-    get_family,
-    register_family,
 )
 from priorscan.chain_runtime import (
     ChainTrace,
@@ -60,7 +57,6 @@ from priorscan.serial_tempering import (
     MixtureRatio,
     st_step,
     tune_zeta,
-    st_denominator,
     run_st,
 )
 

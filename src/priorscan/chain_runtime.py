@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from priorscan.prior_family import ExpFamilySpec, ExpFamilyRatio, RatioFamily
+from priorscan.prior_family import ExpFamilySpec, ExpFamilyRatio
 
 __all__ = [
     "ChainTrace",
@@ -335,16 +335,16 @@ def _segment_sum(values: np.ndarray, starts0: np.ndarray) -> np.ndarray:
     return np.add.reduceat(values, starts0, axis=0)
 
 
-def as_ratio_family(spec_or_family, trace: ChainTrace) -> RatioFamily:
-    """Accept either a RatioFamily or an ExpFamilySpec (anchored at meta h1)."""
-    if isinstance(spec_or_family, RatioFamily):
+def as_ratio_family(spec_or_family, trace: ChainTrace) -> ExpFamilyRatio:
+    """Accept either an ExpFamilyRatio or an ExpFamilySpec (anchored at meta h1)."""
+    if isinstance(spec_or_family, ExpFamilyRatio):
         return spec_or_family
     if isinstance(spec_or_family, ExpFamilySpec):
         h1 = trace.meta.get("h1")
         if h1 is None:
             raise ValueError("trace meta lacks 'h1'; pass an ExpFamilyRatio explicitly")
         return ExpFamilyRatio(spec_or_family, np.asarray(h1, dtype=float))
-    raise TypeError(f"expected RatioFamily or ExpFamilySpec, got {type(spec_or_family)!r}")
+    raise TypeError(f"expected ExpFamilyRatio or ExpFamilySpec, got {type(spec_or_family)!r}")
 
 
 def tour_sums(trace: ChainTrace, tours: TourIndex, spec_or_family, h,

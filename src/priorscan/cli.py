@@ -6,7 +6,8 @@ all randomness flows from per-stream generators derived from (seed, stream
 name), so identical configs produce byte-identical outputs.  Exit codes:
 0 ok, 1 runtime warning (boundary argmax / tuning non-convergence /
 oracle mismatch), 2 configuration error, 3 runtime error (an unreadable
-input or output file, or a numerically singular J_n).
+input or output file, a numerically singular J_n, or a ValueError such as a
+trace with fewer than 2 complete tours).
 """
 
 from __future__ import annotations
@@ -206,6 +207,12 @@ def ratio_family(model, h1):
     return ExpFamilyRatio(model.spec(), h1)
 
 
+def trace_tours(trace: ChainTrace):
+    """The trace's tours when it carries regeneration marks, else None (the
+    estimators then use batch means)."""
+    return segment_tours(trace) if trace.delta.sum() >= 2 or trace.ends_at_regen else None
+
+
 # ------------------------------------------------------------------
 # output helpers
 # ------------------------------------------------------------------
@@ -238,7 +245,7 @@ def cmd_surface(cfg: RunConfig) -> int:
     trace = run_chain(model, cfg, "surface")
     family = ratio_family(model, cfg.h1())
     grid = cfg.grid(cfg.rect())
-    tours = segment_tours(trace) if trace.delta.sum() >= 2 or trace.ends_at_regen else None
+    tours = trace_tours(trace)
     g_name = cfg.functional
     est, fest = grid_estimates(trace, family, grid, g_name, tours=tours, M=cfg.M)
     _estimate_csv(cfg.out_dir / "surface.csv", est, cfg.sha256)
@@ -256,8 +263,8 @@ def cmd_argmax(cfg: RunConfig) -> int:
     res = maximize_surface(trace, family, rect)
     alpha = cfg.alpha
 
-    if trace.delta.sum() >= 2 or trace.ends_at_regen:
-        tours = segment_tours(trace)
+    tours = trace_tours(trace)
+    if tours is not None:
         tsums = tour_sums(trace, tours, family, res.h)
         J = hessian_Jn(tsums)
         tau = tau_n_sq(tsums)
@@ -427,7 +434,7 @@ def cmd_oracle_check(cfg: RunConfig) -> int:
     trace = run_chain(model, cfg, "oracle-check")
     family = ratio_family(model, cfg.h1())
     grid = cfg.grid(cfg.rect())
-    tours = segment_tours(trace) if trace.delta.sum() >= 2 or trace.ends_at_regen else None
+    tours = trace_tours(trace)
     est = surface_on_grid(trace, family, grid, tours=tours, M=cfg.M)
     h1 = cfg.h1()
     truth = np.array([model.oracle_B(h, h1) for h in grid])
@@ -481,7 +488,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, np.linalg.LinAlgError) as exc:
+    except (OSError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

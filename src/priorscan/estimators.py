@@ -20,7 +20,7 @@ from priorscan.chain_runtime import (
     TourSums,
     as_ratio_family,
 )
-from priorscan.prior_family import RatioFamily
+from priorscan.prior_family import ExpFamilyRatio
 
 __all__ = [
     "SurfaceEstimate",
@@ -202,14 +202,14 @@ def batch_se(trace: ChainTrace, spec_or_family, h, M: int,
 CHUNK_FLOATS = 2 ** 17
 
 
-def _log_f_chunks(family: RatioFamily, grid: np.ndarray, Tmat: np.ndarray):
+def _log_f_chunks(family: ExpFamilyRatio, grid: np.ndarray, Tmat: np.ndarray):
     """Yield (first row, (rows, G) block of log f_h) over consecutive chunks."""
     rows = max(1, CHUNK_FLOATS // grid.shape[0])
     for a in range(0, Tmat.shape[0], rows):
         yield a, family.log_f_many(grid, Tmat[a:a + rows])
 
 
-def _grid_sums(family: RatioFamily, grid: np.ndarray, Tmat: np.ndarray,
+def _grid_sums(family: ExpFamilyRatio, grid: np.ndarray, Tmat: np.ndarray,
                g: np.ndarray | None = None):
     """(shift, c, ess, I) over the grid from one pass over the draws.
 
@@ -300,6 +300,8 @@ def grid_estimates(trace: ChainTrace, spec_or_family, grid,
     family = as_ratio_family(spec_or_family, trace)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     n_eff, n_seg, starts = _segmentation(trace.n, tours, M)
+    if starts.size < 2:
+        raise ValueError("need at least 2 complete tours")
     g = None if g_name is None else trace.functional(g_name)[:n_eff]
     shift, c, ess_vals, I = _grid_sums(family, grid, trace.Tmat[:n_eff], g)
     # sums of the deviations and of their squares, for B then for I; the

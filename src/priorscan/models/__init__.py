@@ -1,11 +1,7 @@
 """Model plugins: conjugate normal-hierarchical toy, Bayesian variable
 selection under a Zellner g-prior, and desk-scale latent Dirichlet allocation.
-
-Importing this package registers the family ids "normal-hier",
-"vs-bernoulli-zellner" and "lda-dirichlet".
 """
 
-from priorscan.models import normal_hier, varsel, lda  # noqa: F401  (registration)
 from priorscan.models.normal_hier import NormalHierModel
 from priorscan.models.varsel import VSModel, synth_regression
 from priorscan.models.lda import LDAModel, synth_corpus

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import gammaln, polygamma, psi
 
 from priorscan.chain_runtime import ChainTrace, simulate
-from priorscan.prior_family import ExpFamilySpec, HyperRect, register_family
+from priorscan.prior_family import ExpFamilySpec, HyperRect
 
 try:
     from numba import njit
@@ -312,10 +312,3 @@ class _LDASTModel:
 
     def observe(self, state):
         return self.model.observe(state)
-
-
-def _build(corpus, K, rect=None, **_):
-    return LDAModel(corpus=corpus, K=int(K), rect=rect)
-
-
-register_family("lda-dirichlet", _build)

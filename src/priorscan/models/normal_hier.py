@@ -16,7 +16,7 @@ import numpy as np
 from scipy.stats import norm
 
 from priorscan.chain_runtime import ChainTrace, IIDKernel, indep_mh_regen_prob, simulate
-from priorscan.prior_family import ExpFamilySpec, HyperRect, register_family
+from priorscan.prior_family import ExpFamilySpec, HyperRect
 
 __all__ = [
     "NormalHierModel",
@@ -316,12 +316,3 @@ class _ToySTModel:
 
     def observe(self, theta):
         return self.model.observe(theta)
-
-
-def _build(y, sigma0=1.0, rect=None, **_):
-    kwargs = {} if rect is None else {"rect": rect}
-    return NormalHierModel(y=np.asarray(y, dtype=float), sigma0=float(sigma0),
-                           **kwargs)
-
-
-register_family("normal-hier", _build)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from priorscan.chain_runtime import ChainTrace, simulate
-from priorscan.prior_family import ExpFamilyRatio, ExpFamilySpec, HyperRect, register_family
+from priorscan.prior_family import ExpFamilyRatio, ExpFamilySpec, HyperRect
 
 __all__ = [
     "VSState",
@@ -266,10 +266,3 @@ class _VSKernel:
 
     def observe(self, state):
         return self.model.observe(state)
-
-
-def _build(y, X, rect=None, **_):
-    return VSModel(y=y, X=X, rect=rect)
-
-
-register_family("vs-bernoulli-zellner", _build)

@@ -4,7 +4,8 @@ A prior family assigns to each hyperparameter ``h`` in a compact rectangle a
 prior density ``nu_h``.  Everything downstream consumes only ratios
 ``f_h = nu_h / nu_ref`` evaluated through sufficient statistics, so this module
 centers on :class:`ExpFamilySpec` (exponential families with a smooth canonical
-map) and the vectorized :class:`RatioFamily` interface used by the estimators.
+map) and :class:`ExpFamilyRatio`, the one vectorized ratio the estimators use:
+against one anchor ``nu_h1``, or against a serial-tempering mixture of anchors.
 
 All ratio arithmetic is done in log space; exponentiation is deferred to the
 last step.
@@ -25,16 +26,12 @@ __all__ = [
     "ExpFamilySpec",
     "SuffStat",
     "EnvelopeSet",
-    "RatioFamily",
     "ExpFamilyRatio",
     "log_ratio",
     "ratio_grad",
     "ratio_hess",
     "envelope_corners",
     "check_envelope",
-    "register_family",
-    "get_family",
-    "family_names",
 ]
 
 
@@ -170,6 +167,11 @@ class ExpFamilySpec:
     log_norm_canon: Callable[[np.ndarray], float] | None = None
     name: str = ""
 
+    def canon_many(self, hs) -> tuple[np.ndarray, np.ndarray]:
+        """omega(h) and A(h) at each row of ``hs``: (G, stat_dim) and (G,)."""
+        return (np.array([self.canon(h) for h in hs], dtype=float),
+                np.array([self.log_norm(h) for h in hs], dtype=float))
+
     # -- derivative access with fallbacks ---------------------------------
     def jac(self, h: np.ndarray) -> np.ndarray:
         if self.canon_jac is not None:
@@ -209,118 +211,75 @@ class ExpFamilySpec:
 
 
 # ------------------------------------------------------------------
-# scalar ratio operations (per-draw; the spec-level API)
+# the prior ratio (what the estimators consume)
 # ------------------------------------------------------------------
 
-def log_ratio(spec: ExpFamilySpec, h, h1, T) -> float:
-    """log of nu_h(theta)/nu_h1(theta) through the sufficient statistic T."""
-    h = np.asarray(h, dtype=float)
-    h1 = np.asarray(h1, dtype=float)
-    T = np.asarray(T, dtype=float)
-    val = float((np.asarray(spec.canon(h)) - np.asarray(spec.canon(h1))) @ T
-                - spec.log_norm(h) + spec.log_norm(h1))
-    if not np.isfinite(val):
-        raise InvalidSpecError(f"non-finite log ratio at h={h}, T={T}")
-    return val
+class ExpFamilyRatio:
+    """Prior ratio f_h = nu_h / nu_mix of an exponential family, vectorized
+    over the draws of a trace.
 
+    ``h1`` is one anchor, shape (k,), for a single chain run at h1, or m
+    anchors h_1..h_m, shape (m, k), with tuning constants ``zetas`` (default
+    all 1) for a serial-tempering chain, whose denominator is the mixture
+    (1/m) sum_j nu_{h_j} / zeta_j (Geyer & Thompson 1995).  With omega_j, A_j
+    the canonical point and log-normalizer of anchor j,
 
-def _grad_log_ratio(spec: ExpFamilySpec, h, T) -> np.ndarray:
-    return spec.jac(h).T @ np.asarray(T, dtype=float) - spec.grad_A(h)
+        log f_h = T.(omega_h - omega_1) - (A_h - A_1) - D(T),
+        D(T) = log[(1/m) sum_j exp(T.(omega_j - omega_1) - (A_j - A_1) - log zeta_j)].
 
-
-def _hess_log_ratio(spec: ExpFamilySpec, h, T) -> np.ndarray:
-    T = np.asarray(T, dtype=float)
-    hc = spec.hess_canon(h)
-    return np.tensordot(T, hc, axes=(0, 0)) - spec.hess_A(h)
-
-
-def ratio_grad(spec: ExpFamilySpec, h, h1, T) -> np.ndarray:
-    """Gradient in h of f_h = nu_h/nu_h1 at the draw with statistic T."""
-    f = np.exp(log_ratio(spec, h, h1, T))
-    return f * _grad_log_ratio(spec, h, T)
-
-
-def ratio_hess(spec: ExpFamilySpec, h, h1, T) -> np.ndarray:
-    """Hessian in h of f_h; symmetric by construction."""
-    f = np.exp(log_ratio(spec, h, h1, T))
-    u = _grad_log_ratio(spec, h, T)
-    m = f * (np.outer(u, u) + _hess_log_ratio(spec, h, T))
-    return 0.5 * (m + m.T)
-
-
-# ------------------------------------------------------------------
-# vectorized ratio families (what the estimators consume)
-# ------------------------------------------------------------------
-
-def grid_canon(family, h_grid) -> tuple[np.ndarray, np.ndarray]:
-    """omega(h) and A(h) of ``family.spec`` over a grid, kept for the last
-    grid: the grid estimators evaluate one grid once per chunk of draws."""
-    key = np.asarray(h_grid, dtype=float).tobytes()
-    cached = getattr(family, "_grid_canon", None)
-    if cached is None or cached[0] != key:
-        spec = family.spec
-        cached = family._grid_canon = (
-            key, np.array([spec.canon(h) for h in h_grid], dtype=float),
-            np.array([spec.log_norm(h) for h in h_grid], dtype=float))
-    return cached[1], cached[2]
-
-
-class RatioFamily:
-    """Vectorized evaluation of log f_h and its h-derivatives over a trace.
-
-    Subclasses override :meth:`log_f`; analytic derivatives are optional, with
-    central finite differences as the fallback.
+    With one anchor D is the constant -log zeta_1, folded into A_1, and no
+    per-draw logsumexp is computed.  D does not depend on h, so the
+    h-derivatives of log f_h are those of log nu_h.
     """
 
-    k: int
-
-    def log_f(self, h: np.ndarray, Tmat: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def log_f_many(self, h_grid: np.ndarray, Tmat: np.ndarray) -> np.ndarray:
-        """log f_h for a whole grid at once, shape (n, G)."""
-        return np.stack([self.log_f(h, Tmat) for h in h_grid], axis=1)
-
-    def grad_log_f(self, h: np.ndarray, Tmat: np.ndarray) -> np.ndarray:
-        h = np.asarray(h, dtype=float)
-        step = _fd_step(h)
-        out = np.empty((Tmat.shape[0], self.k))
-        for i in range(self.k):
-            e = np.zeros_like(h)
-            e[i] = step[i]
-            out[:, i] = (self.log_f(h + e, Tmat) - self.log_f(h - e, Tmat)) / (2 * step[i])
-        return out
-
-    def hess_log_f(self, h: np.ndarray, Tmat: np.ndarray) -> np.ndarray:
-        h = np.asarray(h, dtype=float)
-        step = _fd_step(h)
-        n = Tmat.shape[0]
-        out = np.empty((n, self.k, self.k))
-        for i in range(self.k):
-            e = np.zeros_like(h)
-            e[i] = step[i]
-            gp = self.grad_log_f(h + e, Tmat)
-            gm = self.grad_log_f(h - e, Tmat)
-            out[:, :, i] = (gp - gm) / (2 * step[i])
-        return 0.5 * (out + np.swapaxes(out, 1, 2))
-
-
-class ExpFamilyRatio(RatioFamily):
-    """Single-chain prior ratio f_h = nu_h / nu_h1 for an exponential family."""
-
-    def __init__(self, spec: ExpFamilySpec, h1):
+    def __init__(self, spec: ExpFamilySpec, h1, zetas=None):
         self.spec = spec
         self.h1 = np.asarray(h1, dtype=float)
         self.k = spec.k
-        self._omega1 = np.asarray(spec.canon(self.h1), dtype=float)
-        self._A1 = float(spec.log_norm(self.h1))
+        # per-anchor table: omega_j, A_j and log zeta_j
+        self.omegas, self.As = spec.canon_many(np.atleast_2d(self.h1))
+        self.m = self.As.size
+        self.log_zetas = (np.zeros(self.m) if zetas is None
+                          else np.log(np.asarray(zetas, dtype=float)))
+        self._omega1 = self.omegas[0]
+        self._A1 = float(self.As[0])
+        if self.m > 1:
+            self._anchor_dw = (self.omegas - self._omega1).T
+            self._anchor_c = self.As - self._A1 + self.log_zetas
+        elif zetas is not None:
+            self._A1 += float(self.log_zetas[0])
+        self._grid = None
+
+    def _log_denominator(self, Tmat: np.ndarray) -> np.ndarray:
+        """D(T) per draw (m > 1 only)."""
+        return logsumexp(Tmat @ self._anchor_dw - self._anchor_c, axis=1) - np.log(self.m)
+
+    def _grid_terms(self, h_grid) -> tuple[np.ndarray, np.ndarray]:
+        """(omega_h - omega_1).T and A_h - A_1 over a grid, kept for the last
+        grid: the grid estimators evaluate one grid once per chunk of draws."""
+        h_grid = np.asarray(h_grid, dtype=float)
+        key = (h_grid.shape, h_grid.tobytes())
+        if self._grid is None or self._grid[0] != key:
+            omegas, As = self.spec.canon_many(h_grid)
+            self._grid = (key, (omegas - self._omega1).T, As - self._A1)
+        return self._grid[1], self._grid[2]
 
     def log_f(self, h, Tmat):
         h = np.asarray(h, dtype=float)
         omega = np.asarray(self.spec.canon(h), dtype=float)
         out = Tmat @ (omega - self._omega1) - float(self.spec.log_norm(h)) + self._A1
+        if self.m > 1:
+            out -= self._log_denominator(Tmat)
         if not np.all(np.isfinite(out)):
             raise InvalidSpecError(f"non-finite log ratio at h={h}")
+        return out
+
+    def log_f_many(self, h_grid: np.ndarray, Tmat: np.ndarray) -> np.ndarray:
+        """log f_h for a whole grid at once, shape (n, G)."""
+        dw, dA = self._grid_terms(h_grid)
+        out = Tmat @ dw - dA
+        if self.m > 1:
+            out -= self._log_denominator(Tmat)[:, None]
         return out
 
     def grad_log_f(self, h, Tmat):
@@ -332,10 +291,32 @@ class ExpFamilyRatio(RatioFamily):
         hc = self.spec.hess_canon(h)          # (stat_dim, k, k)
         return np.tensordot(Tmat, hc, axes=(1, 0)) - self.spec.hess_A(h)[None, :, :]
 
-    def log_f_many(self, h_grid: np.ndarray, Tmat: np.ndarray) -> np.ndarray:
-        """log f_h for a whole grid at once, shape (n, G)."""
-        omegas, As = grid_canon(self, h_grid)
-        return Tmat @ (omegas - self._omega1).T - (As - self._A1)
+
+# ------------------------------------------------------------------
+# per-draw ratio operations (the spec-level API)
+# ------------------------------------------------------------------
+
+def log_ratio(spec: ExpFamilySpec, h, h1, T) -> float:
+    """log of nu_h(theta)/nu_h1(theta) through the sufficient statistic T."""
+    return float(ExpFamilyRatio(spec, h1).log_f(h, _row(T))[0])
+
+
+def _row(T) -> np.ndarray:
+    return np.asarray(T, dtype=float)[None, :]
+
+
+def ratio_grad(spec: ExpFamilySpec, h, h1, T) -> np.ndarray:
+    """Gradient in h of f_h = nu_h/nu_h1 at the draw with statistic T."""
+    fam, Tmat = ExpFamilyRatio(spec, h1), _row(T)
+    return np.exp(fam.log_f(h, Tmat)[0]) * fam.grad_log_f(h, Tmat)[0]
+
+
+def ratio_hess(spec: ExpFamilySpec, h, h1, T) -> np.ndarray:
+    """Hessian in h of f_h; symmetric by construction."""
+    fam, Tmat = ExpFamilyRatio(spec, h1), _row(T)
+    u = fam.grad_log_f(h, Tmat)[0]
+    m = np.exp(fam.log_f(h, Tmat)[0]) * (np.outer(u, u) + fam.hess_log_f(h, Tmat)[0])
+    return 0.5 * (m + m.T)
 
 
 # ------------------------------------------------------------------
@@ -386,7 +367,7 @@ def envelope_corners(spec: ExpFamilySpec, rect: HyperRect,
         raise ValueError("envelope construction requires log_norm_canon")
 
     grid = rect.grid(grid_points)
-    omegas = np.stack([np.asarray(spec.canon(h), dtype=float) for h in grid])
+    omegas, A_grid = spec.canon_many(grid)
     lo = omegas.min(axis=0)
     hi = omegas.max(axis=0)
     # refine the box so it certainly contains the exact image of the rect
@@ -404,7 +385,6 @@ def envelope_corners(spec: ExpFamilySpec, rect: HyperRect,
     hi = hi + pad
     corners = np.array(list(itertools.product(*zip(lo, hi))), dtype=float)
     A_corners = np.array([float(spec.log_norm_canon(w)) for w in corners])
-    A_grid = np.array([float(spec.log_norm(h)) for h in grid])
     log_c = float(np.max(-A_grid))
 
     span = np.where(hi > lo, hi - lo, 1.0)
@@ -510,31 +490,7 @@ def check_envelope(env: EnvelopeSet, spec: ExpFamilySpec, rect: HyperRect,
     violations = 0
     slack = np.log1p(rel_slack)
     for start in range(0, h_grid.shape[0], chunk):
-        hg = h_grid[start:start + chunk]
-        omegas = np.stack([np.asarray(spec.canon(h), dtype=float) for h in hg])
-        As = np.array([float(spec.log_norm(h)) for h in hg])
+        omegas, As = spec.canon_many(h_grid[start:start + chunk])
         log_nu = samples @ omegas.T - As[None, :]          # (n, chunk)
         violations += int(np.count_nonzero(log_nu > log_rhs[:, None] + slack))
     return violations
-
-
-# ------------------------------------------------------------------
-# family registry (string ids used by the CLI)
-# ------------------------------------------------------------------
-
-_REGISTRY: dict[str, Callable] = {}
-
-
-def register_family(name: str, builder: Callable) -> None:
-    _REGISTRY[name] = builder
-
-
-def get_family(name: str) -> Callable:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown family {name!r}; known: {sorted(_REGISTRY)}") from None
-
-
-def family_names() -> list[str]:
-    return sorted(_REGISTRY)

@@ -14,11 +14,10 @@ from dataclasses import dataclass, replace
 from typing import Protocol
 
 import numpy as np
-from scipy.special import logsumexp
 
 from priorscan.chain_runtime import ChainTrace, simulate
-from priorscan.estimators import _grid_sums
-from priorscan.prior_family import ExpFamilySpec, HyperRect, RatioFamily, grid_canon
+from priorscan.estimators import _grid_sums, estimate_B
+from priorscan.prior_family import ExpFamilyRatio, ExpFamilySpec, HyperRect
 
 __all__ = [
     "STGrid",
@@ -26,8 +25,6 @@ __all__ = [
     "MixtureRatio",
     "lattice_anchors",
     "st_step",
-    "st_denominator",
-    "st_log_denominator",
     "run_st",
     "tune_zeta",
     "STKernel",
@@ -79,57 +76,15 @@ def lattice_anchors(rect: HyperRect, shape) -> np.ndarray:
 
 
 # ------------------------------------------------------------------
-# mixture denominator and ratio family
+# the mixture ratio
 # ------------------------------------------------------------------
 
-def st_log_denominator(spec: ExpFamilySpec, grid: STGrid, Tmat: np.ndarray) -> np.ndarray:
-    """log of (1/m) sum_j nu_{h_j}(theta)/zeta_j, per draw (base measure dropped;
-    it cancels in every ratio)."""
-    Tmat = np.atleast_2d(np.asarray(Tmat, dtype=float))
-    omegas = np.stack([np.asarray(spec.canon(h), dtype=float) for h in grid.anchors])
-    As = np.array([float(spec.log_norm(h)) for h in grid.anchors])
-    terms = Tmat @ omegas.T - As[None, :] - np.log(grid.zetas)[None, :]
-    return logsumexp(terms, axis=1) - np.log(grid.m)
-
-
-def st_denominator(spec: ExpFamilySpec, grid: STGrid, T) -> float:
-    """The mixture denominator itself (always positive)."""
-    return float(np.exp(st_log_denominator(spec, grid, np.atleast_2d(T))[0]))
-
-
-class MixtureRatio(RatioFamily):
-    """f_h = nu_h / mixture for serial-tempering traces.
-
-    The denominator does not depend on h, so the h-derivatives of log f_h are
-    those of log nu_h alone.
-    """
+class MixtureRatio(ExpFamilyRatio):
+    """f_h = nu_h / (1/m) sum_j nu_{h_j}/zeta_j over the anchors of ``grid``."""
 
     def __init__(self, spec: ExpFamilySpec, grid: STGrid):
-        self.spec = spec
+        super().__init__(spec, grid.anchors, grid.zetas)
         self.grid = grid
-        self.k = spec.k
-
-    def _log_nu(self, h, Tmat):
-        h = np.asarray(h, dtype=float)
-        return Tmat @ np.asarray(self.spec.canon(h), dtype=float) \
-            - float(self.spec.log_norm(h))
-
-    def log_f(self, h, Tmat):
-        return self._log_nu(h, Tmat) - st_log_denominator(self.spec, self.grid, Tmat)
-
-    def grad_log_f(self, h, Tmat):
-        h = np.asarray(h, dtype=float)
-        return Tmat @ self.spec.jac(h) - self.spec.grad_A(h)[None, :]
-
-    def hess_log_f(self, h, Tmat):
-        h = np.asarray(h, dtype=float)
-        hc = self.spec.hess_canon(h)
-        return np.tensordot(Tmat, hc, axes=(1, 0)) - self.spec.hess_A(h)[None, :, :]
-
-    def log_f_many(self, h_grid, Tmat):
-        omegas, As = grid_canon(self, h_grid)
-        denom = st_log_denominator(self.spec, self.grid, Tmat)
-        return Tmat @ omegas.T - As[None, :] - denom[:, None]
 
 
 # ------------------------------------------------------------------
@@ -145,26 +100,26 @@ class STModel(Protocol):
     def observe(self, theta) -> tuple[np.ndarray, dict[str, float]]: ...
 
 
-def st_step(state, grid: STGrid, spec: ExpFamilySpec, model: STModel,
+def st_step(state, ratio: ExpFamilyRatio, model: STModel,
             rng: np.random.Generator):
     """One serial-tempering transition on (label, theta).
 
-    The label proposal is uniform on {j-1, j+1}; an out-of-range proposal
-    leaves the label unchanged (symmetric proposal, so it cancels in the
-    acceptance ratio).  The likelihood cancels too, leaving only prior ratios
-    through the sufficient statistic.  Then theta moves by the kernel of the
+    ``ratio`` is the chain's :class:`MixtureRatio`, whose per-anchor table
+    (omegas, As, log_zetas) gives log nu_{h_j}(theta)/zeta_j.  The label
+    proposal is uniform on {j-1, j+1}; an out-of-range proposal leaves the
+    label unchanged (symmetric proposal, so it cancels in the acceptance
+    ratio).  The likelihood cancels too, leaving only prior ratios through
+    the sufficient statistic.  Then theta moves by the kernel of the
     (possibly new) label.
     """
     j, theta = state
-    m = grid.m
+    m = ratio.m
     if m > 1:
         jp = j + (1 if rng.random() < 0.5 else -1)
         if 0 <= jp < m:
             T = np.asarray(model.suffstat(theta), dtype=float)
-            log_num = float(np.asarray(spec.canon(grid.anchors[jp])) @ T) \
-                - float(spec.log_norm(grid.anchors[jp])) - np.log(grid.zetas[jp])
-            log_den = float(np.asarray(spec.canon(grid.anchors[j])) @ T) \
-                - float(spec.log_norm(grid.anchors[j])) - np.log(grid.zetas[j])
+            log_num = float(ratio.omegas[jp] @ T) - ratio.As[jp] - ratio.log_zetas[jp]
+            log_den = float(ratio.omegas[j] @ T) - ratio.As[j] - ratio.log_zetas[j]
             if np.log(rng.random()) < log_num - log_den:
                 j = jp
     theta = model.anchor_step(j, theta, rng)
@@ -183,12 +138,13 @@ class STKernel:
         self.grid = grid
         self.kernel_id = kernel_id
         self.start_label = start_label
+        self.ratio = MixtureRatio(spec, grid)
 
     def start(self, rng):
         return (self.start_label, self.model.start(rng))
 
     def step(self, state, rng):
-        return st_step(state, self.grid, self.spec, self.model, rng), False
+        return st_step(state, self.ratio, self.model, rng), False
 
     def observe(self, state):
         j, theta = state
@@ -223,9 +179,6 @@ def bridge_init_zetas(traces: list[ChainTrace], spec: ExpFamilySpec,
     geometric mean of the forward and backward reweighting estimates (robust
     when one direction has poor overlap) and accumulated along the snake.
     """
-    from priorscan.estimators import estimate_B
-    from priorscan.prior_family import ExpFamilyRatio
-
     m = anchors.shape[0]
     fams = [ExpFamilyRatio(spec, anchors[j]) for j in range(m)]
     log_z = np.zeros(m)

@@ -316,3 +316,14 @@ h1 = 0.5, 0.5
         err = capsys.readouterr().err
         assert err.startswith("runtime error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["surface", "argmax"])
+    def test_one_complete_tour(self, tmp_path, capsys, command):
+        # R = 1 leaves one tour: tour-based SEs divide by R - 1 = 0
+        out = tmp_path / "out"
+        cfg = _write(tmp_path, TOY_COMMON.format(out=out)
+                     .replace("n = 4000", "R = 1").replace("kernel = exact", "kernel = mh"))
+        assert main([command, cfg]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err == "runtime error: need at least 2 complete tours\n"
+        assert not any(out.glob("*.csv"))

@@ -12,10 +12,8 @@ from priorscan.prior_family import (
     HyperRect,
     check_envelope,
     envelope_corners,
-    family_names,
     fd_grad,
     fd_hess,
-    get_family,
     log_ratio,
     ratio_grad,
     ratio_hess,
@@ -241,25 +239,6 @@ class TestEnvelope:
 
 
 # ------------------------------------------------------------------
-# registry
-# ------------------------------------------------------------------
-
-class TestRegistry:
-    def test_registered_names(self):
-        names = family_names()
-        for expected in ("normal-hier", "vs-bernoulli-zellner", "lda-dirichlet"):
-            assert expected in names
-
-    def test_unknown_raises(self):
-        with pytest.raises(KeyError):
-            get_family("no-such-family")
-
-    def test_builder_runs(self):
-        model = get_family("normal-hier")(y=[0.0, 1.0])
-        assert model.J == 2
-
-
-# ------------------------------------------------------------------
 # vectorized ratio family
 # ------------------------------------------------------------------
 
@@ -282,20 +261,3 @@ class TestExpFamilyRatio:
         many = fam.log_f_many(grid, Tmat)
         for j, h in enumerate(grid):
             assert np.allclose(many[:, j], fam.log_f(h, Tmat), rtol=1e-12)
-
-    def test_fd_derivatives_of_base_class(self):
-        fam = ExpFamilyRatio(TOY5, [0.0, 1.0])
-
-        class FDOnly(type(fam).__mro__[1]):  # RatioFamily with only log_f
-            k = 2
-
-            def log_f(self, h, Tmat):
-                return fam.log_f(h, Tmat)
-
-        fd = FDOnly()
-        h = np.array([0.3, 1.6])
-        Tmat = np.array([[1.0, 6.0], [-2.0, 9.0]])
-        assert np.allclose(fd.grad_log_f(h, Tmat), fam.grad_log_f(h, Tmat),
-                           rtol=1e-6)
-        assert np.allclose(fd.hess_log_f(h, Tmat), fam.hess_log_f(h, Tmat),
-                           rtol=1e-3, atol=1e-6)

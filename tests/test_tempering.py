@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from priorscan.chain_runtime import simulate
 from priorscan.estimators import batch_se, estimate_B, estimate_I
@@ -13,7 +16,6 @@ from priorscan.serial_tempering import (
     lattice_anchors,
     occupancies,
     run_st,
-    st_denominator,
     tune_zeta,
 )
 
@@ -82,7 +84,9 @@ class TestMixtureRatio:
         plain = ExpFamilyRatio(spec, H1)
         h = np.array([0.4, 1.3])
         T = toy_trace.Tmat[:50]
-        assert np.allclose(mix.log_f(h, T), plain.log_f(h, T), rtol=1e-12)
+        assert np.array_equal(mix.log_f(h, T), plain.log_f(h, T))
+        grid = np.array([h, [-0.2, 0.8], H1])
+        assert np.array_equal(mix.log_f_many(grid, T), plain.log_f_many(grid, T))
         assert np.allclose(mix.grad_log_f(h, T), plain.grad_log_f(h, T))
         assert np.allclose(mix.hess_log_f(h, T), plain.hess_log_f(h, T))
 
@@ -95,8 +99,35 @@ class TestMixtureRatio:
             assert np.allclose(many[:, j], mix.log_f(h, T), rtol=1e-12)
 
     def test_denominator_positive(self, toy_model, exact_grid):
-        assert st_denominator(toy_model.spec(), exact_grid,
-                              np.array([0.5, 2.0])) > 0.0
+        # f at the first anchor is nu_h1 over the mixture, so its reciprocal
+        # is the mixture denominator relative to nu_h1
+        mix = MixtureRatio(toy_model.spec(), exact_grid)
+        denom = np.exp(-mix.log_f(exact_grid.anchors[0], np.array([[0.5, 2.0]])))
+        assert np.all((denom > 0.0) & np.isfinite(denom))
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_mixture_formula(self, toy_model, m, seed):
+        # dense reference: log nu_h - log[(1/m) sum_j nu_{h_j}/zeta_j], the
+        # mixture written out against no anchor in particular
+        spec = toy_model.spec()
+        rng = np.random.default_rng(seed)
+        rect = HyperRect([-1.0, 0.3], [1.0, 3.0])
+        anchors, hs = rect.sample(rng, m), rect.sample(rng, 5)
+        zetas = np.exp(rng.uniform(-3.0, 3.0, m))
+        T = np.column_stack([rng.uniform(-10.0, 10.0, 30), rng.uniform(0.0, 20.0, 30)])
+
+        def log_nu(h):
+            return T @ spec.canon(h) - spec.log_norm(h)
+
+        denom = logsumexp(np.column_stack([log_nu(a) for a in anchors])
+                          - np.log(zetas), axis=1) - np.log(m)
+        ref = np.column_stack([log_nu(h) - denom for h in hs])
+        mix = MixtureRatio(spec, STGrid(anchors=anchors, zetas=zetas))
+        assert mix.m == m
+        assert np.allclose(mix.log_f_many(hs, T), ref, rtol=1e-10, atol=1e-10)
+        for j, h in enumerate(hs):
+            assert np.allclose(mix.log_f(h, T), ref[:, j], rtol=1e-10, atol=1e-10)
 
 
 class TestSTChain:
