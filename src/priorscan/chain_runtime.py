@@ -27,6 +27,7 @@ __all__ = [
     "simulate",
     "split_step",
     "indep_mh_regen_prob",
+    "log_regen_prob",
     "segment_tours",
     "tour_sums",
     "as_ratio_family",
@@ -188,21 +189,23 @@ def split_step(state, pair: MinorizationPair, rng: np.random.Generator):
     return pair.residual(state, rng), False
 
 
-def indep_mh_regen_prob(w_x: float, w_y: float, c: float) -> float:
-    """Conditional regeneration probability on an accepted independence-MH move.
+def log_regen_prob(lw_x, lw_y, log_c):
+    """Log regeneration probability on an accepted independence-MH move x -> y.
 
-    ``w`` is the target/proposal density ratio; ``c`` the splitting constant.
-    Derived from the minorization with s(x) proportional to min(1, c/w_x) and
-    regeneration measure proportional to proposal * min(w, c); valid only for
-    accepted moves x -> y.
+    ``lw`` is the log target/proposal density ratio, ``log_c`` the log
+    splitting constant; vectorized over chains.  From the minorization with
+    s(x) proportional to min(1, c/w_x) and regeneration measure proportional
+    to proposal * min(w, c).
     """
+    return np.minimum(0.0, np.minimum(np.maximum(lw_x, lw_y) - log_c,
+                                      log_c - np.minimum(lw_x, lw_y)))
+
+
+def indep_mh_regen_prob(w_x: float, w_y: float, c: float) -> float:
+    """:func:`log_regen_prob` on the linear scale, for positive ``w`` and ``c``."""
     if not (w_x > 0 and w_y > 0 and c > 0):
         raise ValueError("w_x, w_y, c must all be positive")
-    if w_x <= c and w_y <= c:
-        return max(w_x, w_y) / c
-    if w_x >= c and w_y >= c:
-        return c / min(w_x, w_y)
-    return 1.0
+    return float(np.exp(log_regen_prob(np.log(w_x), np.log(w_y), np.log(c))))
 
 
 def simulate(kernel: Kernel, *, n: int | None = None, R: int | None = None,

@@ -69,16 +69,21 @@ def stream_rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), tag]))
 
 
-def _floats(text: str) -> np.ndarray:
+def _number(text, kind=float, what: str = "value"):
+    """``kind(text)`` for ``kind`` int or float, raising ConfigError."""
     try:
-        return np.array([float(tok) for tok in text.replace(";", ",").split(",")
-                         if tok.strip()], dtype=float)
+        return kind(text)
     except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
+        raise ConfigError(f"{what}: expected {kind.__name__}, got {text!r}") from exc
 
 
-def _ints(text: str) -> list[int]:
-    return [int(v) for v in _floats(text)]
+def _numbers(text: str, kind=float, what: str = "value") -> list:
+    return [_number(tok, kind, what) for tok in text.replace(";", ",").split(",")
+            if tok.strip()]
+
+
+def _floats(text: str) -> np.ndarray:
+    return np.array(_numbers(text), dtype=float)
 
 
 class RunConfig:
@@ -104,6 +109,12 @@ class RunConfig:
             raise ConfigError(f"missing [{section}] {key}")
         return default
 
+    def number(self, section: str, key: str, kind=float, default=None,
+               required: bool = False):
+        """The key's value as ``kind`` (int or float), None if absent."""
+        text = self.get(section, key, default=default, required=required)
+        return None if text is None else _number(text, kind, f"[{section}] {key}")
+
     # -- common blocks ----------------------------------------------------
     @property
     def model_id(self) -> str:
@@ -111,7 +122,7 @@ class RunConfig:
 
     @property
     def seed(self) -> int:
-        return int(self.get("run", "seed", default="0"))
+        return self.number("run", "seed", int, default=0)
 
     @property
     def out_dir(self) -> Path:
@@ -121,11 +132,11 @@ class RunConfig:
         return p
 
     def chain_target(self) -> dict:
-        n = self.get("run", "n")
-        R = self.get("run", "R")
+        n = self.number("run", "n", int)
+        R = self.number("run", "R", int)
         if (n is None) == (R is None):
             raise ConfigError("set exactly one of [run] n and [run] R")
-        return {"n": int(n)} if n is not None else {"R": int(R)}
+        return {"n": n} if n is not None else {"R": R}
 
     def rect(self) -> HyperRect:
         lo = _floats(self.get("hyper", "rect_lower", required=True))
@@ -139,23 +150,21 @@ class RunConfig:
         return _floats(self.get("hyper", "h1", required=True))
 
     def grid(self, rect: HyperRect) -> np.ndarray:
-        points = _ints(self.get("hyper", "grid", default="21"))
+        points = _numbers(self.get("hyper", "grid", default="21"), int, "[hyper] grid")
         if len(points) == 1:
             points = points * rect.k
-        g = rect.grid(points)
-        return g
+        return rect.grid(points)
 
     @property
     def alpha(self) -> float:
-        a = float(self.get("inference", "alpha", default="0.05"))
+        a = self.number("inference", "alpha", default=0.05)
         if not 0.0 < a < 1.0:
             raise ConfigError("alpha must lie in (0, 1)")
         return a
 
     @property
     def M(self) -> int | None:
-        m = self.get("inference", "M")
-        return None if m is None else int(m)
+        return self.number("inference", "M", int)
 
     @property
     def functional(self) -> str | None:
@@ -171,7 +180,7 @@ def build_model(cfg: RunConfig):
     rect = cfg.rect()
     if mid == "normal-hier":
         y = _floats(cfg.get("model", "y", required=True))
-        sigma0 = float(cfg.get("model", "sigma0", default="1.0"))
+        sigma0 = cfg.number("model", "sigma0", default=1.0)
         return NormalHierModel(y=y, sigma0=sigma0, rect=rect)
     if mid == "vs-bernoulli-zellner":
         data = cfg.get("model", "data", required=True)
@@ -182,7 +191,7 @@ def build_model(cfg: RunConfig):
         return VSModel(y=body[:, 0], X=body[:, 1:], rect=rect)
     if mid == "lda-dirichlet":
         corpus = load_corpus(cfg.get("model", "corpus", required=True))
-        K = int(cfg.get("model", "K", required=True))
+        K = cfg.number("model", "K", int, required=True)
         return LDAModel(corpus=corpus, K=K, rect=rect)
     raise ConfigError(f"unknown model id {mid!r}")
 
@@ -339,7 +348,8 @@ def _st_pieces(cfg: RunConfig, model):
     rect = cfg.rect()
     spec_txt = cfg.get("st", "anchors", default="lattice:3x3")
     if spec_txt.startswith("lattice:"):
-        shape = [int(v) for v in spec_txt.split(":", 1)[1].split("x")]
+        shape = [_number(v, int, "[st] anchors")
+                 for v in spec_txt.split(":", 1)[1].split("x")]
         anchors = lattice_anchors(rect, shape if len(shape) > 1 else shape[0])
     else:
         anchors = np.array([_floats(row) for row in spec_txt.split(";")])
@@ -366,8 +376,8 @@ def _zeta_csv(path: Path, grid: STGrid, occ, cfg_hash: str) -> None:
 def cmd_st_tune(cfg: RunConfig) -> int:
     model = build_model(cfg)
     grid, st_model, spec = _st_pieces(cfg, model)
-    rounds = int(cfg.get("st", "rounds", default="10"))
-    steps = int(cfg.get("st", "steps_per_round", default="5000"))
+    rounds = cfg.number("st", "rounds", int, default=10)
+    steps = cfg.number("st", "steps_per_round", int, default=5000)
     tuned, converged = tune_zeta(st_model, spec, grid, rounds=rounds,
                                  steps_per_round=steps,
                                  seed=stream_rng(cfg.seed, "st-tune"))
@@ -404,10 +414,10 @@ def cmd_synth(cfg: RunConfig) -> int:
     if kind == "regression":
         data = synth_regression(
             seed=cfg.seed,
-            m=int(cfg.get("synth", "m", default="50")),
-            q=int(cfg.get("synth", "q", default="8")),
-            sparsity=float(cfg.get("synth", "sparsity", default="0.3")),
-            snr=float(cfg.get("synth", "snr", default="2.0")))
+            m=cfg.number("synth", "m", int, default=50),
+            q=cfg.number("synth", "q", int, default=8),
+            sparsity=cfg.number("synth", "sparsity", default=0.3),
+            snr=cfg.number("synth", "snr", default=2.0))
         path = out / "regression.csv"
         header = "y," + ",".join(f"x_{j+1}" for j in range(data.X.shape[1]))
         write_csv(path, header, np.column_stack([data.y, data.X]), cfg.sha256)
@@ -416,12 +426,12 @@ def cmd_synth(cfg: RunConfig) -> int:
     if kind == "corpus":
         corpus = synth_corpus(
             seed=cfg.seed,
-            D=int(cfg.get("synth", "D", default="6")),
-            V=int(cfg.get("synth", "V", default="12")),
-            K=int(cfg.get("synth", "K", default="2")),
-            n_d=int(cfg.get("synth", "n_d", default="30")),
-            eta=float(cfg.get("synth", "eta", default="0.5")),
-            alpha=float(cfg.get("synth", "alpha", default="0.5")))
+            D=cfg.number("synth", "D", int, default=6),
+            V=cfg.number("synth", "V", int, default=12),
+            K=cfg.number("synth", "K", int, default=2),
+            n_d=cfg.number("synth", "n_d", int, default=30),
+            eta=cfg.number("synth", "eta", default=0.5),
+            alpha=cfg.number("synth", "alpha", default=0.5))
         save_corpus(corpus, out / "corpus.txt")
         return EXIT_OK
     raise ConfigError(f"unknown synth kind {kind!r} (regression|corpus)")

@@ -1,12 +1,14 @@
-"""Desk-scale latent Dirichlet allocation with a collapsed+augmented Gibbs chain.
+"""Desk-scale latent Dirichlet allocation with a blocked Gibbs chain.
 
 Model: topics beta_t ~ Dir_V(eta), doc mixtures theta_d ~ Dir_K(alpha), token
 topics z ~ Cat(theta_d), words ~ Cat(beta_z).  The hyperparameter is
 h = (eta, alpha); the prior ratio depends on the state only through
 T = (sum log beta_tv, sum log theta_dk) since the z and word terms carry no h.
 
-One chain step is a collapsed Gibbs sweep over all tokens followed by
-augmentation draws of (beta, theta) from their Dirichlet conditionals.
+One chain step is a blocked Gibbs sweep: (beta, theta) from their Dirichlet
+conditionals given the token topics, then every token topic at once, since
+the z are conditionally independent given (beta, theta).  Its invariant law
+is the posterior of (z, beta, theta), from which T is recorded.
 """
 
 from __future__ import annotations
@@ -20,14 +22,6 @@ from scipy.special import gammaln, polygamma, psi
 
 from priorscan.chain_runtime import ChainTrace, simulate
 from priorscan.prior_family import ExpFamilySpec, HyperRect
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is an optional speedup
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
 
 __all__ = [
     "LDAModel",
@@ -154,40 +148,10 @@ def load_corpus(path) -> Corpus:
 # sampler
 # ------------------------------------------------------------------
 
-@njit(cache=True)
-def _collapsed_sweep(doc_ids, word_ids, z, ckv, ck, cdk, eta, alpha, rand):
-    K = ckv.shape[0]
-    V = ckv.shape[1]
-    Veta = V * eta
-    for i in range(doc_ids.size):
-        d = doc_ids[i]
-        w = word_ids[i]
-        k_old = z[i]
-        ckv[k_old, w] -= 1
-        ck[k_old] -= 1
-        cdk[d, k_old] -= 1
-        total = 0.0
-        for k in range(K):
-            total += (ckv[k, w] + eta) / (ck[k] + Veta) * (cdk[d, k] + alpha)
-        r = rand[i] * total
-        acc = 0.0
-        k_new = K - 1
-        for k in range(K):
-            acc += (ckv[k, w] + eta) / (ck[k] + Veta) * (cdk[d, k] + alpha)
-            if r <= acc:
-                k_new = k
-                break
-        z[i] = k_new
-        ckv[k_new, w] += 1
-        ck[k_new] += 1
-        cdk[d, k_new] += 1
-
-
 @dataclass
 class LDAState:
     z: np.ndarray         # (n_tokens,) topic per token
     ckv: np.ndarray       # (K, V) topic-word counts
-    ck: np.ndarray        # (K,)
     cdk: np.ndarray       # (D, K) doc-topic counts
     beta: np.ndarray      # (K, V) row-stochastic
     theta: np.ndarray     # (D, K) row-stochastic
@@ -199,7 +163,7 @@ def lda_closeness(state: LDAState, i: int, j: int, eps: float) -> float:
 
 
 class LDAModel:
-    """Collapsed+augmented Gibbs machinery over a fixed corpus."""
+    """Blocked Gibbs machinery over a fixed corpus."""
 
     def __init__(self, corpus: Corpus, K: int,
                  rect: HyperRect | None = None,
@@ -224,28 +188,33 @@ class LDAModel:
     # -- state updates ----------------------------------------------------
     def init_state(self, rng: np.random.Generator) -> LDAState:
         z = rng.integers(0, self.K, size=self.word_ids.size)
-        ckv = np.zeros((self.K, self.V), dtype=np.int64)
-        cdk = np.zeros((self.D, self.K), dtype=np.int64)
-        np.add.at(ckv, (z, self.word_ids), 1)
-        np.add.at(cdk, (self.doc_ids, z), 1)
-        state = LDAState(z=z, ckv=ckv, ck=ckv.sum(axis=1), cdk=cdk,
-                         beta=np.zeros((self.K, self.V)),
-                         theta=np.zeros((self.D, self.K)))
-        return state
+        return LDAState(z, *self._counts(z), beta=np.zeros((self.K, self.V)),
+                        theta=np.zeros((self.D, self.K)))
+
+    def _counts(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Topic-word and doc-topic counts of the token topics ``z``."""
+        K, V, D = self.K, self.V, self.D
+        ckv = np.bincount(z * V + self.word_ids, minlength=K * V).reshape(K, V)
+        cdk = np.bincount(self.doc_ids * K + z, minlength=D * K).reshape(D, K)
+        return ckv, cdk
 
     def sweep(self, state: LDAState, h, rng: np.random.Generator) -> LDAState:
-        """One collapsed scan over all tokens, then augmentation draws."""
+        """(beta, theta) given z, then every token's topic given (beta, theta)."""
         eta, alpha = float(h[0]), float(h[1])
         if eta <= 0 or alpha <= 0:
             raise ValueError("eta and alpha must be positive")
-        rand = rng.random(self.word_ids.size)
-        _collapsed_sweep(self.doc_ids, self.word_ids, state.z,
-                         state.ckv, state.ck, state.cdk, eta, alpha, rand)
-        # augmentation: beta_t ~ Dir(eta + counts), theta_d ~ Dir(alpha + counts)
+        # beta_t ~ Dir(eta + counts), theta_d ~ Dir(alpha + counts)
         gb = rng.gamma(eta + state.ckv)
         state.beta = gb / gb.sum(axis=1, keepdims=True)
         gt = rng.gamma(alpha + state.cdk)
         state.theta = gt / gt.sum(axis=1, keepdims=True)
+        # p(z_i = k) proportional to theta[d_i, k] beta[k, w_i]: z_i counts
+        # the first K - 1 cumulative sums at or below u_i ~ U(0, total_i)
+        cdf = np.cumsum(state.theta[self.doc_ids] * state.beta.T[self.word_ids],
+                        axis=1)
+        u = rng.random(self.word_ids.size) * cdf[:, -1]
+        state.z = (cdf[:, :-1] <= u[:, None]).sum(axis=1)
+        state.ckv, state.cdk = self._counts(state.z)
         return state
 
     # -- trace plumbing ---------------------------------------------------
@@ -267,7 +236,7 @@ class LDAModel:
                         meta={"h1": list(np.asarray(h1, dtype=float))})
 
     # -- serial tempering -------------------------------------------------
-    def st_model(self, anchors: np.ndarray, burn: int = 0) -> "_LDASTModel":
+    def st_model(self, anchors: np.ndarray) -> "_LDASTModel":
         return _LDASTModel(self, np.atleast_2d(np.asarray(anchors, dtype=float)))
 
 
@@ -278,7 +247,7 @@ class _LDAKernel:
         self.model = model
         self.h1 = h1
         self.burn = burn
-        self.kernel_id = "lda-collapsed-gibbs"
+        self.kernel_id = "lda-blocked-gibbs"
 
     def start(self, rng):
         state = self.model.init_state(rng)

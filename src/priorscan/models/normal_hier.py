@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import norm
 
-from priorscan.chain_runtime import ChainTrace, IIDKernel, indep_mh_regen_prob, simulate
+from priorscan.chain_runtime import ChainTrace, IIDKernel, log_regen_prob, simulate
 from priorscan.prior_family import ExpFamilySpec, HyperRect
 
 __all__ = [
@@ -210,14 +210,6 @@ class MHKernel:
         d_p = (theta - self.mean[None, :]) / self.prop_sd
         return -0.5 * (d_t * d_t).sum(axis=1) + 0.5 * (d_p * d_p).sum(axis=1)
 
-    def _log_regen_prob(self, lw_x: float, lw_y: float) -> float:
-        lc = self.log_c
-        if lw_x <= lc and lw_y <= lc:
-            return max(lw_x, lw_y) - lc
-        if lw_x >= lc and lw_y >= lc:
-            return lc - min(lw_x, lw_y)
-        return 0.0
-
     def start(self, rng):
         # regeneration measure: proposal reweighted by min(w, c)/c (rejection)
         while True:
@@ -231,7 +223,7 @@ class MHKernel:
         prop = self.mean + self.prop_sd * rng.standard_normal(self.model.J)
         lw_y = float(self._log_w(prop)[0])
         if np.log(rng.random()) < lw_y - lw_x:
-            delta = np.log(rng.random()) < self._log_regen_prob(lw_x, lw_y)
+            delta = np.log(rng.random()) < log_regen_prob(lw_x, lw_y, self.log_c)
             return (prop, lw_y), bool(delta)
         return state, False
 
@@ -279,12 +271,7 @@ def mh_ensemble_traces(model: NormalHierModel, h1, n: int, n_chains: int,
         prop = kernel.mean + kernel.prop_sd * rng.standard_normal((C, J))
         lw_y = kernel._log_w(prop)
         accept = np.log(rng.random(C)) < lw_y - lw
-        both_low = (lw <= lc) & (lw_y <= lc)
-        both_high = (lw >= lc) & (lw_y >= lc)
-        log_r = np.zeros(C)
-        log_r[both_low] = np.maximum(lw, lw_y)[both_low] - lc
-        log_r[both_high] = lc - np.minimum(lw, lw_y)[both_high]
-        regen = accept & (np.log(rng.random(C)) < log_r)
+        regen = accept & (np.log(rng.random(C)) < log_regen_prob(lw, lw_y, lc))
         theta[accept] = prop[accept]
         lw[accept] = lw_y[accept]
         deltas[:, i + 1] = regen

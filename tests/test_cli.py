@@ -293,6 +293,17 @@ class TestConfigErrors:
         cfg = _write(tmp_path, "this is not an ini file\n")
         assert main(["surface", cfg]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command,old,new", [
+        ("surface", "seed = 7", "seed = abc"),
+        ("surface", "n = 4000", "n = 1.5"),
+        ("band", "grid = 3", "grid = 3\n\n[inference]\nalpha = x"),
+        ("surface", "grid = 3", "grid = 2.5"),
+    ], ids=["seed", "n", "alpha", "grid"])
+    def test_malformed_scalar(self, tmp_path, capsys, command, old, new):
+        cfg = _write(tmp_path, TOY_COMMON.format(out=tmp_path).replace(old, new))
+        assert main([command, cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+
 
 class TestRuntimeErrors:
     def test_missing_corpus(self, tmp_path, capsys):

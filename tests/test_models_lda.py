@@ -1,6 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
-from scipy.special import psi
+from scipy.special import gammaln, psi
 
 from priorscan.estimators import estimate_B
 from priorscan.models.lda import (
@@ -90,7 +92,6 @@ class TestSweep:
         for _ in range(5):
             state = model.sweep(state, [0.6, 0.9], rng)
             assert state.ckv.sum() == n_tok
-            assert np.array_equal(state.ck, state.ckv.sum(axis=1))
             assert np.array_equal(state.cdk.sum(axis=1), doc_lens)
             assert np.all((state.z >= 0) & (state.z < model.K))
             assert np.allclose(state.beta.sum(axis=1), 1.0, rtol=1e-12)
@@ -131,13 +132,39 @@ class TestEstimation:
         assert abs(vals.mean() - expect) < 4 * se
         assert np.allclose(trace.Tmat[:, 1], 0.0, atol=1e-12)
 
+    def test_K2_exact_enumeration(self):
+        # Six tokens, K = 2: sum over all 2^6 topic assignments, each weighted
+        # by the collapsed Dirichlet-multinomial p(z | w).  Given z,
+        # E[sum log beta] = sum_kv psi(eta + n_kv) - psi(V eta + n_k) and
+        # E[sum log theta] = sum_dk psi(alpha + n_dk) - psi(K alpha + n_d).
+        corpus = Corpus(docs=(np.array([0, 1, 1]), np.array([2, 2, 0])), V=3)
+        K, eta, alpha = 2, 0.7, 0.9
+        model = LDAModel(corpus, K=K)
+        log_p, T_given_z = [], []
+        w, d = model.word_ids, model.doc_ids
+        for z in map(np.array, itertools.product(range(K), repeat=w.size)):
+            nkv, ndk = np.zeros((K, model.V)), np.zeros((model.D, K))
+            np.add.at(nkv, (z, w), 1)
+            np.add.at(ndk, (d, z), 1)
+            nk, nd = nkv.sum(axis=1, keepdims=True), ndk.sum(axis=1, keepdims=True)
+            log_p.append(gammaln(eta + nkv).sum() - gammaln(model.V * eta + nk).sum()
+                         + gammaln(alpha + ndk).sum() - gammaln(K * alpha + nd).sum())
+            T_given_z.append([(psi(eta + nkv) - psi(model.V * eta + nk)).sum(),
+                              (psi(alpha + ndk) - psi(K * alpha + nd)).sum()])
+        p = np.exp(np.array(log_p) - max(log_p))
+        expect = p @ np.array(T_given_z) / p.sum()
+
+        T = model.trace([eta, alpha], n=20_000, seed=3, burn=10).Tmat
+        batches = T.reshape(50, -1, 2).mean(axis=1)
+        se = batches.std(axis=0, ddof=1) / np.sqrt(50)
+        assert np.all(np.abs(T.mean(axis=0) - expect) < 4 * se)
+
 
 class TestCloseness:
     def _state_with_theta(self, theta):
         theta = np.asarray(theta, dtype=float)
         return LDAState(z=np.zeros(1, dtype=np.int64),
                         ckv=np.zeros((2, 2), dtype=np.int64),
-                        ck=np.zeros(2, dtype=np.int64),
                         cdk=np.zeros((theta.shape[0], 2), dtype=np.int64),
                         beta=np.zeros((2, 2)), theta=theta)
 
