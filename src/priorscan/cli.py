@@ -136,7 +136,10 @@ class RunConfig:
         R = self.number("run", "R", int)
         if (n is None) == (R is None):
             raise ConfigError("set exactly one of [run] n and [run] R")
-        return {"n": n} if n is not None else {"R": R}
+        key, value = ("n", n) if n is not None else ("R", R)
+        if value < 1:
+            raise ConfigError(f"[run] {key} must be at least 1, got {value}")
+        return {key: value}
 
     def rect(self) -> HyperRect:
         lo = _floats(self.get("hyper", "rect_lower", required=True))
@@ -216,6 +219,14 @@ def ratio_family(model, h1):
     return ExpFamilyRatio(model.spec(), h1)
 
 
+def check_functional(trace: ChainTrace, g_name: str | None) -> None:
+    """Raise ConfigError unless ``[inference] functional`` is unset or one
+    the chain recorded."""
+    if g_name is not None and g_name not in trace.g:
+        raise ConfigError(f"[inference] functional: unknown {g_name!r}; "
+                          f"recorded: {', '.join(trace.functional_names)}")
+
+
 def trace_tours(trace: ChainTrace):
     """The trace's tours when it carries regeneration marks, else None (the
     estimators then use batch means)."""
@@ -251,12 +262,13 @@ def _estimate_csv(path: Path, est, cfg_hash: str) -> None:
 
 def cmd_surface(cfg: RunConfig) -> int:
     model = build_model(cfg)
-    trace = run_chain(model, cfg, "surface")
-    family = ratio_family(model, cfg.h1())
     grid = cfg.grid(cfg.rect())
+    M, g_name = cfg.M, cfg.functional
+    trace = run_chain(model, cfg, "surface")
+    check_functional(trace, g_name)
+    family = ratio_family(model, cfg.h1())
     tours = trace_tours(trace)
-    g_name = cfg.functional
-    est, fest = grid_estimates(trace, family, grid, g_name, tours=tours, M=cfg.M)
+    est, fest = grid_estimates(trace, family, grid, g_name, tours=tours, M=M)
     _estimate_csv(cfg.out_dir / "surface.csv", est, cfg.sha256)
     if fest is not None:
         _estimate_csv(cfg.out_dir / f"functional_{g_name}.csv", fest, cfg.sha256)
@@ -267,10 +279,10 @@ def cmd_surface(cfg: RunConfig) -> int:
 def cmd_argmax(cfg: RunConfig) -> int:
     model = build_model(cfg)
     rect = cfg.rect()
+    alpha, M = cfg.alpha, cfg.M
     trace = run_chain(model, cfg, "argmax")
     family = ratio_family(model, cfg.h1())
     res = maximize_surface(trace, family, rect)
-    alpha = cfg.alpha
 
     tours = trace_tours(trace)
     if tours is not None:
@@ -283,7 +295,7 @@ def cmd_argmax(cfg: RunConfig) -> int:
         method = "tour"
         n_boundary = None
     else:
-        M = cfg.M or max(2, int(np.ceil(np.sqrt(trace.n))))
+        M = M or max(2, int(np.ceil(np.sqrt(trace.n))))
         cov, n_boundary = batch_argmax_cov(trace, family, rect, M, h_n=res.h)
         # cov approximates n Var(h_n) = E(N1) v^2; fold into the R-scaled form
         J = tau = None
@@ -311,13 +323,13 @@ def cmd_band(cfg: RunConfig, replicate: int = 0) -> int:
     model = build_model(cfg)
     rect = cfg.rect()
     grid = cfg.grid(rect)
-    g_name = cfg.functional
-    alpha = cfg.alpha
+    g_name, alpha, M = cfg.functional, cfg.alpha, cfg.M
 
     def one_band(stream: str):
         trace = run_chain(model, cfg, stream)
+        check_functional(trace, g_name)
         family = ratio_family(model, cfg.h1())
-        return global_band(trace, family, g_name, grid, M=cfg.M, alpha=alpha)
+        return global_band(trace, family, g_name, grid, M=M, alpha=alpha)
 
     band = one_band("band")
     write_csv(cfg.out_dir / "band.csv",
@@ -397,13 +409,14 @@ def cmd_st_run(cfg: RunConfig) -> int:
     target = cfg.chain_target()
     if "n" not in target:
         raise ConfigError("serial tempering runs use [run] n")
+    surface_grid, M = cfg.grid(cfg.rect()), cfg.M
     trace = run_st(st_model, spec, grid, n=target["n"],
                    rng=stream_rng(cfg.seed, "st-run"))
     occ = occupancies(trace, grid.m)
     _zeta_csv(cfg.out_dir / "occupancy.csv", grid, occ, cfg.sha256)
     save_trace(trace, cfg.out_dir / "st_trace.txt")
     family = MixtureRatio(spec, grid)
-    est = surface_on_grid(trace, family, cfg.grid(cfg.rect()), M=cfg.M)
+    est = surface_on_grid(trace, family, surface_grid, M=M)
     _estimate_csv(cfg.out_dir / "st_surface.csv", est, cfg.sha256)
     return EXIT_OK
 
@@ -441,11 +454,11 @@ def cmd_oracle_check(cfg: RunConfig) -> int:
     model = build_model(cfg)
     if not isinstance(model, NormalHierModel):
         raise ConfigError("oracle-check applies to the normal-hier model")
+    grid, M = cfg.grid(cfg.rect()), cfg.M
     trace = run_chain(model, cfg, "oracle-check")
     family = ratio_family(model, cfg.h1())
-    grid = cfg.grid(cfg.rect())
     tours = trace_tours(trace)
-    est = surface_on_grid(trace, family, grid, tours=tours, M=cfg.M)
+    est = surface_on_grid(trace, family, grid, tours=tours, M=M)
     h1 = cfg.h1()
     truth = np.array([model.oracle_B(h, h1) for h in grid])
     z = np.abs(est.values - truth) / np.maximum(est.se, 1e-300)

@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
 
-from priorscan.chain_runtime import ChainTrace, IIDKernel, log_regen_prob, simulate
+from priorscan.chain_runtime import ChainTrace, IIDKernel, log_regen_prob
 from priorscan.prior_family import ExpFamilySpec, HyperRect
 
 __all__ = [
@@ -24,6 +23,10 @@ __all__ = [
     "MHKernel",
     "mh_ensemble_traces",
 ]
+
+# Random floats per block of the MH chain: the (rows, J) proposal block holds
+# 2^17 normals (1 MB), so memory stays bounded as J grows.
+BLOCK_FLOATS = 2 ** 17
 
 
 def normal_hier_spec(J: int) -> ExpFamilySpec:
@@ -112,8 +115,9 @@ class NormalHierModel:
     def log_marginal(self, h) -> float:
         """log m_y(h) = sum_j log phi(y_j; mu, sigma0^2 + tau^2)."""
         mu, t2 = np.asarray(h, dtype=float)
-        return float(norm.logpdf(self.y, loc=mu,
-                                 scale=np.sqrt(self.sigma0 ** 2 + t2)).sum())
+        v = self.sigma0 ** 2 + t2
+        return float(-0.5 * (self.J * np.log(2.0 * np.pi * v)
+                             + ((self.y - mu) ** 2).sum() / v))
 
     def oracle_B(self, h, h1) -> float:
         return float(np.exp(self.log_marginal(h) - self.log_marginal(h1)))
@@ -130,10 +134,16 @@ class NormalHierModel:
         return self.rect.clip([ybar, s2 - self.sigma0 ** 2])
 
     # -- sufficient statistics / functionals ------------------------------
+    @staticmethod
+    def suffstat(theta) -> np.ndarray:
+        """T(theta) = (sum theta_j, sum theta_j^2) over the last axis, for one
+        state ``(J,)`` or a stack of them ``(n, J)``."""
+        theta = np.asarray(theta, dtype=float)
+        return np.stack([theta.sum(axis=-1), (theta * theta).sum(axis=-1)], axis=-1)
+
     def observe(self, theta) -> tuple[np.ndarray, dict[str, float]]:
         theta = np.asarray(theta, dtype=float)
-        return (np.array([theta.sum(), (theta * theta).sum()]),
-                {"theta1": float(theta[0])})
+        return self.suffstat(theta), {"theta1": float(theta[0])}
 
     # -- samplers ---------------------------------------------------------
     def exact_kernel(self, h1) -> IIDKernel:
@@ -150,9 +160,8 @@ class NormalHierModel:
             rng = np.random.default_rng(seed)
         mean, sd = self.posterior_params(h1)
         theta = mean[None, :] + sd * rng.standard_normal((n, self.J))
-        Tmat = np.column_stack([theta.sum(axis=1), (theta * theta).sum(axis=1)])
         return ChainTrace(
-            Tmat=Tmat, g={"theta1": theta[:, 0]},
+            Tmat=self.suffstat(theta), g={"theta1": theta[:, 0]},
             delta=np.ones(n, dtype=bool),
             meta={"h1": list(np.asarray(h1, dtype=float)),
                   "kernel": "toy-exact", "n": n},
@@ -168,8 +177,10 @@ class NormalHierModel:
                  seed=None, rng=None, proposal_inflation: float = 2.0,
                  c: float | None = None) -> ChainTrace:
         kernel = self.mh_kernel(h1, proposal_inflation=proposal_inflation, c=c)
-        return simulate(kernel, n=n, R=R, seed=seed, rng=rng,
-                        meta={"h1": list(np.asarray(h1, dtype=float))})
+        if rng is None:
+            rng = np.random.default_rng(seed)
+        return kernel.trace(rng, n=n, R=R,
+                            meta={"h1": list(np.asarray(h1, dtype=float))})
 
     # -- serial tempering -------------------------------------------------
     def st_model(self, anchors: np.ndarray) -> "_ToySTModel":
@@ -231,55 +242,113 @@ class MHKernel:
         theta, _ = state
         return self.model.observe(theta)
 
+    def trace(self, rng: np.random.Generator, *, n: int | None = None,
+              R: int | None = None, meta=None) -> ChainTrace:
+        """The chain :func:`~priorscan.chain_runtime.simulate` runs on this
+        kernel, with the same transition law, drawn in blocks of steps.
+
+        Each block draws the normals of its proposals and two uniform arrays
+        (acceptance, regeneration) at once; only the order in which random
+        numbers are drawn differs from ``start`` followed by ``step``.
+        Exactly one of ``n`` (draws) and ``R`` (complete tours) is given.
+        """
+        if (n is None) == (R is None):
+            raise ValueError("specify exactly one of n= and R=")
+        if R is not None and R < 1:
+            raise ValueError("R must be at least 1")
+        J = self.model.J
+        rows = max(1, BLOCK_FLOATS // J)
+
+        def blocks():
+            left = np.inf if n is None else n - 1     # proposals still needed
+            while left > 0:
+                b = int(min(rows, left))
+                left -= b
+                yield (rng.standard_normal((b, J)),
+                       np.log(rng.random(b)), np.log(rng.random(b)))
+
+        return self.run_blocks(self.start(rng), blocks(), n=n, R=R, meta=meta)
+
+    def run_blocks(self, state, blocks, *, n: int | None = None,
+                   R: int | None = None, meta=None) -> ChainTrace:
+        """The chain from ``state`` (a draw from the regeneration measure) on
+        the given random numbers.
+
+        ``blocks`` yields ``(z, log_u, log_v)`` per block of steps: standard
+        normals ``(b, J)`` for the proposals, and the logs of the uniforms
+        that decide acceptance and, on an accepted move, regeneration.  The
+        trace stops after ``n`` draws, or drops the regeneration that opens
+        tour ``R + 1`` and ends there, as ``simulate`` does.
+        """
+        theta, lw = state
+        suffstat = self.model.suffstat
+        Ts, th1s = [suffstat(theta[None, :])], [theta[:1]]
+        deltas = [np.ones(1, dtype=bool)]
+        drawn, flags, stop, ends_at_regen = 1, 1, n, False
+        for z, log_u, log_v in blocks:
+            if n is not None and drawn >= n:
+                break
+            prop = self.mean + self.prop_sd * z
+            lw_y = self._log_w(prop)
+            acc, lw_end = _accept_scan(lw_y, log_u, lw)
+            lw_from = np.append(lw, lw_y[acc[:-1]])   # of the state each move leaves
+            delta = np.zeros(len(z), dtype=bool)
+            delta[acc] = log_v[acc] < log_regen_prob(lw_from, lw_y[acc], self.log_c)
+            # the state after step j is row at[j] of [current, accepted...]
+            states = np.vstack([theta, prop[acc]])
+            moved = np.zeros(len(z), dtype=np.intp)
+            moved[acc] = 1
+            at = np.cumsum(moved)
+            Ts.append(suffstat(states)[at])
+            th1s.append(states[at, 0])
+            deltas.append(delta)
+            theta, lw = states[-1], lw_end
+            if R is not None:
+                opens = drawn + np.flatnonzero(delta)
+                if flags + opens.size > R:
+                    stop, ends_at_regen = int(opens[R - flags]), True
+                    break
+                flags += opens.size
+            drawn += len(z)
+
+        Tmat = np.concatenate(Ts)[:stop]
+        info = {"kernel": self.kernel_id, "n": Tmat.shape[0]}
+        if meta:
+            info.update(meta)
+        return ChainTrace(Tmat=Tmat, g={"theta1": np.concatenate(th1s)[:stop]},
+                          delta=np.concatenate(deltas)[:stop], meta=info,
+                          ends_at_regen=ends_at_regen)
+
+
+def _accept_scan(lw_y: np.ndarray, log_u: np.ndarray, lw: float):
+    """Indices of the accepted proposals of a block, and the log weight of
+    the state after it.
+
+    The rule of :meth:`MHKernel.step`: move to proposal j iff
+    ``log_u[j] < lw_y[j] - lw`` for the current state's log weight ``lw``,
+    the chain's only sequential dependency.
+    """
+    acc = []
+    for j, (ly, lu) in enumerate(zip(lw_y.tolist(), log_u.tolist())):
+        if lu < ly - lw:
+            acc.append(j)
+            lw = ly
+    return np.array(acc, dtype=np.intp), lw
+
 
 def mh_ensemble_traces(model: NormalHierModel, h1, n: int, n_chains: int,
                        seed=None, proposal_inflation: float = 2.0,
                        c: float | None = None) -> list[ChainTrace]:
-    """Run many independent MH chains in lockstep (vectorized across chains).
+    """``n_chains`` independent MH chains of ``n`` draws each.
 
-    Statistically identical to ``n_chains`` separate runs of
-    :class:`MHKernel` with independent streams; used by replication studies
-    where per-chain Python loops would dominate the budget.
+    Chain i is :meth:`MHKernel.trace` on the i-th stream spawned from
+    ``SeedSequence(seed)``; one kernel, with one pilot estimate of ``c``,
+    serves them all.  Used by replication studies.
     """
     kernel = model.mh_kernel(h1, proposal_inflation=proposal_inflation, c=c)
-    rng = np.random.default_rng(seed)
-    C, J = n_chains, model.J
-    lc = kernel.log_c
-
-    # start every chain from the regeneration measure by parallel rejection
-    theta = np.empty((C, J))
-    lw = np.empty(C)
-    pending = np.arange(C)
-    while pending.size:
-        cand = kernel.mean + kernel.prop_sd * rng.standard_normal((pending.size, J))
-        lw_c = kernel._log_w(cand)
-        ok = np.log(rng.random(pending.size)) < np.minimum(lw_c - lc, 0.0)
-        theta[pending[ok]] = cand[ok]
-        lw[pending[ok]] = lw_c[ok]
-        pending = pending[~ok]
-
-    Tmats = np.empty((C, n, 2))
-    theta1 = np.empty((C, n))
-    deltas = np.zeros((C, n), dtype=bool)
-    deltas[:, 0] = True
-    for i in range(n):
-        Tmats[:, i, 0] = theta.sum(axis=1)
-        Tmats[:, i, 1] = (theta * theta).sum(axis=1)
-        theta1[:, i] = theta[:, 0]
-        if i == n - 1:
-            break
-        prop = kernel.mean + kernel.prop_sd * rng.standard_normal((C, J))
-        lw_y = kernel._log_w(prop)
-        accept = np.log(rng.random(C)) < lw_y - lw
-        regen = accept & (np.log(rng.random(C)) < log_regen_prob(lw, lw_y, lc))
-        theta[accept] = prop[accept]
-        lw[accept] = lw_y[accept]
-        deltas[:, i + 1] = regen
-
-    meta = {"h1": list(np.asarray(h1, dtype=float)), "kernel": kernel.kernel_id}
-    return [ChainTrace(Tmat=Tmats[ci], g={"theta1": theta1[ci]},
-                       delta=deltas[ci], meta=dict(meta), ends_at_regen=False)
-            for ci in range(C)]
+    meta = {"h1": list(np.asarray(h1, dtype=float))}
+    return [kernel.trace(np.random.default_rng(s), n=n, meta=meta)
+            for s in np.random.SeedSequence(seed).spawn(n_chains)]
 
 
 class _ToySTModel:
@@ -298,8 +367,7 @@ class _ToySTModel:
         return mean + sd * rng.standard_normal(self.model.J)
 
     def suffstat(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return np.array([theta.sum(), (theta * theta).sum()])
+        return self.model.suffstat(theta)
 
     def observe(self, theta):
         return self.model.observe(theta)

@@ -160,6 +160,13 @@ class TestEllipse:
         stat = 100.0 * np.einsum("ij,jk,ik->i", d, np.linalg.inv(shape), d)
         assert np.allclose(stat, ell.threshold, rtol=1e-10)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1, 0.32])
+    def test_threshold_is_chi2_quantile(self, k, alpha):
+        from scipy.stats import chi2
+        ell = confidence_ellipse(np.zeros(k), np.eye(k), R=10, alpha=alpha)
+        assert ell.threshold == chi2.ppf(1.0 - alpha, k)
+
     def test_alpha_validation(self):
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):

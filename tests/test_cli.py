@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from priorscan import cli
 from priorscan.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main, stream_rng,
                            write_csv)
 
@@ -298,11 +303,55 @@ class TestConfigErrors:
         ("surface", "n = 4000", "n = 1.5"),
         ("band", "grid = 3", "grid = 3\n\n[inference]\nalpha = x"),
         ("surface", "grid = 3", "grid = 2.5"),
-    ], ids=["seed", "n", "alpha", "grid"])
+        ("surface", "n = 4000", "n = 0"),
+        ("surface", "n = 4000", "R = 0"),
+    ], ids=["seed", "n", "alpha", "grid", "n-zero", "R-zero"])
     def test_malformed_scalar(self, tmp_path, capsys, command, old, new):
         cfg = _write(tmp_path, TOY_COMMON.format(out=tmp_path).replace(old, new))
         assert main([command, cfg]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
+
+
+    @pytest.mark.parametrize("command,old,new", [
+        ("surface", "grid = 3", "grid = 2.5"),
+        ("surface", "grid = 3", "grid = 3\n\n[inference]\nM = many"),
+        ("argmax", "grid = 3", "grid = 3\n\n[inference]\nalpha = x"),
+        ("argmax", "grid = 3", "grid = 3\n\n[inference]\nalpha = 1.5"),
+        ("band", "grid = 3", "grid = 3\n\n[inference]\nM = 2.5"),
+        ("oracle-check", "grid = 3", "grid = x"),
+        ("st-run", "grid = 3", "grid = 2.5"),
+    ], ids=["surface-grid", "surface-M", "argmax-alpha", "argmax-alpha-range",
+            "band-M", "oracle-check-grid", "st-run-grid"])
+    def test_checked_before_the_chain(self, tmp_path, capsys, monkeypatch,
+                                      command, old, new):
+        def no_chain(*args, **kw):
+            raise AssertionError("the chain ran before the config was checked")
+
+        monkeypatch.setattr(cli, "run_chain", no_chain)
+        monkeypatch.setattr(cli, "run_st", no_chain)
+        cfg = _write(tmp_path, TOY_COMMON.format(out=tmp_path).replace(old, new))
+        assert main([command, cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("command", ["surface", "band"])
+    def test_unknown_functional(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        cfg = _write(tmp_path, TOY_COMMON.format(out=out)
+                     + "\n[inference]\nfunctional = theta9\n")
+        assert main([command, cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == ("config error: [inference] functional: unknown 'theta9'; "
+                       "recorded: theta1\n")
+        assert not any(out.glob("*.csv"))
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs ~0.3 s of every command's start-up
+    code = "import sys, priorscan.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert res.stdout.strip() == "False"
 
 
 class TestRuntimeErrors:

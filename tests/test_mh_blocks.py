@@ -1,0 +1,164 @@
+"""The block independence-MH chain against a per-step reference.
+
+The reference below is the per-step rule of ``MHKernel.step`` (draw, accept
+iff ``log u < lw_y - lw_x``, then mark a regeneration iff
+``log v < log_regen_prob``) driven as ``simulate`` drives a kernel; it lives
+only here, as the oracle the block chain must match exactly when both are fed
+the same random numbers.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from priorscan.chain_runtime import log_regen_prob, segment_tours
+from priorscan.models import normal_hier
+from priorscan.models.normal_hier import NormalHierModel, _accept_scan
+
+H1 = [0.0, 1.0]
+
+
+def per_step_reference(kernel, state, Z, log_u, log_v, n=None, R=None):
+    """(Tmat, theta1, delta, ends_at_regen, accepted step indices)."""
+    theta, lw_x = state
+    T_rows, th1, deltas, accepted = [], [], [], []
+    delta, flags, ends_at_regen = True, 0, False
+    for i in range(len(Z) + 1):
+        if R is not None and delta and flags >= R:
+            ends_at_regen = True
+            break
+        flags += delta
+        T, g = kernel.observe((theta, lw_x))
+        T_rows.append(T)
+        th1.append(g["theta1"])
+        deltas.append(delta)
+        if (n is not None and len(T_rows) >= n) or i == len(Z):
+            break
+        prop = kernel.mean + kernel.prop_sd * Z[i]
+        lw_y = float(kernel._log_w(prop)[0])
+        if log_u[i] < lw_y - lw_x:
+            delta = bool(log_v[i] < log_regen_prob(lw_x, lw_y, kernel.log_c))
+            theta, lw_x = prop, lw_y
+            accepted.append(i)
+        else:
+            delta = False
+    return np.array(T_rows), np.array(th1), np.array(deltas), ends_at_regen, accepted
+
+
+def random_numbers(seed, steps, J):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((steps, J)), np.log(rng.random(steps)),
+            np.log(rng.random(steps)))
+
+
+def in_blocks(Z, log_u, log_v, edges):
+    """The arrays cut at the given step indices, as ``run_blocks`` takes them."""
+    cuts = [0, *edges, len(Z)]
+    return [(Z[a:b], log_u[a:b], log_v[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+
+
+def assert_same_chain(kernel, state, Z, log_u, log_v, edges, n=None, R=None):
+    trace = kernel.run_blocks(state, iter(in_blocks(Z, log_u, log_v, edges)), n=n, R=R)
+    Tmat, th1, delta, ends_at_regen, accepted = per_step_reference(
+        kernel, state, Z, log_u, log_v, n=n, R=R)
+    assert np.array_equal(trace.Tmat, Tmat)
+    assert np.array_equal(trace.functional("theta1"), th1)
+    assert np.array_equal(trace.delta, delta)
+    assert trace.ends_at_regen == ends_at_regen
+
+    lw_y = kernel._log_w(kernel.mean + kernel.prop_sd * Z)
+    acc, lw = [], state[1]
+    for a, b in zip([0, *edges], [*edges, len(Z)]):
+        idx, lw = _accept_scan(lw_y[a:b], log_u[a:b], lw)
+        acc.extend((idx + a).tolist())
+    assert acc[:len(accepted)] == accepted
+    return trace
+
+
+@pytest.fixture(scope="module")
+def kernels():
+    model = NormalHierModel(y=np.array([-2.0, -1.0, 0.0, 1.0, 2.0]))
+    base = model.mh_kernel(H1)
+    # a smaller splitting constant regenerates more often in a short chain
+    return base, model.mh_kernel(H1, c=float(np.exp(base.log_c - 1.5)))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2 ** 32 - 1), steps=st.integers(0, 400),
+       block=st.sampled_from(["1", "7", "non-divisor", "larger"]),
+       which=st.integers(0, 1), target=st.sampled_from(["n", "R"]),
+       frac=st.floats(0.0, 1.0))
+def test_block_chain_matches_per_step(kernels, seed, steps, block, which, target, frac):
+    kernel = kernels[which]
+    Z, log_u, log_v = random_numbers(seed, steps, kernel.model.J)
+    state = kernel.start(np.random.default_rng(seed + 1))
+    n_draws = steps + 1
+    b = {"1": 1, "7": 7, "larger": n_draws + 3,
+         "non-divisor": next(d for d in range(3, n_draws + 4) if n_draws % d)}[block]
+    edges = list(range(b, steps, b))
+    if target == "n":
+        n = 1 + int(frac * steps)
+        assert_same_chain(kernel, state, Z, log_u, log_v, edges, n=n)
+    else:
+        total = int(per_step_reference(kernel, state, Z, log_u, log_v)[2].sum())
+        R = 1 + int(frac * max(total - 1, 0))
+        trace = assert_same_chain(kernel, state, Z, log_u, log_v, edges, R=R)
+        if R < total:
+            assert trace.ends_at_regen and segment_tours(trace).R == R
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_last_tour_ends_at_a_block_edge(kernels, which):
+    # the regeneration opening tour R + 1 is the first step of a block, so
+    # the trace ends exactly where the previous block ends
+    kernel = kernels[which]
+    Z, log_u, log_v = random_numbers(7, 3000, kernel.model.J)
+    state = kernel.start(np.random.default_rng(8))
+    _, _, delta, _, _ = per_step_reference(kernel, state, Z, log_u, log_v)
+    flags = np.flatnonzero(delta)           # draw i follows step i - 1
+    assert flags.size >= 6
+    for R in (1, 2, flags.size // 2, flags.size - 1):
+        step = int(flags[R]) - 1
+        for edges in ([step], [step - 1, step], range(step % 5, 3000, 5)):
+            # step 0 opens the first block whatever the edges
+            edges = sorted({e for e in edges if 0 < e < 3000})
+            assert step == 0 or step in edges
+            trace = assert_same_chain(kernel, state, Z, log_u, log_v, edges, R=R)
+            assert trace.n == flags[R] and trace.ends_at_regen
+            assert segment_tours(trace).R == R
+
+
+def test_state_carried_across_block_edges(kernels):
+    # a state accepted in one block is the current state of the next blocks
+    # until a proposal is accepted there
+    kernel = kernels[0]
+    Z, log_u, log_v = random_numbers(3, 500, kernel.model.J)
+    state = kernel.start(np.random.default_rng(4))
+    accepted = per_step_reference(kernel, state, Z, log_u, log_v)[4]
+    gaps = [(a, b) for a, b in zip(accepted, accepted[1:]) if b - a > 2]
+    assert gaps
+    edges = sorted({a + 1 for a, _ in gaps} | {a + 2 for a, _ in gaps})
+    trace = assert_same_chain(kernel, state, Z, log_u, log_v, edges, n=501)
+    a, b = gaps[0]
+    assert np.all(trace.Tmat[a + 1:b + 1] == trace.Tmat[a + 1])
+
+
+@pytest.mark.parametrize("rows", [1, 7, 13])
+def test_trace_in_small_blocks(kernels, monkeypatch, rows):
+    # the block size comes from BLOCK_FLOATS; a few rows force many blocks
+    kernel = kernels[0]
+    monkeypatch.setattr(normal_hier, "BLOCK_FLOATS", rows * kernel.model.J)
+    tr = kernel.trace(np.random.default_rng(5), n=250)
+    assert tr.n == 250 and tr.delta[0] and not tr.ends_at_regen
+    tr = kernel.trace(np.random.default_rng(5), R=3)
+    assert tr.ends_at_regen and segment_tours(tr).R == 3
+
+
+def test_target_validation(kernels):
+    kernel = kernels[0]
+    rng = np.random.default_rng(0)
+    for bad in ({}, {"n": 10, "R": 2}, {"R": 0}):
+        with pytest.raises(ValueError):
+            kernel.trace(rng, **bad)
