@@ -1,7 +1,10 @@
 """Empirical-Bayes argmax of B_n and its sampling uncertainty.
 
 The maximizer ``h_n`` of the estimated surface targets the maximizer of the
-marginal likelihood.  With regenerative tours, the sandwich variance
+marginal likelihood.  It is found by a coarse grid pass, then projected
+Newton on the rectangle: the gradient and Hessian of log B_n follow from the
+f_h-weighted mean and covariance of T, so each iteration is one pass over
+the draws.  With regenerative tours, the sandwich variance
 ``v_n^2 = J_n^{-1} tau_n^2 J_n^{-1}`` yields an asymptotic confidence ellipse
 scaled by the tour count R; without regeneration marks, a batch-means
 covariance plays the same role.
@@ -10,14 +13,12 @@ covariance plays the same role.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import gammaincinv
 
 from priorscan.chain_runtime import ChainTrace, TourSums, as_ratio_family
-from priorscan.estimators import _grid_sums
+from priorscan.estimators import _grid_sums, _tilted_moments
 from priorscan.prior_family import HyperRect
 
 __all__ = [
@@ -43,9 +44,59 @@ class MaxResult:
     log_value: float
     boundary: bool
     multistart_consistent: bool
+    ess: float = float("nan")                       # weight ESS at h
+    optimizer: dict = field(default_factory=dict)   # starts, iterations, passes
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.h, dtype=dtype)
+
+
+MAX_NEWTON_ITERS = 100
+
+
+def log_B_derivs(family, h, Tmat):
+    """(log B_n, gradient, Hessian, weight ESS) at ``h`` from one moment pass.
+
+    log B_n(h) = K_n(omega_h - omega_1) - (A_h - A_1), K_n the empirical CGF
+    of T, so grad = J^T E_w[T] - grad A and, with J the Jacobian of omega,
+    hess = J^T Cov_w[T] J + sum_s E_w[T_s] hess omega_s - hess A."""
+    spec, h = family.spec, np.asarray(h, dtype=float)
+    log_B, mean, cov, ess = _tilted_moments(family, h, Tmat)
+    J = spec.jac(h)
+    hess = J.T @ cov @ J + np.tensordot(mean, spec.hess_canon(h), 1) - spec.hess_A(h)
+    return log_B, mean @ J - spec.grad_A(h), 0.5 * (hess + hess.T), ess
+
+
+def _newton(family, Tmat, rect: HyperRect, h, tol: float):
+    """Projected Newton ascent of log B_n from ``h`` (Bertsekas 1982):
+    (h, log B_n, iterations, moment passes).  Coordinates near a face the
+    gradient points out of stay on it; the rest take Newton's step where
+    their Hessian block is negative definite, else the width-scaled gradient.
+    Projected steps are halved until Armijo's condition holds; the search
+    ends when a step moves h by at most ``tol``."""
+    width = rect.upper - rect.lower
+    val, g, H, _ = log_B_derivs(family, h, Tmat)
+    passes = 1
+    for it in range(1, MAX_NEWTON_ITERS + 1):
+        eps = np.minimum(1e-3 * width, np.linalg.norm(h - rect.clip(h + g)))
+        free = ~((h <= rect.lower + eps) & (g < 0) | (h >= rect.upper - eps) & (g > 0))
+        d = g * width ** 2 / max(np.abs(g * width).max(), 1e-300)
+        Hf = H[np.ix_(free, free)]
+        if np.all(np.linalg.eigvalsh(Hf) < 0.0):      # else the gradient step
+            d[free] = np.linalg.solve(-Hf, g[free])
+        for step in 0.5 ** np.arange(60):
+            h_new = rect.clip(h + step * d)
+            trial = log_B_derivs(family, h_new, Tmat)
+            passes += 1
+            moved = np.abs(h_new - h).max()
+            if moved <= tol or trial[0] >= val + 1e-4 * max(g @ (h_new - h), 0.0):
+                break
+        if not trial[0] >= val:
+            break                       # no ascent left at working precision
+        h, (val, g, H, _) = h_new, trial
+        if moved <= tol:
+            break
+    return h, val, it, passes
 
 
 def maximize_surface(trace: ChainTrace, spec_or_family, rect: HyperRect, *,
@@ -54,41 +105,32 @@ def maximize_surface(trace: ChainTrace, spec_or_family, rect: HyperRect, *,
     """Argmax of log B_n over the rectangle.
 
     Coarse grid (``grid_points`` per axis, ties broken by lowest lexicographic
-    index) followed by bounded Nelder-Mead refinement; ``multi_starts`` extra
-    random starts probe for multimodality.  The log is maximized since the
-    argmax is invariant to strictly increasing transforms.
+    index) followed by projected Newton (:func:`_newton`) from its best
+    point; ``multi_starts`` extra random starts probe for multimodality.  The
+    log is maximized since the argmax is invariant to strictly increasing
+    transforms.
     """
     if trace.n == 0:
         raise ValueError("empty trace")
     family = as_ratio_family(spec_or_family, trace)
-
-    def log_B(grid):
-        shift, c, _, _ = _grid_sums(family, np.atleast_2d(grid), trace.Tmat)
-        return shift + np.log(c)
-
-    grid = rect.grid(grid_points)
-    best = int(np.argmax(log_B(grid)))  # argmax returns the lowest index on ties
-
-    bounds = list(zip(rect.lower, rect.upper))
-    opts = {"xatol": tol, "fatol": 1e-12, "maxiter": 2000}
-
-    def refine(x0):
-        res = minimize(lambda h: -log_B(h)[0], np.asarray(x0, dtype=float),
-                       method="Nelder-Mead", bounds=bounds, options=opts)
-        return rect.clip(res.x), -float(res.fun)
-
-    h_best, v_best = refine(grid[best])
-    consistent = True
-    rng = np.random.default_rng(seed)
-    for x0 in rect.sample(rng, multi_starts):
-        h_alt, v_alt = refine(x0)
-        if v_alt > v_best + 1e-10:
-            if np.linalg.norm(h_alt - h_best) > 10 * tol:
+    grid, Tmat = rect.grid(grid_points), trace.Tmat
+    shift, c, _, _ = _grid_sums(family, grid, Tmat)
+    starts = [grid[int(np.argmax(shift + np.log(c)))]]   # lowest index on ties
+    starts += list(rect.sample(np.random.default_rng(seed), multi_starts))
+    consistent, iters, passes = True, 0, 0
+    for i, x0 in enumerate(starts):
+        h, v, n_it, n_pass = _newton(family, Tmat, rect, x0, tol)
+        iters, passes = iters + n_it, passes + n_pass
+        if i == 0 or v > v_best + 1e-10:
+            if i and np.linalg.norm(h - h_best) > 10 * tol:
                 consistent = False
-            h_best, v_best = h_alt, v_alt
-    return MaxResult(h=h_best, log_value=v_best,
+            h_best, v_best = h, v
+    shift, c, ess, _ = _grid_sums(family, h_best[None, :], Tmat)
+    return MaxResult(h=h_best, log_value=float(shift[0] + np.log(c[0])),
                      boundary=rect.on_boundary(h_best),
-                     multistart_consistent=consistent)
+                     multistart_consistent=consistent, ess=float(ess[0]),
+                     optimizer={"starts": len(starts), "newton_iters": iters,
+                                "moment_passes": passes})
 
 
 # ------------------------------------------------------------------
@@ -167,7 +209,9 @@ def confidence_ellipse(h_n, v_sq: np.ndarray, R: int, alpha: float,
     evals, evecs = np.linalg.eigh(0.5 * (v_sq + v_sq.T))
     if np.any(evals < -1e-10 * max(1.0, evals.max())):
         raise ValueError("v_n^2 is not positive semidefinite")
-    # the chi-square(k) quantile; scipy.stats would cost ~0.3 s of import
+    # the chi-square(k) quantile, imported here to keep scipy out of start-up
+    # (the closed form -2 log(alpha) for k = 2 differs from it by an ulp)
+    from scipy.special import gammaincinv
     threshold = float(2.0 * gammaincinv(0.5 * k, 1.0 - alpha))
     if k == 2:
         ang = np.linspace(0.0, 2.0 * np.pi, n_boundary, endpoint=False)

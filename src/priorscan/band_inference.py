@@ -97,6 +97,9 @@ def global_band(trace: ChainTrace, spec_or_family, g_name: str | None,
                                    ratio=True):
         dev = dB * np.exp(shift) if g is None else dI
         sup_stats[ids] = np.sqrt(L) * np.abs(dev).max(axis=1)
+    if not np.all(np.isfinite(sup_stats)):
+        raise ValueError(f"{np.count_nonzero(~np.isfinite(sup_stats))} of {M} batch "
+                         "curves are not finite (their weights underflow to 0)")
     order = int(np.ceil((1.0 - alpha) * M))                    # 1-based index
     half_width = float(np.sort(sup_stats)[order - 1] / np.sqrt(n_used))
     return BandReport(grid=grid, center=c * np.exp(shift) if g is None else I,

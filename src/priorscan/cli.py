@@ -7,7 +7,7 @@ name), so identical configs produce byte-identical outputs.  Exit codes:
 0 ok, 1 runtime warning (boundary argmax / tuning non-convergence /
 oracle mismatch), 2 configuration error, 3 runtime error (an unreadable
 input or output file, a numerically singular J_n, or a ValueError such as a
-trace with fewer than 2 complete tours).
+trace with fewer than 2 complete tours or a band that is not finite).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numpy as np
 
 from priorscan.argmax_inference import (
     ArgmaxReport,
+    _slice_trace,
     batch_argmax_cov,
     confidence_ellipse,
     hessian_Jn,
@@ -33,7 +34,7 @@ from priorscan.argmax_inference import (
 )
 from priorscan.band_inference import global_band
 from priorscan.chain_runtime import ChainTrace, save_trace, segment_tours, tour_sums
-from priorscan.estimators import grid_estimates, surface_on_grid
+from priorscan.estimators import ESS_UNRELIABLE, grid_estimates, surface_on_grid
 from priorscan.models.lda import LDAModel, load_corpus, save_corpus, synth_corpus
 from priorscan.models.normal_hier import NormalHierModel
 from priorscan.models.varsel import VSModel, synth_regression
@@ -204,11 +205,9 @@ def run_chain(model, cfg: RunConfig, stream: str) -> ChainTrace:
     target = cfg.chain_target()
     h1 = cfg.h1()
     if isinstance(model, NormalHierModel):
-        kind = cfg.get("model", "kernel", default="mh")
-        if kind == "exact":
-            from priorscan.chain_runtime import simulate
-            return simulate(model.exact_kernel(h1), rng=rng,
-                            meta={"h1": list(h1)}, **target)
+        if cfg.get("model", "kernel", default="mh") == "exact":
+            (n,) = target.values()      # iid: R complete tours are R draws
+            return model.exact_trace(h1, n, rng=rng)
         return model.mh_trace(h1, rng=rng, **target)
     if "R" in target:
         raise ConfigError("this model has no regeneration construction; use n")
@@ -282,9 +281,13 @@ def cmd_argmax(cfg: RunConfig) -> int:
     alpha, M = cfg.alpha, cfg.M
     trace = run_chain(model, cfg, "argmax")
     family = ratio_family(model, cfg.h1())
-    res = maximize_surface(trace, family, rect)
-
     tours = trace_tours(trace)
+    # over the complete tours' rows, which the sandwich at h_n uses
+    res = maximize_surface(trace if tours is None else
+                           _slice_trace(trace, 0, tours.n_eff), family, rect)
+    if res.ess < ESS_UNRELIABLE:
+        print(f"warning: weight ESS {res.ess:.3g} at h_n is below "
+              f"{ESS_UNRELIABLE:g}", file=sys.stderr)
     if tours is not None:
         tsums = tour_sums(trace, tours, family, res.h)
         J = hessian_Jn(tsums)
@@ -311,6 +314,8 @@ def cmd_argmax(cfg: RunConfig) -> int:
     payload = json.loads(report.to_json(extra={
         "multistart_consistent": res.multistart_consistent,
         "batch_boundary_count": n_boundary,
+        "ess_h_n": res.ess,
+        "optimizer": res.optimizer,
     }))
     write_json(cfg.out_dir / "argmax.json", payload, cfg.sha256)
     if ellipse.boundary.size:

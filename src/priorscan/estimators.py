@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from priorscan.chain_runtime import (
     ChainTrace,
@@ -20,7 +19,7 @@ from priorscan.chain_runtime import (
     TourSums,
     as_ratio_family,
 )
-from priorscan.prior_family import ExpFamilyRatio
+from priorscan.prior_family import ExpFamilyRatio, logsumexp
 
 __all__ = [
     "SurfaceEstimate",
@@ -95,8 +94,7 @@ def weights(trace: ChainTrace, spec_or_family, h) -> np.ndarray:
     """Normalized importance weights w_i^(h); nonnegative, sum to 1."""
     family = as_ratio_family(spec_or_family, trace)
     logf = family.log_f(np.asarray(h, dtype=float), trace.Tmat)
-    logw = logf - logsumexp(logf)
-    return np.exp(logw)
+    return np.exp(logf - logsumexp(logf))
 
 
 def estimate_I(trace: ChainTrace, spec_or_family, g_name: str, h) -> float:
@@ -231,6 +229,19 @@ def _grid_sums(family: ExpFamilyRatio, grid: np.ndarray, Tmat: np.ndarray,
         shift = new
     return (shift, f_sum / Tmat.shape[0], f_sum ** 2 / f2_sum,
             None if g is None else gf_sum / f_sum)
+
+
+def _tilted_moments(family: ExpFamilyRatio, h, Tmat: np.ndarray):
+    """(log B_n, E_w[T], Cov_w[T], ess) at one ``h``, w_i proportional to
+    f_h(theta_i), from one pass over the draws.  T is centred at the first
+    draw so that the covariance is not a difference of large numbers."""
+    logf = family.log_f_many(np.atleast_2d(h), Tmat)[:, 0]
+    f = np.exp(logf - logf.max())
+    X = np.vstack([np.ones(f.size), (Tmat - Tmat[0]).T])     # rows 1, T - T0
+    S = (X * f) @ X.T / f.sum()      # 1, E_w[T - T0], E_w[(T - T0)(T - T0)^T]
+    cov = S[1:, 1:] - np.outer(S[0, 1:], S[0, 1:])
+    return (logf.max() + np.log(f.mean()), S[0, 1:] + Tmat[0],
+            0.5 * (cov + cov.T), f.sum() ** 2 / np.einsum("i,i", f, f))
 
 
 def _deviations(family, grid, Tmat, shift, c, I, starts, g=None,

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaln, polygamma, psi
 
 from priorscan.chain_runtime import ChainTrace, simulate
 from priorscan.prior_family import ExpFamilySpec, HyperRect
@@ -43,6 +42,8 @@ def lda_spec(K: int, V: int, D: int) -> ExpFamilySpec:
     A(eta, alpha) = -K[lgG(V eta) - V lgG(eta)] - D[lgG(K alpha) - K lgG(alpha)].
     Canonical coordinates are (eta - 1, alpha - 1).
     """
+    # imported here so that loading the module (as the CLI does) skips scipy
+    from scipy.special import gammaln, polygamma, psi
 
     def canon(h):
         return np.asarray(h, dtype=float) - 1.0

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from priorscan.chain_runtime import ChainTrace, IIDKernel, log_regen_prob
+from priorscan.chain_runtime import ChainTrace, log_regen_prob
 from priorscan.prior_family import ExpFamilySpec, HyperRect
 
 __all__ = [
@@ -146,14 +146,6 @@ class NormalHierModel:
         return self.suffstat(theta), {"theta1": float(theta[0])}
 
     # -- samplers ---------------------------------------------------------
-    def exact_kernel(self, h1) -> IIDKernel:
-        mean, sd = self.posterior_params(h1)
-
-        def draw(rng):
-            return mean + sd * rng.standard_normal(self.J)
-
-        return IIDKernel(draw, self.observe, kernel_id="toy-exact")
-
     def exact_trace(self, h1, n: int, seed=None, rng=None) -> ChainTrace:
         """iid posterior draws, vectorized; every step is a regeneration."""
         if rng is None:

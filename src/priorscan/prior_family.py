@@ -18,13 +18,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import logsumexp, softmax
 
 __all__ = [
     "HyperRect",
     "ExpFamilySpec",
-    "SuffStat",
     "EnvelopeSet",
     "ExpFamilyRatio",
     "log_ratio",
@@ -95,10 +92,11 @@ class HyperRect:
         return bool(np.any(h - self.lower <= tol) or np.any(self.upper - h <= tol))
 
 
-# type aliases used in signatures; a hyperparameter point and a sufficient
-# statistic are plain float vectors
-HyperPoint = np.ndarray
-SuffStat = np.ndarray
+def logsumexp(x: np.ndarray, axis=None):
+    """log sum exp(x) over ``axis`` (all entries by default), shifted by the max."""
+    top = np.max(x, axis=axis, keepdims=True)
+    top = np.where(np.isfinite(top), top, 0.0)
+    return np.squeeze(np.log(np.sum(np.exp(x - top), axis, keepdims=True)) + top, axis)[()]
 
 
 # ------------------------------------------------------------------
@@ -365,6 +363,7 @@ def envelope_corners(spec: ExpFamilySpec, rect: HyperRect,
         raise ValueError("corner construction limited to stat_dim <= 8 (2^d blowup)")
     if spec.log_norm_canon is None:
         raise ValueError("envelope construction requires log_norm_canon")
+    from scipy.optimize import minimize  # only this construction needs it
 
     grid = rect.grid(grid_points)
     omegas, A_grid = spec.canon_many(grid)
@@ -428,8 +427,8 @@ def envelope_corners(spec: ExpFamilySpec, rect: HyperRect,
 
         def neg(T):
             x = T @ corners.T - A_corners
-            return (logsumexp(x) - (T @ om - A),
-                    softmax(x) @ corners - om)
+            lse = logsumexp(x)
+            return lse - (T @ om - A), np.exp(x - lse) @ corners - om
 
         res = minimize(neg, T0, jac=True, method="BFGS",
                        options={"gtol": 1e-10, "maxiter": 500})
@@ -484,8 +483,7 @@ def check_envelope(env: EnvelopeSet, spec: ExpFamilySpec, rect: HyperRect,
     with np.errstate(divide="ignore"):
         log_coeffs = np.log(env.coeffs)
     log_rhs_terms = env.log_corner_densities(samples) + log_coeffs[None, :]
-    m = log_rhs_terms.max(axis=1, keepdims=True)
-    log_rhs = m[:, 0] + np.log(np.exp(log_rhs_terms - m).sum(axis=1))
+    log_rhs = logsumexp(log_rhs_terms, axis=1)
 
     violations = 0
     slack = np.log1p(rel_slack)

@@ -191,24 +191,17 @@ def bridge_init_zetas(traces: list[ChainTrace], spec: ExpFamilySpec,
 
 def tune_zeta(model: STModel, spec: ExpFamilySpec, grid: STGrid, *,
               rounds: int = 10, steps_per_round: int = 5000,
-              seed=None, target_ratio: float = 2.0,
-              mode: str = "reweight") -> tuple[STGrid, bool]:
+              seed=None, target_ratio: float = 2.0) -> tuple[STGrid, bool]:
     """Iteratively adjust zeta toward uniform label occupancy.
 
     Stops when the max/min occupancy ratio over a tuning run is at most
-    ``target_ratio``; returns (tuned grid, converged flag).  Two update rules:
-
-    - "reweight" (default): after each round, set zeta_j to the round's
-      mixture-reweighted estimate of the normalizing constant at anchor j —
-      a fixed-point iteration whose exact solution gives uniform occupancy,
-      and which updates anchors the labels rarely visited.
-    - "occupancy": zeta_j <- zeta_j * (m * occupancy_j)^kappa with kappa
-      starting at 0.5 and halving each round.
+    ``target_ratio``; returns (tuned grid, converged flag).  After each
+    round, zeta_j becomes the round's mixture-reweighted estimate of the
+    normalizing constant at anchor j: a fixed-point iteration whose exact
+    solution gives uniform occupancy, and which updates anchors the labels
+    rarely visited.
     """
-    if mode not in ("reweight", "occupancy"):
-        raise ValueError(f"unknown tuning mode {mode!r}")
     rng = np.random.default_rng(seed)
-    kappa = 0.5
     best = grid
     best_ratio = np.inf
     for _ in range(rounds):
@@ -220,15 +213,7 @@ def tune_zeta(model: STModel, spec: ExpFamilySpec, grid: STGrid, *,
             best, best_ratio = replace(grid, occupancies=occ), ratio
         if ratio <= target_ratio:
             return replace(grid, occupancies=occ), True
-        if mode == "reweight":
-            family = MixtureRatio(spec, grid)
-            shift, c, _, _ = _grid_sums(family, grid.anchors, trace.Tmat)
-            log_z = shift + np.log(c)
-            log_z -= log_z.mean()
-            zetas = np.exp(log_z)
-        else:
-            zetas = grid.zetas * (grid.m * occ) ** kappa
-            zetas = zetas / np.exp(np.mean(np.log(zetas)))       # fix overall scale
-            kappa *= 0.5
-        grid = STGrid(anchors=grid.anchors, zetas=zetas)
+        shift, c, _, _ = _grid_sums(MixtureRatio(spec, grid), grid.anchors, trace.Tmat)
+        log_z = shift + np.log(c)
+        grid = STGrid(anchors=grid.anchors, zetas=np.exp(log_z - log_z.mean()))
     return best, False

@@ -8,13 +8,18 @@ from priorscan.argmax_inference import (
     batch_argmax_cov,
     confidence_ellipse,
     hessian_Jn,
+    log_B_derivs,
     maximize_surface,
     tau_n_sq,
     v_n_sq,
 )
 from priorscan.chain_runtime import segment_tours, tour_sums
-from priorscan.estimators import estimate_B
-from priorscan.prior_family import ExpFamilyRatio, HyperRect, fd_hess
+from priorscan.cli import stream_rng
+from priorscan.estimators import _grid_sums, estimate_B
+from priorscan.models.lda import LDAModel, synth_corpus
+from priorscan.models.varsel import VSModel, synth_regression
+from priorscan.prior_family import ExpFamilyRatio, HyperRect, fd_grad, fd_hess
+from priorscan.serial_tempering import MixtureRatio, STGrid, lattice_anchors, run_st
 
 H1 = [0.0, 1.0]
 
@@ -218,3 +223,93 @@ class TestReport:
         assert d["chi2_threshold"] == pytest.approx(5.991464547107979)
         assert np.allclose(d["h_n"], res.h)
         assert len(d["ellipse_boundary"]) == 128
+
+
+def _log_B(family, Tmat):
+    """log B_n at one h through the grid pass, the objective the optimizer
+    reports."""
+    def f(h):
+        shift, c, _, _ = _grid_sums(family, np.atleast_2d(h), Tmat)
+        return float(shift[0] + np.log(c[0]))
+    return f
+
+
+def _lda_model():
+    return LDAModel(synth_corpus(seed=10, D=6, V=12, K=2, n_d=30), K=2)
+
+
+@pytest.fixture(scope="module")
+def derivative_cases(toy_model):
+    """(family, Tmat, h) for the toy, VS and LDA specs and an ST mixture."""
+    data = synth_regression(seed=3, m=40, q=4)
+    vs = VSModel(y=data.y, X=data.X)
+    lda = _lda_model()
+    grid = STGrid(anchors=lattice_anchors(HyperRect([-1.0, 0.3], [1.0, 3.0]),
+                                          [2, 2]), zetas=np.ones(4))
+    st = run_st(toy_model.st_model(grid.anchors), toy_model.spec(), grid,
+                n=3000, rng=np.random.default_rng(1))
+    return {
+        "toy": (ExpFamilyRatio(toy_model.spec(), H1),
+                toy_model.exact_trace(H1, n=5000, seed=3).Tmat, [0.3, 1.4]),
+        "vs": (ExpFamilyRatio(vs.spec(), [0.5, 8.0]),
+               vs.trace([0.5, 8.0], n=400, seed=2).Tmat, [0.4, 10.0]),
+        "lda": (ExpFamilyRatio(lda.spec(), [1.0, 1.0]),
+                lda.trace([1.0, 1.0], n=200, seed=4, burn=20).Tmat, [0.8, 1.3]),
+        # D(T) depends on T only, so it must drop out of the derivatives
+        "st": (MixtureRatio(toy_model.spec(), grid), st.Tmat, [0.2, 1.2]),
+    }
+
+
+@pytest.mark.parametrize("name", ["toy", "vs", "lda", "st"])
+def test_moment_derivatives_match_finite_differences(derivative_cases, name):
+    family, Tmat, h = derivative_cases[name]
+    h = np.asarray(h)
+    obj = _log_B(family, Tmat)
+    value, grad, hess, ess = log_B_derivs(family, h, Tmat)
+    assert value == pytest.approx(obj(h), abs=1e-12)
+    assert np.allclose(grad, fd_grad(obj, h), rtol=1e-5, atol=0.0)
+    H_fd = fd_hess(obj, h)
+    assert np.allclose(hess, H_fd, rtol=1e-5, atol=1e-8 * np.abs(H_fd).max())
+    assert 1.0 <= ess <= Tmat.shape[0]
+
+
+def _nelder_mead_argmax(trace, family, rect, grid_points=21, tol=1e-6,
+                        multi_starts=8, seed=0):
+    """The grid plus bounded Nelder-Mead search, kept as a reference."""
+    from scipy.optimize import minimize
+
+    obj = _log_B(family, trace.Tmat)
+    shift, c, _, _ = _grid_sums(family, rect.grid(grid_points), trace.Tmat)
+    starts = [rect.grid(grid_points)[int(np.argmax(shift + np.log(c)))]]
+    starts += list(rect.sample(np.random.default_rng(seed), multi_starts))
+    best = None
+    for x0 in starts:
+        res = minimize(lambda h: -obj(h), x0, method="Nelder-Mead",
+                       bounds=list(zip(rect.lower, rect.upper)),
+                       options={"xatol": tol, "fatol": 1e-12, "maxiter": 2000})
+        h = rect.clip(res.x)
+        if best is None or obj(h) > best[1] + 1e-10:
+            best = (h, obj(h))
+    return best
+
+
+def _newton_cases(toy_model):
+    rect = HyperRect([-1.0, 0.3], [1.0, 3.0])
+    for seed in (1, 2, 3):
+        trace = toy_model.mh_trace(H1, n=90_000, rng=stream_rng(seed, "argmax"))
+        yield trace, ExpFamilyRatio(toy_model.spec(), H1), rect, False
+    lda = _lda_model()
+    trace = lda.trace([1.0, 1.0], n=600, rng=stream_rng(2, "argmax"))
+    yield (trace, ExpFamilyRatio(lda.spec(), [1.0, 1.0]),
+           HyperRect([0.5, 0.5], [2.0, 2.0]), True)
+
+
+def test_newton_agrees_with_nelder_mead(toy_model):
+    for trace, family, rect, on_boundary in _newton_cases(toy_model):
+        res = maximize_surface(trace, family, rect)
+        h_ref, v_ref = _nelder_mead_argmax(trace, family, rect)
+        assert np.abs(res.h - h_ref).max() <= 1e-5
+        assert res.log_value >= v_ref - 1e-10
+        assert res.boundary == on_boundary
+        assert res.optimizer["starts"] == 9
+        assert res.optimizer["moment_passes"] >= res.optimizer["newton_iters"] >= 9

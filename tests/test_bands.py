@@ -136,3 +136,15 @@ def test_wide_rectangle_flags_low_ess(toy_model):
     assert d["n_unreliable"] > 0
     assert d["ess_min"] == pytest.approx(rep.ess.min())
     assert d["ess_min"] < 50.0
+
+
+def test_underflowing_batches_raise(toy_model):
+    """Batch curves whose f sums underflow to 0/0 make the band NaN; that is
+    an error, not a band."""
+    from priorscan.prior_family import HyperRect
+    trace = toy_model.exact_trace(h1=H1, n=4000, seed=1)
+    trace.Tmat[:2000, 0] -= 3000.0
+    rect = HyperRect(lower=[-6.0, 0.05], upper=[6.0, 20.0])
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+        global_band(trace, ExpFamilyRatio(toy_model.spec(), H1), "theta1",
+                    rect.grid(11), M=20)

@@ -116,7 +116,42 @@ class TestArgmax:
         assert np.linalg.norm(np.array(d["h_n"]) - [0.0, 1.0]) < 0.3
         assert d["multistart_consistent"] is True
         assert d["batch_boundary_count"] is None
+        assert 50.0 <= d["ess_h_n"] <= d["n"]
+        assert d["optimizer"]["starts"] == 9
+        assert d["optimizer"]["moment_passes"] >= d["optimizer"]["newton_iters"] >= 9
         assert (out / "ellipse.csv").exists()
+
+    def test_maximizes_over_complete_tours(self, tmp_path):
+        # an n-target MH chain ends inside a tour; the sandwich uses only the
+        # complete tours' rows, so h_n must be a stationary point over them
+        from priorscan.argmax_inference import log_B_derivs
+
+        out = tmp_path / "out"
+        cfg_path = _write(tmp_path, TOY_COMMON.format(out=out)
+                          .replace("kernel = exact", "kernel = mh"))
+        assert main(["argmax", cfg_path]) == EXIT_OK
+        d = json.loads((out / "argmax.json").read_text())
+        cfg = cli.RunConfig(cfg_path)
+        model = cli.build_model(cfg)
+        trace = cli.run_chain(model, cfg, "argmax")
+        tours = cli.trace_tours(trace)
+        assert d["n"] == tours.n_eff < trace.n
+        family = cli.ratio_family(model, cfg.h1())
+        h_n = np.array(d["h_n"])
+        _, grad, _, _ = log_B_derivs(family, h_n, trace.Tmat[:tours.n_eff])
+        bound = 1e-6 * (1.0 + np.abs(family.spec.grad_A(h_n)).max())
+        assert np.abs(grad).max() < bound
+
+    def test_low_weight_ess_warns(self, tmp_path, capsys):
+        # 40 draws cannot give a weight ESS of 50 anywhere
+        out = tmp_path / "out"
+        cfg = _write(tmp_path, TOY_COMMON.format(out=out).replace("n = 4000", "n = 40"))
+        code = main(["argmax", cfg])
+        d = json.loads((out / "argmax.json").read_text())
+        assert code == (cli.EXIT_WARN if d["boundary_flag"] else EXIT_OK)
+        assert d["ess_h_n"] < 50.0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: weight ESS ") and err.count("\n") == 1
 
     def test_batch_method_without_regeneration(self, tmp_path):
         # the variable-selection Gibbs chain has no regeneration marks
@@ -158,6 +193,8 @@ M = 10
         assert d["J_n"] is None
         assert isinstance(d["multistart_consistent"], bool)
         assert 0 <= d["batch_boundary_count"] <= 10
+        assert 1.0 <= d["ess_h_n"] <= 400
+        assert set(d["optimizer"]) == {"starts", "newton_iters", "moment_passes"}
 
 
 class TestBand:
@@ -174,6 +211,29 @@ class TestBand:
         d = json.loads((out / "band.json").read_text())
         assert d["M"] == 40 and d["target"] == "I:theta1"
         assert d["ess_min"] > 0.0 and d["n_unreliable"] == 0
+
+    def test_non_finite_band_is_a_runtime_error(self, tmp_path, capsys, monkeypatch):
+        # half the draws shifted far away: at every grid point one half's
+        # weights underflow to 0, so every batch curve is 0/0
+        out = tmp_path / "out"
+        cfg = _write(tmp_path, TOY_COMMON.format(out=out)
+                     .replace("rect_lower = -1, 0.5", "rect_lower = -6, 0.05")
+                     .replace("rect_upper = 1, 1.5", "rect_upper = 6, 20")
+                     .replace("grid = 3", "grid = 11")
+                     + "\n[inference]\nfunctional = theta1\nM = 20\n")
+        run_chain = cli.run_chain
+
+        def shifted(model, cfg, stream):
+            trace = run_chain(model, cfg, stream)
+            trace.Tmat[:2000, 0] -= 3000.0
+            return trace
+
+        monkeypatch.setattr(cli, "run_chain", shifted)
+        with np.errstate(invalid="ignore"):
+            assert main(["band", cfg]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and "not finite" in err
+        assert not (out / "band.csv").exists()
 
     def test_replicate_coverage(self, tmp_path):
         out = tmp_path / "out"
@@ -343,6 +403,19 @@ class TestConfigErrors:
         assert err == ("config error: [inference] functional: unknown 'theta9'; "
                        "recorded: theta1\n")
         assert not any(out.glob("*.csv"))
+
+
+def test_start_up_and_toy_surface_leave_out_scipy(tmp_path):
+    # importing scipy.optimize and scipy.special cost ~0.6 s of every command
+    cfg = _write(tmp_path, TOY_COMMON.format(out=tmp_path / "out"))
+    code = ("import sys, priorscan; import priorscan.cli as cli; "
+            "before = [m for m in sys.modules if m.startswith('scipy')]; "
+            f"assert cli.main(['surface', {cfg!r}]) == 0; "
+            "print(before, [m for m in sys.modules if m.startswith('scipy')])")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert res.stdout.strip() == "[] []"
 
 
 def test_cli_import_leaves_out_scipy_stats():

@@ -188,21 +188,14 @@ class TestTuning:
         assert np.allclose(tuned.zetas, exact_grid.zetas)
         assert tuned.occupancies is not None
 
-    @pytest.mark.parametrize("mode", ["reweight", "occupancy"])
-    def test_tunes_from_uniform_start(self, toy_model, anchors, mode):
+    def test_tunes_from_uniform_start(self, toy_model, anchors):
         grid0 = STGrid(anchors=anchors, zetas=np.ones(len(anchors)))
         tuned, converged = tune_zeta(toy_model.st_model(anchors),
                                      toy_model.spec(), grid0,
-                                     rounds=8, steps_per_round=4000, seed=3,
-                                     mode=mode)
+                                     rounds=8, steps_per_round=4000, seed=3)
         assert converged
         occ = tuned.occupancies
         assert occ.max() / occ.min() <= 2.0
-
-    def test_unknown_mode(self, toy_model, anchors, exact_grid):
-        with pytest.raises(ValueError):
-            tune_zeta(toy_model.st_model(anchors), toy_model.spec(),
-                      exact_grid, mode="nope")
 
     def test_bridge_init(self, toy_model, anchors):
         # one short per-anchor run; bridged zetas should land within a factor
