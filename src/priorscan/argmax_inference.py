@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from priorscan.chain_runtime import ChainTrace, TourSums, as_ratio_family
-from priorscan.estimators import _grid_sums, _tilted_moments
+from priorscan.chain_runtime import ChainTrace, TourSums
+from priorscan.estimators import _grid_sums
 from priorscan.prior_family import HyperRect
 
 __all__ = [
@@ -54,28 +54,41 @@ class MaxResult:
 MAX_NEWTON_ITERS = 100
 
 
-def log_B_derivs(family, h, Tmat):
-    """(log B_n, gradient, Hessian, weight ESS) at ``h`` from one moment pass.
+def _moment_columns(Tmat: np.ndarray) -> np.ndarray:
+    """Per-draw columns T - T0 and (T - T0)(T - T0)^T, flattened, T0 the first
+    draw, so that the covariance is not a difference of large numbers."""
+    D = Tmat - Tmat[0]
+    return np.hstack([D, (D[:, :, None] * D[:, None, :]).reshape(D.shape[0], -1)])
+
+
+def log_B_derivs(family, h, Tmat, X=None):
+    """(log B_n, gradient, Hessian, weight ESS) at ``h`` from one
+    :func:`_grid_sums` pass over the :func:`_moment_columns` ``X`` of Tmat
+    (built here unless given; a search builds them once).
 
     log B_n(h) = K_n(omega_h - omega_1) - (A_h - A_1), K_n the empirical CGF
     of T, so grad = J^T E_w[T] - grad A and, with J the Jacobian of omega,
     hess = J^T Cov_w[T] J + sum_s E_w[T_s] hess omega_s - hess A."""
-    spec, h = family.spec, np.asarray(h, dtype=float)
-    log_B, mean, cov, ess = _tilted_moments(family, h, Tmat)
+    spec, h, d = family.spec, np.asarray(h, dtype=float), Tmat.shape[1]
+    X = _moment_columns(Tmat) if X is None else X
+    shift, c, ess, m = _grid_sums(family, h[None, :], Tmat, X)
+    mean = m[:d, 0] + Tmat[0]
+    cov = m[d:, 0].reshape(d, d) - np.outer(m[:d, 0], m[:d, 0])
     J = spec.jac(h)
     hess = J.T @ cov @ J + np.tensordot(mean, spec.hess_canon(h), 1) - spec.hess_A(h)
-    return log_B, mean @ J - spec.grad_A(h), 0.5 * (hess + hess.T), ess
+    return (shift[0] + np.log(c[0]), mean @ J - spec.grad_A(h),
+            0.5 * (hess + hess.T), ess[0])
 
 
-def _newton(family, Tmat, rect: HyperRect, h, tol: float):
+def _newton(family, Tmat, X, rect: HyperRect, h, tol: float):
     """Projected Newton ascent of log B_n from ``h`` (Bertsekas 1982):
-    (h, log B_n, iterations, moment passes).  Coordinates near a face the
-    gradient points out of stay on it; the rest take Newton's step where
-    their Hessian block is negative definite, else the width-scaled gradient.
-    Projected steps are halved until Armijo's condition holds; the search
-    ends when a step moves h by at most ``tol``."""
+    (h, log B_n, weight ESS, iterations, moment passes).  Coordinates near a
+    face the gradient points out of stay on it; the rest take Newton's step
+    where their Hessian block is negative definite, else the width-scaled
+    gradient.  Projected steps are halved until Armijo's condition holds; the
+    search ends when a step moves h by at most ``tol``."""
     width = rect.upper - rect.lower
-    val, g, H, _ = log_B_derivs(family, h, Tmat)
+    val, g, H, ess = log_B_derivs(family, h, Tmat, X)
     passes = 1
     for it in range(1, MAX_NEWTON_ITERS + 1):
         eps = np.minimum(1e-3 * width, np.linalg.norm(h - rect.clip(h + g)))
@@ -86,20 +99,20 @@ def _newton(family, Tmat, rect: HyperRect, h, tol: float):
             d[free] = np.linalg.solve(-Hf, g[free])
         for step in 0.5 ** np.arange(60):
             h_new = rect.clip(h + step * d)
-            trial = log_B_derivs(family, h_new, Tmat)
+            trial = log_B_derivs(family, h_new, Tmat, X)
             passes += 1
             moved = np.abs(h_new - h).max()
             if moved <= tol or trial[0] >= val + 1e-4 * max(g @ (h_new - h), 0.0):
                 break
         if not trial[0] >= val:
             break                       # no ascent left at working precision
-        h, (val, g, H, _) = h_new, trial
+        h, (val, g, H, ess) = h_new, trial
         if moved <= tol:
             break
-    return h, val, it, passes
+    return h, val, ess, it, passes
 
 
-def maximize_surface(trace: ChainTrace, spec_or_family, rect: HyperRect, *,
+def maximize_surface(trace: ChainTrace, family, rect: HyperRect, *,
                      grid_points: int = 21, tol: float = 1e-6,
                      multi_starts: int = 8, seed: int = 0) -> MaxResult:
     """Argmax of log B_n over the rectangle.
@@ -112,23 +125,22 @@ def maximize_surface(trace: ChainTrace, spec_or_family, rect: HyperRect, *,
     """
     if trace.n == 0:
         raise ValueError("empty trace")
-    family = as_ratio_family(spec_or_family, trace)
     grid, Tmat = rect.grid(grid_points), trace.Tmat
     shift, c, _, _ = _grid_sums(family, grid, Tmat)
     starts = [grid[int(np.argmax(shift + np.log(c)))]]   # lowest index on ties
     starts += list(rect.sample(np.random.default_rng(seed), multi_starts))
+    X = _moment_columns(Tmat)
     consistent, iters, passes = True, 0, 0
     for i, x0 in enumerate(starts):
-        h, v, n_it, n_pass = _newton(family, Tmat, rect, x0, tol)
+        h, v, ess, n_it, n_pass = _newton(family, Tmat, X, rect, x0, tol)
         iters, passes = iters + n_it, passes + n_pass
         if i == 0 or v > v_best + 1e-10:
             if i and np.linalg.norm(h - h_best) > 10 * tol:
                 consistent = False
-            h_best, v_best = h, v
-    shift, c, ess, _ = _grid_sums(family, h_best[None, :], Tmat)
-    return MaxResult(h=h_best, log_value=float(shift[0] + np.log(c[0])),
+            h_best, v_best, ess_best = h, v, ess
+    return MaxResult(h=h_best, log_value=float(v_best),
                      boundary=rect.on_boundary(h_best),
-                     multistart_consistent=consistent, ess=float(ess[0]),
+                     multistart_consistent=consistent, ess=float(ess_best),
                      optimizer={"starts": len(starts), "newton_iters": iters,
                                 "moment_passes": passes})
 
@@ -228,7 +240,7 @@ def confidence_ellipse(h_n, v_sq: np.ndarray, R: int, alpha: float,
 # batching alternative
 # ------------------------------------------------------------------
 
-def batch_argmax_cov(trace: ChainTrace, spec_or_family, rect: HyperRect,
+def batch_argmax_cov(trace: ChainTrace, family, rect: HyperRect,
                      M: int, h_n=None, grid_points: int = 21,
                      tol: float = 1e-6):
     """Batch-means covariance of the argmax, centered at the full-trace h_n.
@@ -241,7 +253,6 @@ def batch_argmax_cov(trace: ChainTrace, spec_or_family, rect: HyperRect,
     L = trace.n // M
     if L < 2:
         raise ValueError("batches shorter than 2 draws")
-    family = as_ratio_family(spec_or_family, trace)
     if h_n is None:
         h_n = maximize_surface(trace, family, rect, grid_points=grid_points,
                                tol=tol, multi_starts=0).h

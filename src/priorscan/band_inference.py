@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from priorscan.chain_runtime import ChainTrace, as_ratio_family
+from priorscan.chain_runtime import ChainTrace
 from priorscan.estimators import (ESS_UNRELIABLE, _deviations, _grid_sums,
                                   _segmentation)
 
@@ -70,7 +70,7 @@ class BandReport:
         return json.dumps(payload, sort_keys=True, indent=1)
 
 
-def global_band(trace: ChainTrace, spec_or_family, g_name: str | None,
+def global_band(trace: ChainTrace, family, g_name: str | None,
                 grid, M: int | None = None, alpha: float = 0.05) -> BandReport:
     """Simultaneous (1 - alpha) band for I_g(·) over the grid.
 
@@ -81,7 +81,6 @@ def global_band(trace: ChainTrace, spec_or_family, g_name: str | None,
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    family = as_ratio_family(spec_or_family, trace)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     _, n_used, starts = _segmentation(trace.n, None, M)
     M = starts.size
@@ -89,7 +88,7 @@ def global_band(trace: ChainTrace, spec_or_family, g_name: str | None,
     if L < MIN_BATCH_LEN:
         raise ValueError(f"batch length {L} < {MIN_BATCH_LEN}; reduce M")
     Tmat = trace.Tmat[:n_used]
-    g = None if g_name is None else trace.functional(g_name)[:n_used]
+    g = None if g_name is None else trace.functional(g_name)[:n_used, None]
     shift, c, ess, I = _grid_sums(family, grid, Tmat, g)
 
     sup_stats = np.empty(M)
@@ -102,6 +101,6 @@ def global_band(trace: ChainTrace, spec_or_family, g_name: str | None,
                          "curves are not finite (their weights underflow to 0)")
     order = int(np.ceil((1.0 - alpha) * M))                    # 1-based index
     half_width = float(np.sort(sup_stats)[order - 1] / np.sqrt(n_used))
-    return BandReport(grid=grid, center=c * np.exp(shift) if g is None else I,
+    return BandReport(grid=grid, center=c * np.exp(shift) if g is None else I[0],
                       half_width=half_width, M=M, alpha=alpha, sup_stats=sup_stats,
                       n=n_used, target="B" if g is None else f"I:{g_name}", ess=ess)

@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from priorscan.prior_family import ExpFamilySpec, ExpFamilyRatio
+from priorscan.prior_family import ExpFamilyRatio
 
 __all__ = [
     "ChainTrace",
@@ -30,7 +30,6 @@ __all__ = [
     "log_regen_prob",
     "segment_tours",
     "tour_sums",
-    "as_ratio_family",
     "save_trace",
     "load_trace",
 ]
@@ -333,54 +332,33 @@ class TourSums:
         return int(self.N.sum())
 
 
-def _segment_sum(values: np.ndarray, starts0: np.ndarray) -> np.ndarray:
-    """Sum of ``values`` over contiguous segments starting at ``starts0``."""
-    return np.add.reduceat(values, starts0, axis=0)
-
-
-def as_ratio_family(spec_or_family, trace: ChainTrace) -> ExpFamilyRatio:
-    """Accept either an ExpFamilyRatio or an ExpFamilySpec (anchored at meta h1)."""
-    if isinstance(spec_or_family, ExpFamilyRatio):
-        return spec_or_family
-    if isinstance(spec_or_family, ExpFamilySpec):
-        h1 = trace.meta.get("h1")
-        if h1 is None:
-            raise ValueError("trace meta lacks 'h1'; pass an ExpFamilyRatio explicitly")
-        return ExpFamilyRatio(spec_or_family, np.asarray(h1, dtype=float))
-    raise TypeError(f"expected ExpFamilyRatio or ExpFamilySpec, got {type(spec_or_family)!r}")
-
-
-def tour_sums(trace: ChainTrace, tours: TourIndex, spec_or_family, h,
+def tour_sums(trace: ChainTrace, tours: TourIndex, family: ExpFamilyRatio, h,
               functionals: Sequence[str] | None = None,
               with_derivs: bool = True) -> TourSums:
     """Per-tour sums S_r, T_r and (optionally) grad/Hessian sums at ``h``.
 
-    Evaluation is in log space with a global max shift recorded in
-    ``log_scale``; see :class:`TourSums`.
+    The grid passes of :mod:`priorscan.estimators` at the one-point grid
+    ``h`` give the shift recorded in ``log_scale`` (see :class:`TourSums`) and
+    the per-tour sums of f, of g f and of f times the per-draw columns
+    u = grad log f and u u^T + hess log f.
     """
-    family = as_ratio_family(spec_or_family, trace)
+    from priorscan.estimators import _grid_sums, _segment_sums  # imports this module
+
     h = np.asarray(h, dtype=float)
-    if functionals is None:
-        functionals = trace.functional_names
-    n_eff = tours.n_eff
-    Tmat = trace.Tmat[:n_eff]
-
-    logf = family.log_f(h, Tmat)
-    shift = float(logf.max()) if logf.size else 0.0
-    f = np.exp(logf - shift)
-
-    starts = tours.starts0
-    S = _segment_sum(f, starts)
-    T = {name: _segment_sum(trace.functional(name)[:n_eff] * f, starts)
-         for name in functionals}
-
-    gradS = hessS = None
+    names = trace.functional_names if functionals is None else list(functionals)
+    Tmat, k = trace.Tmat[:tours.n_eff], h.size
+    cols = [trace.functional(name)[:tours.n_eff, None] for name in names]
     if with_derivs:
-        u = family.grad_log_f(h, Tmat)                      # (n, k)
-        gradS = _segment_sum(f[:, None] * u, starts)
-        hess_log = family.hess_log_f(h, Tmat)               # (n, k, k)
-        outer = u[:, :, None] * u[:, None, :]
-        hessS = _segment_sum(f[:, None, None] * (outer + hess_log), starts)
-
-    return TourSums(h=h, N=tours.lengths.astype(float), S=S, T=T,
-                    gradS=gradS, hessS=hessS, log_scale=shift)
+        u = family.grad_log_f(h, Tmat)                                   # (n, k)
+        uu = u[:, :, None] * u[:, None, :] + family.hess_log_f(h, Tmat)  # (n, k, k)
+        cols += [u, uu.reshape(-1, k * k)]
+    shift = _grid_sums(family, h[None, :], Tmat)[0]
+    x = np.concatenate([x for _, x in _segment_sums(
+        family, h[None, :], Tmat, shift, tours.starts0,
+        np.hstack(cols) if cols else None)])[:, :, 0]
+    m = len(names)
+    return TourSums(h=h, N=tours.lengths.astype(float), S=x[:, 0],
+                    T={name: x[:, 1 + j] for j, name in enumerate(names)},
+                    gradS=x[:, 1 + m:1 + m + k] if with_derivs else None,
+                    hessS=x[:, 1 + m + k:].reshape(-1, k, k) if with_derivs else None,
+                    log_scale=float(shift[0]))

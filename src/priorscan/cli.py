@@ -214,10 +214,6 @@ def run_chain(model, cfg: RunConfig, stream: str) -> ChainTrace:
     return model.trace(h1, target["n"], rng=rng)
 
 
-def ratio_family(model, h1):
-    return ExpFamilyRatio(model.spec(), h1)
-
-
 def check_functional(trace: ChainTrace, g_name: str | None) -> None:
     """Raise ConfigError unless ``[inference] functional`` is unset or one
     the chain recorded."""
@@ -248,11 +244,11 @@ def write_json(path: Path, payload: dict, cfg_hash: str) -> None:
         fh.write(json.dumps(payload, sort_keys=True, indent=1))
 
 
-def _estimate_csv(path: Path, est, cfg_hash: str) -> None:
-    k = est.grid.shape[1]
-    header = ",".join(f"h_{i+1}" for i in range(k)) + ",value,se,ess"
-    rows = (np.column_stack([est.grid, est.values, est.se, est.ess]))
-    write_csv(path, header, rows, cfg_hash)
+def write_table(path: Path, table, cfg_hash: str) -> None:
+    """The config hash line, then ``table.to_csv`` (an estimate or a band)."""
+    with open(path, "w") as fh:
+        fh.write(f"# config_sha256={cfg_hash}\n")
+        table.to_csv(fh)
 
 
 # ------------------------------------------------------------------
@@ -265,12 +261,12 @@ def cmd_surface(cfg: RunConfig) -> int:
     M, g_name = cfg.M, cfg.functional
     trace = run_chain(model, cfg, "surface")
     check_functional(trace, g_name)
-    family = ratio_family(model, cfg.h1())
+    family = ExpFamilyRatio(model.spec(), cfg.h1())
     tours = trace_tours(trace)
     est, fest = grid_estimates(trace, family, grid, g_name, tours=tours, M=M)
-    _estimate_csv(cfg.out_dir / "surface.csv", est, cfg.sha256)
+    write_table(cfg.out_dir / "surface.csv", est, cfg.sha256)
     if fest is not None:
-        _estimate_csv(cfg.out_dir / f"functional_{g_name}.csv", fest, cfg.sha256)
+        write_table(cfg.out_dir / f"functional_{g_name}.csv", fest, cfg.sha256)
     save_trace(trace, cfg.out_dir / "trace.txt")
     return EXIT_OK
 
@@ -280,7 +276,7 @@ def cmd_argmax(cfg: RunConfig) -> int:
     rect = cfg.rect()
     alpha, M = cfg.alpha, cfg.M
     trace = run_chain(model, cfg, "argmax")
-    family = ratio_family(model, cfg.h1())
+    family = ExpFamilyRatio(model.spec(), cfg.h1())
     tours = trace_tours(trace)
     # over the complete tours' rows, which the sandwich at h_n uses
     res = maximize_surface(trace if tours is None else
@@ -311,13 +307,13 @@ def cmd_argmax(cfg: RunConfig) -> int:
         h_n=res.h, J_n=J, tau_n_sq=tau, v_n_sq=v, R=R, n=n_eff,
         E_N1_hat=n_eff / R, alpha=alpha, chi2_threshold=ellipse.threshold,
         boundary_flag=res.boundary, ellipse=ellipse, method=method)
-    payload = json.loads(report.to_json(extra={
+    (cfg.out_dir / "argmax.json").write_text(report.to_json(extra={
         "multistart_consistent": res.multistart_consistent,
         "batch_boundary_count": n_boundary,
         "ess_h_n": res.ess,
         "optimizer": res.optimizer,
+        "config_sha256": cfg.sha256,
     }))
-    write_json(cfg.out_dir / "argmax.json", payload, cfg.sha256)
     if ellipse.boundary.size:
         write_csv(cfg.out_dir / "ellipse.csv", "h_1,h_2",
                   ellipse.boundary, cfg.sha256)
@@ -333,16 +329,13 @@ def cmd_band(cfg: RunConfig, replicate: int = 0) -> int:
     def one_band(stream: str):
         trace = run_chain(model, cfg, stream)
         check_functional(trace, g_name)
-        family = ratio_family(model, cfg.h1())
+        family = ExpFamilyRatio(model.spec(), cfg.h1())
         return global_band(trace, family, g_name, grid, M=M, alpha=alpha)
 
     band = one_band("band")
-    write_csv(cfg.out_dir / "band.csv",
-              ",".join(f"h_{i+1}" for i in range(grid.shape[1]))
-              + ",center,lower,upper",
-              np.column_stack([band.grid, band.center, band.lower, band.upper]),
-              cfg.sha256)
-    write_json(cfg.out_dir / "band.json", json.loads(band.to_json()), cfg.sha256)
+    write_table(cfg.out_dir / "band.csv", band, cfg.sha256)
+    (cfg.out_dir / "band.json").write_text(
+        band.to_json(extra={"config_sha256": cfg.sha256}))
 
     if replicate > 0:
         if not isinstance(model, NormalHierModel) or g_name != "theta1":
@@ -422,7 +415,7 @@ def cmd_st_run(cfg: RunConfig) -> int:
     save_trace(trace, cfg.out_dir / "st_trace.txt")
     family = MixtureRatio(spec, grid)
     est = surface_on_grid(trace, family, surface_grid, M=M)
-    _estimate_csv(cfg.out_dir / "st_surface.csv", est, cfg.sha256)
+    write_table(cfg.out_dir / "st_surface.csv", est, cfg.sha256)
     return EXIT_OK
 
 
@@ -461,7 +454,7 @@ def cmd_oracle_check(cfg: RunConfig) -> int:
         raise ConfigError("oracle-check applies to the normal-hier model")
     grid, M = cfg.grid(cfg.rect()), cfg.M
     trace = run_chain(model, cfg, "oracle-check")
-    family = ratio_family(model, cfg.h1())
+    family = ExpFamilyRatio(model.spec(), cfg.h1())
     tours = trace_tours(trace)
     est = surface_on_grid(trace, family, grid, tours=tours, M=M)
     h1 = cfg.h1()

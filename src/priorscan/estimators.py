@@ -5,6 +5,13 @@ estimates the marginal-likelihood ratio ``m_y(h)/m_y(h1)``; ``I_hat_g(h)`` is
 the ``f_h``-weighted average of a recorded functional.  Pointwise standard
 errors come from the delta method applied to iid tour sums; a batch-means
 alternative is provided for traces without regeneration marks.
+
+Every sum of ``f_h`` over draws is formed by one of two chunked passes over
+the trace: :func:`_grid_sums` for whole-trace weighted means of any columns,
+and :func:`_segment_sums` for their sums per tour or batch.  The point
+estimates, the grid surfaces, the argmax's moments, ``tour_sums`` and the
+band all call them, the point estimates at a one-point grid.  A non-finite
+``log f_h`` at any grid point raises :class:`InvalidSpecError`.
 """
 
 from __future__ import annotations
@@ -13,13 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from priorscan.chain_runtime import (
-    ChainTrace,
-    TourIndex,
-    TourSums,
-    as_ratio_family,
-)
-from priorscan.prior_family import ExpFamilyRatio, logsumexp
+from priorscan.chain_runtime import ChainTrace, TourIndex, TourSums, tour_sums
+from priorscan.prior_family import ExpFamilyRatio, InvalidSpecError, logsumexp
 
 __all__ = [
     "SurfaceEstimate",
@@ -81,32 +83,29 @@ class FunctionalEstimate(SurfaceEstimate):
 # point estimates
 # ------------------------------------------------------------------
 
-def estimate_B(trace: ChainTrace, spec_or_family, h) -> float:
+def estimate_B(trace: ChainTrace, family: ExpFamilyRatio, h) -> float:
     """(1/n) sum_i f_h(theta_i), with log f_h shifted by its max."""
     if trace.n == 0:
         raise ValueError("empty trace")
-    shift, c, _, _ = _grid_sums(as_ratio_family(spec_or_family, trace),
-                                np.atleast_2d(h), trace.Tmat)
+    shift, c, _, _ = _grid_sums(family, np.atleast_2d(h), trace.Tmat)
     return float(c[0] * np.exp(shift[0]))
 
 
-def weights(trace: ChainTrace, spec_or_family, h) -> np.ndarray:
+def weights(trace: ChainTrace, family: ExpFamilyRatio, h) -> np.ndarray:
     """Normalized importance weights w_i^(h); nonnegative, sum to 1."""
-    family = as_ratio_family(spec_or_family, trace)
     logf = family.log_f(np.asarray(h, dtype=float), trace.Tmat)
     return np.exp(logf - logsumexp(logf))
 
 
-def estimate_I(trace: ChainTrace, spec_or_family, g_name: str, h) -> float:
+def estimate_I(trace: ChainTrace, family: ExpFamilyRatio, g_name: str, h) -> float:
     """Weighted posterior-expectation estimate sum_i g_i w_i^(h)."""
-    g = trace.functional(g_name)
-    return float(g @ weights(trace, spec_or_family, h))
+    g = trace.functional(g_name)[:, None]
+    return float(_grid_sums(family, np.atleast_2d(h), trace.Tmat, g)[3][0, 0])
 
 
-def ess(trace: ChainTrace, spec_or_family, h) -> float:
+def ess(trace: ChainTrace, family: ExpFamilyRatio, h) -> float:
     """Effective sample size 1 / sum_i w_i^2, in [1, n]."""
-    w = weights(trace, spec_or_family, h)
-    return float(1.0 / np.sum(w * w))
+    return float(_grid_sums(family, np.atleast_2d(h), trace.Tmat)[2][0])
 
 
 # ------------------------------------------------------------------
@@ -168,25 +167,23 @@ def cov_I_pair(tsums1: TourSums, tsums2: TourSums, g_name: str) -> float:
 # batch-means alternative (no regeneration marks needed)
 # ------------------------------------------------------------------
 
-def batch_values(trace: ChainTrace, spec_or_family, h, M: int,
+def batch_values(trace: ChainTrace, family: ExpFamilyRatio, h, M: int,
                  g_name: str | None = None) -> np.ndarray:
     """Per-batch B_n (or I_hat_g when ``g_name`` given) over M consecutive
     batches of floor(n/M) draws; the trailing remainder is dropped."""
-    family = as_ratio_family(spec_or_family, trace)
-    h = np.atleast_2d(np.asarray(h, dtype=float))
     _, n_used, starts = _segmentation(trace.n, None, M)
-    g = None if g_name is None else trace.functional(g_name)[:n_used]
-    shift, c, _, I = _grid_sums(family, h, trace.Tmat[:n_used], g)
-    devs = [dB if g is None else dI for _, dB, dI in _deviations(
-        family, h, trace.Tmat[:n_used], shift, c, I, starts, g, ratio=True)]
-    d = np.concatenate(devs)[:, 0]
-    return (d + c) * np.exp(shift) if g is None else d + I
+    batches = TourIndex(boundaries=np.append(starts, n_used) + 1, n_eff=n_used)
+    ts = tour_sums(trace, batches, family, h, [] if g_name is None else [g_name],
+                   with_derivs=False)
+    if g_name is None:
+        return ts.S * np.exp(ts.log_scale) / (n_used // M)
+    return ts.T[g_name] / ts.S
 
 
-def batch_se(trace: ChainTrace, spec_or_family, h, M: int,
+def batch_se(trace: ChainTrace, family: ExpFamilyRatio, h, M: int,
              g_name: str | None = None) -> float:
     """Batch-means SE of B_n (or I_hat_g): sd of batch values over sqrt(M)."""
-    vals = batch_values(trace, spec_or_family, h, M, g_name=g_name)
+    vals = batch_values(trace, family, h, M, g_name=g_name)
     return float(vals.std(ddof=1) / np.sqrt(M))
 
 
@@ -208,71 +205,50 @@ def _log_f_chunks(family: ExpFamilyRatio, grid: np.ndarray, Tmat: np.ndarray):
 
 
 def _grid_sums(family: ExpFamilyRatio, grid: np.ndarray, Tmat: np.ndarray,
-               g: np.ndarray | None = None):
+               X: np.ndarray | None = None):
     """(shift, c, ess, I) over the grid from one pass over the draws.
 
     ``shift`` is the column max of log f_h and ``c`` the mean of
-    f_h exp(-shift), so B_n = c exp(shift); ``I`` (None without ``g``) is
-    I_hat_g.  The pass keeps a running column max and sums rescaled to it,
-    the online normalizer of Milakov & Gimelshein (2018).
+    f_h exp(-shift), so B_n = c exp(shift); ``I`` (None without ``X``) holds
+    the f_h-weighted means of the (n, p) columns ``X``, shape (p, G).  The
+    pass keeps a running column max and sums rescaled to it, the online
+    normalizer of Milakov & Gimelshein (2018); that max also sees every
+    non-finite log f_h, which raises :class:`InvalidSpecError`.
     """
     shift = np.full(grid.shape[0], -np.inf)
-    f_sum = f2_sum = gf_sum = np.zeros_like(shift)
+    f_sum = f2_sum = xf_sum = np.zeros_like(shift)
     for a, logf in _log_f_chunks(family, grid, Tmat):
         new = np.maximum(shift, logf.max(axis=0))
         scale = np.exp(shift - new)
         f = np.exp(np.subtract(logf, new, out=logf), out=logf)
         f_sum = f_sum * scale + f.sum(axis=0)
         f2_sum = f2_sum * scale ** 2 + np.einsum("ij,ij->j", f, f)
-        if g is not None:
-            gf_sum = gf_sum * scale + g[a:a + f.shape[0]] @ f
+        if X is not None:
+            xf_sum = xf_sum * scale + X[a:a + f.shape[0]].T @ f
         shift = new
+    if not np.all(np.isfinite(shift)):
+        raise InvalidSpecError(
+            f"non-finite log ratio at h={grid[~np.isfinite(shift)][0]}")
     return (shift, f_sum / Tmat.shape[0], f_sum ** 2 / f2_sum,
-            None if g is None else gf_sum / f_sum)
+            None if X is None else xf_sum / f_sum)
 
 
-def _tilted_moments(family: ExpFamilyRatio, h, Tmat: np.ndarray):
-    """(log B_n, E_w[T], Cov_w[T], ess) at one ``h``, w_i proportional to
-    f_h(theta_i), from one pass over the draws.  T is centred at the first
-    draw so that the covariance is not a difference of large numbers."""
-    logf = family.log_f_many(np.atleast_2d(h), Tmat)[:, 0]
-    f = np.exp(logf - logf.max())
-    X = np.vstack([np.ones(f.size), (Tmat - Tmat[0]).T])     # rows 1, T - T0
-    S = (X * f) @ X.T / f.sum()      # 1, E_w[T - T0], E_w[(T - T0)(T - T0)^T]
-    cov = S[1:, 1:] - np.outer(S[0, 1:], S[0, 1:])
-    return (logf.max() + np.log(f.mean()), S[0, 1:] + Tmat[0],
-            0.5 * (cov + cov.T), f.sum() ** 2 / np.einsum("i,i", f, f))
-
-
-def _deviations(family, grid, Tmat, shift, c, I, starts, g=None,
-                ratio: bool = False):
-    """Yield (ids, dB, dI): deviations from the full-trace values of the
-    segments of rows beginning at ``starts`` (the last ends with Tmat).
-
-    With S_r, T_r the sums over segment r of f = f_h exp(-shift) and g f, and
-    N_r its length: dB_r = (S_r - N_r c) / Nbar; dI_r = (T_r - I S_r) / Sbar
-    (delta method over tours, whose rows are those ``c`` is the mean over),
-    or with ``ratio`` the batch estimate T_r / S_r - I; None without ``g``.
-    The segment open at a chunk's end is carried into the next chunk.
-    """
-    n, R, G = Tmat.shape[0], starts.size, grid.shape[0]
-    lengths = np.diff(np.append(starts, n))
-
-    def deviations(ids, x):
-        S, T = x[:, :G], x[:, G:]
-        dB = (S - lengths[ids, None] * c) / (n / R)
-        if g is None:
-            return ids, dB, None
-        return ids, dB, (T / S - I if ratio else (T - I * S) / (c * n / R))
-
+def _segment_sums(family: ExpFamilyRatio, grid: np.ndarray, Tmat: np.ndarray,
+                  shift: np.ndarray, starts: np.ndarray,
+                  X: np.ndarray | None = None):
+    """Yield (ids, x) in segment order: the sums over the segments ``ids`` of
+    rows beginning at ``starts`` (the last ends with Tmat), x[:, 0] of
+    f = f_h exp(-shift) and x[:, 1:] of the (n, p) columns ``X`` times f,
+    shape (ids.size, 1 + p, G).  The segment open at a chunk's end is carried
+    into the next chunk."""
     open_id, carry = 0, 0.0
     for a, logf in _log_f_chunks(family, grid, Tmat):
         rows = logf.shape[0]
-        f = np.exp(np.subtract(logf, shift, out=logf), out=logf)
-        x = f if g is None else np.hstack([f, g[a:a + rows, None] * f])
+        f = np.exp(np.subtract(logf, shift, out=logf), out=logf)[:, None]
+        x = f if X is None else np.concatenate([f, X[a:a + rows, :, None] * f], axis=1)
         first = int(np.searchsorted(starts, a, side="right")) - 1
         if first != open_id:                  # the carried segment ended at a
-            yield deviations(np.array([open_id]), carry[None, :])
+            yield np.array([open_id]), carry[None]
             carry = 0.0
         last = np.searchsorted(starts, a + rows)    # first segment after the chunk
         cuts = np.concatenate(([0], starts[first + 1:last] - a))
@@ -281,8 +257,28 @@ def _deviations(family, grid, Tmat, shift, c, I, starts, g=None,
         x[0] += carry
         open_id, carry = first + cuts.size - 1, x[-1].copy()
         if cuts.size > 1:
-            yield deviations(first + np.arange(cuts.size - 1), x[:-1])
-    yield deviations(np.array([open_id]), carry[None, :])
+            yield first + np.arange(cuts.size - 1), x[:-1]
+    yield np.array([open_id]), carry[None]
+
+
+def _deviations(family, grid, Tmat, shift, c, I, starts, g=None,
+                ratio: bool = False):
+    """Yield (ids, dB, dI): deviations from the full-trace values of the
+    segments of :func:`_segment_sums`; ``g`` is one (n, 1) column and ``I``
+    its (1, G) weighted mean.
+
+    With S_r, T_r the sums over segment r of f = f_h exp(-shift) and g f, and
+    N_r its length: dB_r = (S_r - N_r c) / Nbar; dI_r = (T_r - I S_r) / Sbar
+    (delta method over tours, whose rows are those ``c`` is the mean over),
+    or with ``ratio`` the batch estimate T_r / S_r - I; None without ``g``.
+    """
+    n, R = Tmat.shape[0], starts.size
+    lengths = np.diff(np.append(starts, n))
+    for ids, x in _segment_sums(family, grid, Tmat, shift, starts, g):
+        S, T = x[:, 0], x[:, -1]
+        dB = (S - lengths[ids, None] * c) / (n / R)
+        yield ids, dB, (None if g is None else T / S - I if ratio
+                        else (T - I * S) / (c * n / R))
 
 
 def _segmentation(n: int, tours: TourIndex | None, M: int | None):
@@ -298,7 +294,7 @@ def _segmentation(n: int, tours: TourIndex | None, M: int | None):
     return n, M * (n // M), np.arange(M) * (n // M)
 
 
-def grid_estimates(trace: ChainTrace, spec_or_family, grid,
+def grid_estimates(trace: ChainTrace, family: ExpFamilyRatio, grid,
                    g_name: str | None = None, tours: TourIndex | None = None,
                    M: int | None = None
                    ) -> tuple[SurfaceEstimate, FunctionalEstimate | None]:
@@ -308,12 +304,11 @@ def grid_estimates(trace: ChainTrace, spec_or_family, grid,
     SEs are tour-based when a :class:`TourIndex` is supplied, otherwise
     batch-means with ``M`` batches (default ceil(sqrt(n))).
     """
-    family = as_ratio_family(spec_or_family, trace)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     n_eff, n_seg, starts = _segmentation(trace.n, tours, M)
     if starts.size < 2:
         raise ValueError("need at least 2 complete tours")
-    g = None if g_name is None else trace.functional(g_name)[:n_eff]
+    g = None if g_name is None else trace.functional(g_name)[:n_eff, None]
     shift, c, ess_vals, I = _grid_sums(family, grid, trace.Tmat[:n_eff], g)
     # sums of the deviations and of their squares, for B then for I; the
     # SEs center them at their mean over the R segments
@@ -330,21 +325,21 @@ def grid_estimates(trace: ChainTrace, spec_or_family, grid,
     est = SurfaceEstimate(values=c * np.exp(shift), se=se[0] * np.exp(shift), **common)
     if g is None:
         return est, None
-    return est, FunctionalEstimate(values=I, se=se[1], g_name=g_name, **common)
+    return est, FunctionalEstimate(values=I[0], se=se[1], g_name=g_name, **common)
 
 
-def surface_on_grid(trace: ChainTrace, spec_or_family, grid,
+def surface_on_grid(trace: ChainTrace, family: ExpFamilyRatio, grid,
                     tours: TourIndex | None = None,
                     M: int | None = None) -> SurfaceEstimate:
     """B_n with pointwise SEs over a grid.
 
     SEs are tour-based when a :class:`TourIndex` is supplied, otherwise
     batch-means with ``M`` batches (default ceil(sqrt(n)))."""
-    return grid_estimates(trace, spec_or_family, grid, tours=tours, M=M)[0]
+    return grid_estimates(trace, family, grid, tours=tours, M=M)[0]
 
 
-def functional_on_grid(trace: ChainTrace, spec_or_family, g_name: str, grid,
+def functional_on_grid(trace: ChainTrace, family, g_name: str, grid,
                        tours: TourIndex | None = None,
                        M: int | None = None) -> FunctionalEstimate:
     """I_hat_g with pointwise SEs over a grid (tour- or batch-based)."""
-    return grid_estimates(trace, spec_or_family, grid, g_name, tours=tours, M=M)[1]
+    return grid_estimates(trace, family, grid, g_name, tours=tours, M=M)[1]

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from priorscan.chain_runtime import ChainTrace, simulate
-from priorscan.prior_family import ExpFamilyRatio, ExpFamilySpec, HyperRect
+from priorscan.prior_family import ExpFamilySpec, HyperRect
 
 __all__ = [
     "VSState",
@@ -240,9 +240,6 @@ class VSModel:
     def trace(self, h1, n: int, seed=None, rng=None) -> ChainTrace:
         return simulate(self.kernel(h1), n=n, seed=seed, rng=rng,
                         meta={"h1": list(np.asarray(h1, dtype=float))})
-
-    def ratio_family(self, h1) -> ExpFamilyRatio:
-        return ExpFamilyRatio(self.spec(), h1)
 
 
 class _VSKernel:

@@ -263,11 +263,9 @@ class ExpFamilyRatio:
         return self._grid[1], self._grid[2]
 
     def log_f(self, h, Tmat):
+        """log f_h at one ``h``, shape (n,); raises on a non-finite draw."""
         h = np.asarray(h, dtype=float)
-        omega = np.asarray(self.spec.canon(h), dtype=float)
-        out = Tmat @ (omega - self._omega1) - float(self.spec.log_norm(h)) + self._A1
-        if self.m > 1:
-            out -= self._log_denominator(Tmat)
+        out = self.log_f_many(h[None, :], Tmat)[:, 0]
         if not np.all(np.isfinite(out)):
             raise InvalidSpecError(f"non-finite log ratio at h={h}")
         return out

@@ -10,6 +10,7 @@ import pytest
 from priorscan import cli
 from priorscan.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main, stream_rng,
                            write_csv)
+from priorscan.estimators import SurfaceEstimate
 
 TOY_COMMON = """\
 [run]
@@ -54,6 +55,17 @@ def test_write_csv_matches_row_loop(tmp_path):
             fh.write(",".join("%.17g" % v for v in row) + "\n")
     write_csv(tmp_path / "bulk.csv", "a,b,c,d", rows, "abc")
     assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+
+def test_write_table_matches_write_csv(tmp_path):
+    # an estimate's to_csv after the hash line: the bytes write_csv gives
+    rows = np.array([[-0.0, 5e-324, 1e300, -1e300, np.nan],
+                     [3.0, np.inf, -np.inf, 0.1, 1.0 / 3.0]])
+    est = SurfaceEstimate(grid=rows[:, :2], values=rows[:, 2], se=rows[:, 3],
+                          ess=rows[:, 4], n=2)
+    cli.write_table(tmp_path / "table.csv", est, "abc")
+    write_csv(tmp_path / "rows.csv", "h_1,h_2,value,se,ess", rows, "abc")
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 class TestStreamRng:
@@ -136,7 +148,7 @@ class TestArgmax:
         trace = cli.run_chain(model, cfg, "argmax")
         tours = cli.trace_tours(trace)
         assert d["n"] == tours.n_eff < trace.n
-        family = cli.ratio_family(model, cfg.h1())
+        family = cli.ExpFamilyRatio(model.spec(), cfg.h1())
         h_n = np.array(d["h_n"])
         _, grad, _, _ = log_B_derivs(family, h_n, trace.Tmat[:tours.n_eff])
         bound = 1e-6 * (1.0 + np.abs(family.spec.grad_A(h_n)).max())
@@ -460,3 +472,48 @@ h1 = 0.5, 0.5
         err = capsys.readouterr().err
         assert err == "runtime error: need at least 2 complete tours\n"
         assert not any(out.glob("*.csv"))
+
+    # at w = 0 the variable-selection canonical map is -inf, so log f_h is
+    # NaN or -inf on every draw there: numpy warns, then the grid pass raises
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("command, output", [("surface", "surface.csv"),
+                                                 ("argmax", "argmax.json"),
+                                                 ("band", "band.csv")])
+    def test_non_finite_log_ratio(self, tmp_path, capsys, command, output):
+        out = tmp_path / "out"
+        synth = _write(tmp_path, f"""\
+[run]
+model = none
+seed = 3
+out = {tmp_path}
+
+[synth]
+kind = regression
+m = 30
+q = 4
+""", "synth.ini")
+        assert main(["synth", synth]) == EXIT_OK
+        cfg = _write(tmp_path, f"""\
+[run]
+model = vs-bernoulli-zellner
+seed = 1
+n = 400
+out = {out}
+
+[model]
+data = {tmp_path}/regression.csv
+
+[hyper]
+rect_lower = 0, 1
+rect_upper = 0.9, 20
+h1 = 0.5, 5
+grid = 3
+
+[inference]
+functional = qgamma
+""")
+        assert main([command, cfg]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err == "runtime error: non-finite log ratio at h=[0. 1.]\n"
+        assert not (out / output).exists()

@@ -1,8 +1,9 @@
-"""The chunked grid pass against a dense (n, G) reference, and its memory bound.
+"""The chunked grid passes against dense references, and their memory bound.
 
-The dense reference below evaluates log f over the whole trace at once, as the
-grid estimators did before they streamed over chunks of draws; it lives only
-here, as the oracle the chunked results must match.
+The dense references below evaluate log f over the whole trace at once, as the
+grid estimators, the argmax's moments and ``tour_sums`` did before they
+streamed over chunks of draws; they live only here, as the oracles the chunked
+results must match.
 """
 
 import tracemalloc
@@ -15,9 +16,9 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from priorscan import estimators
-from priorscan.argmax_inference import maximize_surface
+from priorscan.argmax_inference import log_B_derivs, maximize_surface
 from priorscan.band_inference import global_band
-from priorscan.chain_runtime import ChainTrace, segment_tours
+from priorscan.chain_runtime import ChainTrace, segment_tours, tour_sums
 from priorscan.estimators import (_grid_sums, functional_on_grid, grid_estimates,
                                   surface_on_grid)
 from priorscan.prior_family import ExpFamilyRatio
@@ -82,6 +83,38 @@ def dense_log_B(fam, grid, Tmat):
     return logsumexp(fam.log_f_many(grid, Tmat), axis=0) - np.log(Tmat.shape[0])
 
 
+def dense_tour_sums(fam, h, trace, tours, names, with_derivs):
+    """(S, T, gradS, hessS, log_scale) from per-draw arrays of f and of its
+    h-derivatives, each summed over the tours at once."""
+    Tmat = trace.Tmat[:tours.n_eff]
+    logf = fam.log_f(h, Tmat)
+    f = np.exp(logf - logf.max())
+    S = np.add.reduceat(f, tours.starts0)
+    T = {name: np.add.reduceat(trace.g[name][:tours.n_eff] * f, tours.starts0)
+         for name in names}
+    gradS = hessS = None
+    if with_derivs:
+        u = fam.grad_log_f(h, Tmat)
+        gradS = np.add.reduceat(f[:, None] * u, tours.starts0)
+        hess = u[:, :, None] * u[:, None, :] + fam.hess_log_f(h, Tmat)
+        hessS = np.add.reduceat(f[:, None, None] * hess, tours.starts0)
+    return S, T, gradS, hessS, logf.max()
+
+
+def dense_log_B_derivs(fam, h, Tmat):
+    """(log B_n, gradient, Hessian, ESS) from the normalized weight vector,
+    with the weighted mean and covariance of T in closed form."""
+    logf = fam.log_f(h, Tmat)
+    w = np.exp(logf - logsumexp(logf))
+    mean = w @ Tmat
+    cov = ((Tmat - mean) * w[:, None]).T @ (Tmat - mean)
+    spec = fam.spec
+    J = spec.jac(h)
+    hess = J.T @ cov @ J + np.tensordot(mean, spec.hess_canon(h), 1) - spec.hess_A(h)
+    return (logsumexp(logf) - np.log(Tmat.shape[0]), mean @ J - spec.grad_A(h),
+            hess, 1.0 / (w @ w))
+
+
 # ------------------------------------------------------------------
 # property test
 # ------------------------------------------------------------------
@@ -102,8 +135,9 @@ def _chunk(kind: str, n: int) -> int:
     return n + 3                                   # larger than the trace
 
 
-def _close(a, b):
-    np.testing.assert_allclose(a, b, rtol=RTOL, atol=0.0)
+def _close(a, b, scale=0.0):
+    """Equal to RTOL relative, or to RTOL times ``scale`` where terms cancel."""
+    np.testing.assert_allclose(a, b, rtol=RTOL, atol=RTOL * scale)
 
 
 @settings(max_examples=60, deadline=None,
@@ -113,9 +147,12 @@ def _close(a, b):
        chunk=st.sampled_from(["one", "prime", "non-divisor", "larger"]),
        segments=st.sampled_from(["tours", "unit-tours", "batches"]),
        flags=st.lists(st.booleans(), min_size=90, max_size=90),
-       M=st.integers(2, 7))
+       M=st.integers(2, 7),
+       point=st.integers(0, 15),
+       functionals=st.booleans(),
+       derivs=st.booleans())
 def test_chunked_matches_dense(toy_trace, toy_rect, fam, n, offset, chunk,
-                               segments, flags, M):
+                               segments, flags, M, point, functionals, derivs):
     Tmat = toy_trace.Tmat[offset:offset + n]
     g = toy_trace.functional("theta1")[offset:offset + n]
     if segments == "tours":
@@ -161,6 +198,36 @@ def test_chunked_matches_dense(toy_trace, toy_rect, fam, n, offset, chunk,
         _close(band.half_width, half)
         _close(band.ess, dense_estimates(fam, grid, Tmat[:band.n], g[:band.n],
                                          M=M_band)[4])
+
+    # the one-point passes, chunked by the same number of draws
+    h = grid[point]
+    names = ["theta1"] if functionals else []
+    with mock.patch.object(estimators, "CHUNK_FLOATS", rows):
+        derivs_h = log_B_derivs(fam, h, Tmat)
+        point_I = estimators.estimate_I(trace, fam, "theta1", h)
+        point_ess = estimators.ess(trace, fam, h)
+        ts = None if tours is None else tour_sums(trace, tours, fam, h, names, derivs)
+    _, _, I, _, e = dense_estimates(fam, h[None, :], Tmat, g, M=2)
+    _close(point_I, I[0])
+    _close(point_ess, e[0])
+    ref = dense_log_B_derivs(fam, h, Tmat)
+    _close(derivs_h[0], ref[0])
+    _close(derivs_h[1], ref[1], np.abs(fam.spec.grad_A(h)).max())
+    _close(derivs_h[2], ref[2], np.abs(ref[2]).max())
+    _close(derivs_h[3], ref[3])
+    if ts is None:
+        return
+    S, T, gradS, hessS, log_scale = dense_tour_sums(fam, h, trace, tours, names, derivs)
+    _close(ts.N, tours.lengths)
+    _close(ts.S, S)
+    assert ts.T.keys() == T.keys()
+    for name in T:
+        _close(ts.T[name], T[name], np.abs(T[name]).max())
+    assert (ts.gradS is None) == (ts.hessS is None) == (not derivs)
+    if derivs:
+        _close(ts.gradS, gradS, np.abs(gradS).max())
+        _close(ts.hessS, hessS, np.abs(hessS).max())
+    _close(ts.log_scale, log_scale)
 
 
 # ------------------------------------------------------------------
