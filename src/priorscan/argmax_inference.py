@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from priorscan.chain_runtime import ChainTrace, TourSums
-from priorscan.estimators import _grid_sums
+from priorscan.estimators import _grid_sums, _runs
 from priorscan.prior_family import HyperRect
 
 __all__ = [
@@ -61,17 +61,18 @@ def _moment_columns(Tmat: np.ndarray) -> np.ndarray:
     return np.hstack([D, (D[:, :, None] * D[:, None, :]).reshape(D.shape[0], -1)])
 
 
-def log_B_derivs(family, h, Tmat, X=None):
+def log_B_derivs(family, h, Tmat, X=None, w=None):
     """(log B_n, gradient, Hessian, weight ESS) at ``h`` from one
     :func:`_grid_sums` pass over the :func:`_moment_columns` ``X`` of Tmat
-    (built here unless given; a search builds them once).
+    (built here unless given; a search builds them once), row i weighted by
+    ``w[i]`` draws (a search passes its run lengths; unit weights without).
 
     log B_n(h) = K_n(omega_h - omega_1) - (A_h - A_1), K_n the empirical CGF
     of T, so grad = J^T E_w[T] - grad A and, with J the Jacobian of omega,
     hess = J^T Cov_w[T] J + sum_s E_w[T_s] hess omega_s - hess A."""
     spec, h, d = family.spec, np.asarray(h, dtype=float), Tmat.shape[1]
     X = _moment_columns(Tmat) if X is None else X
-    shift, c, ess, m = _grid_sums(family, h[None, :], Tmat, X)
+    shift, c, ess, m = _grid_sums(family, h[None, :], Tmat, X, w)
     mean = m[:d, 0] + Tmat[0]
     cov = m[d:, 0].reshape(d, d) - np.outer(m[:d, 0], m[:d, 0])
     J = spec.jac(h)
@@ -80,7 +81,7 @@ def log_B_derivs(family, h, Tmat, X=None):
             0.5 * (hess + hess.T), ess[0])
 
 
-def _newton(family, Tmat, X, rect: HyperRect, h, tol: float):
+def _newton(family, Tmat, X, w, rect: HyperRect, h, tol: float):
     """Projected Newton ascent of log B_n from ``h`` (Bertsekas 1982):
     (h, log B_n, weight ESS, iterations, moment passes).  Coordinates near a
     face the gradient points out of stay on it; the rest take Newton's step
@@ -88,7 +89,7 @@ def _newton(family, Tmat, X, rect: HyperRect, h, tol: float):
     gradient.  Projected steps are halved until Armijo's condition holds; the
     search ends when a step moves h by at most ``tol``."""
     width = rect.upper - rect.lower
-    val, g, H, ess = log_B_derivs(family, h, Tmat, X)
+    val, g, H, ess = log_B_derivs(family, h, Tmat, X, w)
     passes = 1
     for it in range(1, MAX_NEWTON_ITERS + 1):
         eps = np.minimum(1e-3 * width, np.linalg.norm(h - rect.clip(h + g)))
@@ -99,7 +100,7 @@ def _newton(family, Tmat, X, rect: HyperRect, h, tol: float):
             d[free] = np.linalg.solve(-Hf, g[free])
         for step in 0.5 ** np.arange(60):
             h_new = rect.clip(h + step * d)
-            trial = log_B_derivs(family, h_new, Tmat, X)
+            trial = log_B_derivs(family, h_new, Tmat, X, w)
             passes += 1
             moved = np.abs(h_new - h).max()
             if moved <= tol or trial[0] >= val + 1e-4 * max(g @ (h_new - h), 0.0):
@@ -121,18 +122,19 @@ def maximize_surface(trace: ChainTrace, family, rect: HyperRect, *,
     index) followed by projected Newton (:func:`_newton`) from its best
     point; ``multi_starts`` extra random starts probe for multimodality.  The
     log is maximized since the argmax is invariant to strictly increasing
-    transforms.
+    transforms.  Every pass runs over the trace's runs of equal rows
+    (:func:`~priorscan.estimators._runs`), collapsed once here.
     """
     if trace.n == 0:
         raise ValueError("empty trace")
-    grid, Tmat = rect.grid(grid_points), trace.Tmat
-    shift, c, _, _ = _grid_sums(family, grid, Tmat)
+    grid, (Tmat, _, w, _) = rect.grid(grid_points), _runs(trace.Tmat)
+    shift, c, _, _ = _grid_sums(family, grid, Tmat, w=w)
     starts = [grid[int(np.argmax(shift + np.log(c)))]]   # lowest index on ties
     starts += list(rect.sample(np.random.default_rng(seed), multi_starts))
     X = _moment_columns(Tmat)
     consistent, iters, passes = True, 0, 0
     for i, x0 in enumerate(starts):
-        h, v, ess, n_it, n_pass = _newton(family, Tmat, X, rect, x0, tol)
+        h, v, ess, n_it, n_pass = _newton(family, Tmat, X, w, rect, x0, tol)
         iters, passes = iters + n_it, passes + n_pass
         if i == 0 or v > v_best + 1e-10:
             if i and np.linalg.norm(h - h_best) > 10 * tol:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from priorscan.chain_runtime import ChainTrace
-from priorscan.estimators import (ESS_UNRELIABLE, _deviations, _grid_sums,
+from priorscan.estimators import (ESS_UNRELIABLE, _deviations, _grid_sums, _runs,
                                   _segmentation)
 
 __all__ = ["BandReport", "global_band"]
@@ -87,12 +87,12 @@ def global_band(trace: ChainTrace, family, g_name: str | None,
     L = n_used // M
     if L < MIN_BATCH_LEN:
         raise ValueError(f"batch length {L} < {MIN_BATCH_LEN}; reduce M")
-    Tmat = trace.Tmat[:n_used]
     g = None if g_name is None else trace.functional(g_name)[:n_used, None]
-    shift, c, ess, I = _grid_sums(family, grid, Tmat, g)
+    Tmat, g, w, starts = _runs(trace.Tmat[:n_used], g, starts)
+    shift, c, ess, I = _grid_sums(family, grid, Tmat, g, w)
 
     sup_stats = np.empty(M)
-    for ids, dB, dI in _deviations(family, grid, Tmat, shift, c, I, starts, g,
+    for ids, dB, dI in _deviations(family, grid, Tmat, shift, c, I, starts, g, w,
                                    ratio=True):
         dev = dB * np.exp(shift) if g is None else dI
         sup_stats[ids] = np.sqrt(L) * np.abs(dev).max(axis=1)

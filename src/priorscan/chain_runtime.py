@@ -339,23 +339,27 @@ def tour_sums(trace: ChainTrace, tours: TourIndex, family: ExpFamilyRatio, h,
 
     The grid passes of :mod:`priorscan.estimators` at the one-point grid
     ``h`` give the shift recorded in ``log_scale`` (see :class:`TourSums`) and
-    the per-tour sums of f, of g f and of f times the per-draw columns
-    u = grad log f and u u^T + hess log f.
+    the per-tour sums of f, of g f and of f times the columns u = grad log f
+    and u u^T + hess log f, all over the runs of equal rows of the trace
+    (broken at the tour starts) weighted by their lengths.
     """
-    from priorscan.estimators import _grid_sums, _segment_sums  # imports this module
+    from priorscan.estimators import _grid_sums, _runs, _segment_sums  # imports this module
 
     h = np.asarray(h, dtype=float)
     names = trace.functional_names if functionals is None else list(functionals)
-    Tmat, k = trace.Tmat[:tours.n_eff], h.size
-    cols = [trace.functional(name)[:tours.n_eff, None] for name in names]
+    k = h.size
+    g = [trace.functional(name)[:tours.n_eff, None] for name in names]
+    Tmat, G, w, starts = _runs(trace.Tmat[:tours.n_eff], np.hstack(g) if g else None,
+                               tours.starts0)
+    cols = [G] if g else []
     if with_derivs:
-        u = family.grad_log_f(h, Tmat)                                   # (n, k)
-        uu = u[:, :, None] * u[:, None, :] + family.hess_log_f(h, Tmat)  # (n, k, k)
+        u = family.grad_log_f(h, Tmat)                                   # (runs, k)
+        uu = u[:, :, None] * u[:, None, :] + family.hess_log_f(h, Tmat)  # (runs, k, k)
         cols += [u, uu.reshape(-1, k * k)]
-    shift = _grid_sums(family, h[None, :], Tmat)[0]
+    shift = _grid_sums(family, h[None, :], Tmat, w=w)[0]
     x = np.concatenate([x for _, x in _segment_sums(
-        family, h[None, :], Tmat, shift, tours.starts0,
-        np.hstack(cols) if cols else None)])[:, :, 0]
+        family, h[None, :], Tmat, shift, starts,
+        np.hstack(cols) if cols else None, w)])[:, :, 0]
     m = len(names)
     return TourSums(h=h, N=tours.lengths.astype(float), S=x[:, 0],
                     T={name: x[:, 1 + j] for j, name in enumerate(names)},

@@ -12,6 +12,13 @@ and :func:`_segment_sums` for their sums per tour or batch.  The point
 estimates, the grid surfaces, the argmax's moments, ``tour_sums`` and the
 band all call them, the point estimates at a one-point grid.  A non-finite
 ``log f_h`` at any grid point raises :class:`InvalidSpecError`.
+
+The passes run over runs of equal consecutive rows (:func:`_runs`), each
+weighted by its length: a Metropolis-Hastings chain repeats its state on
+every rejection, and every summand is a function of the row, so each sum is
+the per-draw sum in exact arithmetic (the accepted values with their
+multiplicities, as in Douc & Robert 2011).  A trace without repeated rows
+has unit weights and the same sums.
 """
 
 from __future__ import annotations
@@ -87,7 +94,8 @@ def estimate_B(trace: ChainTrace, family: ExpFamilyRatio, h) -> float:
     """(1/n) sum_i f_h(theta_i), with log f_h shifted by its max."""
     if trace.n == 0:
         raise ValueError("empty trace")
-    shift, c, _, _ = _grid_sums(family, np.atleast_2d(h), trace.Tmat)
+    Tmat, _, w, _ = _runs(trace.Tmat)
+    shift, c, _, _ = _grid_sums(family, np.atleast_2d(h), Tmat, w=w)
     return float(c[0] * np.exp(shift[0]))
 
 
@@ -99,13 +107,14 @@ def weights(trace: ChainTrace, family: ExpFamilyRatio, h) -> np.ndarray:
 
 def estimate_I(trace: ChainTrace, family: ExpFamilyRatio, g_name: str, h) -> float:
     """Weighted posterior-expectation estimate sum_i g_i w_i^(h)."""
-    g = trace.functional(g_name)[:, None]
-    return float(_grid_sums(family, np.atleast_2d(h), trace.Tmat, g)[3][0, 0])
+    Tmat, g, w, _ = _runs(trace.Tmat, trace.functional(g_name)[:, None])
+    return float(_grid_sums(family, np.atleast_2d(h), Tmat, g, w)[3][0, 0])
 
 
 def ess(trace: ChainTrace, family: ExpFamilyRatio, h) -> float:
     """Effective sample size 1 / sum_i w_i^2, in [1, n]."""
-    return float(_grid_sums(family, np.atleast_2d(h), trace.Tmat)[2][0])
+    Tmat, _, w, _ = _runs(trace.Tmat)
+    return float(_grid_sums(family, np.atleast_2d(h), Tmat, w=w)[2][0])
 
 
 # ------------------------------------------------------------------
@@ -204,47 +213,77 @@ def _log_f_chunks(family: ExpFamilyRatio, grid: np.ndarray, Tmat: np.ndarray):
         yield a, family.log_f_many(grid, Tmat[a:a + rows])
 
 
+def _runs(Tmat: np.ndarray, X: np.ndarray | None = None,
+          starts: np.ndarray | None = None):
+    """(Tmat, X, w, starts) over the runs of equal consecutive rows of
+    [Tmat, X]: the rows of ``Tmat`` and ``X`` at each run's first row, ``w``
+    the run lengths as floats and ``starts`` the index of the run each
+    0-based segment start opens (None without).
+
+    A run also breaks at every segment start, and at a start equal to n,
+    which maps to the number of runs.  NaN never equals itself, so NaN rows
+    stay runs of one.
+    """
+    n = Tmat.shape[0]
+    new = np.ones(n + 1, dtype=bool)                  # new[n] closes the last run
+    new[1:n] = np.any(Tmat[1:] != Tmat[:-1], axis=1)
+    if X is not None:
+        new[1:n] |= np.any(X[1:] != X[:-1], axis=1)
+    if starts is not None:
+        new[starts] = True
+    edges = np.flatnonzero(new)
+    first = edges[:-1]
+    return (Tmat[first], None if X is None else X[first], np.diff(edges).astype(float),
+            None if starts is None else np.searchsorted(first, starts))
+
+
 def _grid_sums(family: ExpFamilyRatio, grid: np.ndarray, Tmat: np.ndarray,
-               X: np.ndarray | None = None):
+               X: np.ndarray | None = None, w: np.ndarray | None = None):
     """(shift, c, ess, I) over the grid from one pass over the draws.
 
     ``shift`` is the column max of log f_h and ``c`` the mean of
     f_h exp(-shift), so B_n = c exp(shift); ``I`` (None without ``X``) holds
-    the f_h-weighted means of the (n, p) columns ``X``, shape (p, G).  The
-    pass keeps a running column max and sums rescaled to it, the online
-    normalizer of Milakov & Gimelshein (2018); that max also sees every
-    non-finite log f_h, which raises :class:`InvalidSpecError`.
+    the f_h-weighted means of the (n, p) columns ``X``, shape (p, G).  Row i
+    stands for ``w[i]`` draws (the run lengths of :func:`_runs`; unit weights
+    without ``w``): the sums take f w, (f w) f and X^T (f w), and ``c``
+    divides by the draw count sum(w).  The pass keeps a running column max
+    and sums rescaled to it, the online normalizer of Milakov & Gimelshein
+    (2018); that max also sees every non-finite log f_h, which raises
+    :class:`InvalidSpecError`.
     """
+    w = np.ones(Tmat.shape[0]) if w is None else w
     shift = np.full(grid.shape[0], -np.inf)
     f_sum = f2_sum = xf_sum = np.zeros_like(shift)
     for a, logf in _log_f_chunks(family, grid, Tmat):
         new = np.maximum(shift, logf.max(axis=0))
         scale = np.exp(shift - new)
         f = np.exp(np.subtract(logf, new, out=logf), out=logf)
-        f_sum = f_sum * scale + f.sum(axis=0)
-        f2_sum = f2_sum * scale ** 2 + np.einsum("ij,ij->j", f, f)
+        fw = f * w[a:a + f.shape[0], None]
+        f_sum = f_sum * scale + fw.sum(axis=0)
+        f2_sum = f2_sum * scale ** 2 + np.einsum("ij,ij->j", fw, f)
         if X is not None:
-            xf_sum = xf_sum * scale + X[a:a + f.shape[0]].T @ f
+            xf_sum = xf_sum * scale + X[a:a + f.shape[0]].T @ fw
         shift = new
     if not np.all(np.isfinite(shift)):
         raise InvalidSpecError(
             f"non-finite log ratio at h={grid[~np.isfinite(shift)][0]}")
-    return (shift, f_sum / Tmat.shape[0], f_sum ** 2 / f2_sum,
+    return (shift, f_sum / w.sum(), f_sum ** 2 / f2_sum,
             None if X is None else xf_sum / f_sum)
 
 
 def _segment_sums(family: ExpFamilyRatio, grid: np.ndarray, Tmat: np.ndarray,
-                  shift: np.ndarray, starts: np.ndarray,
-                  X: np.ndarray | None = None):
+                  shift: np.ndarray, starts: np.ndarray, X: np.ndarray | None,
+                  w: np.ndarray):
     """Yield (ids, x) in segment order: the sums over the segments ``ids`` of
     rows beginning at ``starts`` (the last ends with Tmat), x[:, 0] of
-    f = f_h exp(-shift) and x[:, 1:] of the (n, p) columns ``X`` times f,
-    shape (ids.size, 1 + p, G).  The segment open at a chunk's end is carried
-    into the next chunk."""
+    f w, f = f_h exp(-shift) and ``w`` the rows' run lengths, and x[:, 1:] of
+    the (n, p) columns ``X`` (or none) times f w, shape (ids.size, 1 + p, G).
+    The segment open at a chunk's end is carried into the next chunk."""
     open_id, carry = 0, 0.0
     for a, logf in _log_f_chunks(family, grid, Tmat):
         rows = logf.shape[0]
-        f = np.exp(np.subtract(logf, shift, out=logf), out=logf)[:, None]
+        f = np.exp(np.subtract(logf, shift, out=logf), out=logf)
+        f = np.multiply(f, w[a:a + rows, None], out=f)[:, None]
         x = f if X is None else np.concatenate([f, X[a:a + rows, :, None] * f], axis=1)
         first = int(np.searchsorted(starts, a, side="right")) - 1
         if first != open_id:                  # the carried segment ended at a
@@ -261,20 +300,21 @@ def _segment_sums(family: ExpFamilyRatio, grid: np.ndarray, Tmat: np.ndarray,
     yield np.array([open_id]), carry[None]
 
 
-def _deviations(family, grid, Tmat, shift, c, I, starts, g=None,
+def _deviations(family, grid, Tmat, shift, c, I, starts, g, w,
                 ratio: bool = False):
     """Yield (ids, dB, dI): deviations from the full-trace values of the
-    segments of :func:`_segment_sums`; ``g`` is one (n, 1) column and ``I``
-    its (1, G) weighted mean.
+    segments of :func:`_segment_sums`; ``g`` is one (n, 1) column (or None),
+    ``I`` its (1, G) weighted mean and ``w`` the rows' run lengths.
 
     With S_r, T_r the sums over segment r of f = f_h exp(-shift) and g f, and
-    N_r its length: dB_r = (S_r - N_r c) / Nbar; dI_r = (T_r - I S_r) / Sbar
-    (delta method over tours, whose rows are those ``c`` is the mean over),
-    or with ``ratio`` the batch estimate T_r / S_r - I; None without ``g``.
+    N_r its length in draws: dB_r = (S_r - N_r c) / Nbar;
+    dI_r = (T_r - I S_r) / Sbar (delta method over tours, whose rows are
+    those ``c`` is the mean over), or with ``ratio`` the batch estimate
+    T_r / S_r - I; None without ``g``.
     """
-    n, R = Tmat.shape[0], starts.size
-    lengths = np.diff(np.append(starts, n))
-    for ids, x in _segment_sums(family, grid, Tmat, shift, starts, g):
+    n, R = w.sum(), starts.size
+    lengths = np.add.reduceat(w, starts)
+    for ids, x in _segment_sums(family, grid, Tmat, shift, starts, g, w):
         S, T = x[:, 0], x[:, -1]
         dB = (S - lengths[ids, None] * c) / (n / R)
         yield ids, dB, (None if g is None else T / S - I if ratio
@@ -309,12 +349,15 @@ def grid_estimates(trace: ChainTrace, family: ExpFamilyRatio, grid,
     if starts.size < 2:
         raise ValueError("need at least 2 complete tours")
     g = None if g_name is None else trace.functional(g_name)[:n_eff, None]
-    shift, c, ess_vals, I = _grid_sums(family, grid, trace.Tmat[:n_eff], g)
+    # runs break at the segment starts and at n_seg, which ends the segments
+    Tmat, g, w, cuts = _runs(trace.Tmat[:n_eff], g, np.append(starts, n_seg))
+    shift, c, ess_vals, I = _grid_sums(family, grid, Tmat, g, w)
     # sums of the deviations and of their squares, for B then for I; the
     # SEs center them at their mean over the R segments
     acc = np.zeros((4, grid.shape[0]))
-    for _, *devs in _deviations(family, grid, trace.Tmat[:n_seg], shift, c, I,
-                                starts, g, ratio=tours is None):
+    m = cuts[-1]
+    for _, *devs in _deviations(family, grid, Tmat[:m], shift, c, I, cuts[:-1],
+                                g, w[:m], ratio=tours is None):
         for k, d in enumerate(devs if g is not None else devs[:1]):
             acc[2 * k] += d.sum(axis=0)
             acc[2 * k + 1] += np.einsum("rj,rj->j", d, d)

@@ -270,12 +270,14 @@ class MHKernel:
         normals ``(b, J)`` for the proposals, and the logs of the uniforms
         that decide acceptance and, on an accepted move, regeneration.  The
         trace stops after ``n`` draws, or drops the regeneration that opens
-        tour ``R + 1`` and ends there, as ``simulate`` does.
+        tour ``R + 1`` and ends there, as ``simulate`` does.  Its meta records
+        ``accept_rate`` (accepted moves) and ``regen_rate`` (regeneration
+        flags after the first) over the trace's n - 1 steps.
         """
         theta, lw = state
         suffstat = self.model.suffstat
         Ts, th1s = [suffstat(theta[None, :])], [theta[:1]]
-        deltas = [np.ones(1, dtype=bool)]
+        deltas, moves = [np.ones(1, dtype=bool)], [np.zeros(1, dtype=np.intp)]
         drawn, flags, stop, ends_at_regen = 1, 1, n, False
         for z, log_u, log_v in blocks:
             if n is not None and drawn >= n:
@@ -294,6 +296,7 @@ class MHKernel:
             Ts.append(suffstat(states)[at])
             th1s.append(states[at, 0])
             deltas.append(delta)
+            moves.append(moved)
             theta, lw = states[-1], lw_end
             if R is not None:
                 opens = drawn + np.flatnonzero(delta)
@@ -303,13 +306,15 @@ class MHKernel:
                 flags += opens.size
             drawn += len(z)
 
-        Tmat = np.concatenate(Ts)[:stop]
-        info = {"kernel": self.kernel_id, "n": Tmat.shape[0]}
+        Tmat, delta = np.concatenate(Ts)[:stop], np.concatenate(deltas)[:stop]
+        steps = max(Tmat.shape[0] - 1, 1)
+        info = {"kernel": self.kernel_id, "n": Tmat.shape[0],
+                "accept_rate": int(np.concatenate(moves)[:stop].sum()) / steps,
+                "regen_rate": int(delta[1:].sum()) / steps}
         if meta:
             info.update(meta)
         return ChainTrace(Tmat=Tmat, g={"theta1": np.concatenate(th1s)[:stop]},
-                          delta=np.concatenate(deltas)[:stop], meta=info,
-                          ends_at_regen=ends_at_regen)
+                          delta=delta, meta=info, ends_at_regen=ends_at_regen)
 
 
 def _accept_scan(lw_y: np.ndarray, log_u: np.ndarray, lw: float):

@@ -1,9 +1,9 @@
 """The chunked grid passes against dense references, and their memory bound.
 
-The dense references below evaluate log f over the whole trace at once, as the
-grid estimators, the argmax's moments and ``tour_sums`` did before they
-streamed over chunks of draws; they live only here, as the oracles the chunked
-results must match.
+The dense references below evaluate log f over the whole trace at once, draw
+by draw, as the grid estimators, the argmax's moments and ``tour_sums`` did
+before they streamed over chunks of runs of equal rows; they live only here,
+as the oracles the chunked results must match.
 """
 
 import tracemalloc
@@ -15,11 +15,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from priorscan import estimators
-from priorscan.argmax_inference import log_B_derivs, maximize_surface
+from priorscan import argmax_inference, estimators
+from priorscan.argmax_inference import _moment_columns, log_B_derivs, maximize_surface
 from priorscan.band_inference import global_band
 from priorscan.chain_runtime import ChainTrace, segment_tours, tour_sums
-from priorscan.estimators import (_grid_sums, functional_on_grid, grid_estimates,
+from priorscan.estimators import (_grid_sums, _runs, functional_on_grid, grid_estimates,
                                   surface_on_grid)
 from priorscan.prior_family import ExpFamilyRatio
 
@@ -228,6 +228,141 @@ def test_chunked_matches_dense(toy_trace, toy_rect, fam, n, offset, chunk,
         _close(ts.gradS, gradS, np.abs(gradS).max())
         _close(ts.hessS, hessS, np.abs(hessS).max())
     _close(ts.log_scale, log_scale)
+
+
+# ------------------------------------------------------------------
+# repeated rows: the passes over runs against the per-draw references
+# ------------------------------------------------------------------
+
+def test_runs():
+    T = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 3.0], [np.nan, 0.0], [np.nan, 0.0],
+                  [4.0, 4.0], [4.0, 4.0], [4.0, 4.0]])
+    X = np.array([[0.0], [1.0], [1.0], [2.0], [2.0], [5.0], [5.0], [5.0]])
+    Tr, Xr, w, starts = _runs(T, X, np.array([0, 6, 8]))
+    # X breaks the first run, NaN rows never merge, the start at 6 splits the
+    # last run, and a start at n maps to the number of runs
+    np.testing.assert_array_equal(w, [1, 1, 1, 1, 1, 1, 2])
+    np.testing.assert_array_equal(Xr[:, 0], [0, 1, 1, 2, 2, 5, 5])
+    np.testing.assert_array_equal(starts, [0, 6, 7])
+    assert np.isnan(Tr[3:5, 0]).all()
+    Tr, Xr, w, starts = _runs(T)
+    np.testing.assert_array_equal(w, [2, 1, 1, 1, 3])
+    assert Xr is None and starts is None
+    np.testing.assert_array_equal(Tr[[0, 4]], T[[0, 5]])
+
+
+def _unit_runs(Tmat, X=None, starts=None):
+    """Every row its own run of weight 1: the per-draw reference of :func:`_runs`."""
+    n = Tmat.shape[0]
+    return (Tmat, X, np.ones(n),
+            None if starts is None else np.searchsorted(np.arange(n), starts))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(k=st.integers(20, 40),
+       offset=st.integers(0, 5000),
+       reps=st.lists(st.integers(1, 5), min_size=40, max_size=40),
+       chunk=st.sampled_from(["one", "prime", "non-divisor", "larger"]),
+       segments=st.sampled_from(["tours", "unit-tours", "batches"]),
+       flags=st.lists(st.booleans(), min_size=40, max_size=40),
+       M=st.integers(2, 7),
+       point=st.integers(0, 15),
+       functionals=st.booleans(),
+       derivs=st.booleans())
+def test_repeated_rows_match_dense(toy_trace, toy_rect, fam, k, offset, reps, chunk,
+                                   segments, flags, M, point, functionals, derivs):
+    # k distinct rows, each repeated 1-5 times as a rejecting MH chain
+    # repeats its state; regeneration flags sit only on the first row of a run
+    reps = np.array(reps[:k])
+    Tmat = np.repeat(toy_trace.Tmat[offset:offset + k], reps, axis=0)
+    g = np.repeat(toy_trace.functional("theta1")[offset:offset + k], reps)
+    n, first = Tmat.shape[0], np.cumsum(reps) - reps
+    delta = np.zeros(n, dtype=bool)
+    if segments == "tours":
+        delta[first[np.array(flags[:k])]] = True
+        delta[first[[0, k // 3, 2 * k // 3]]] = True  # at least 2 complete tours
+    else:
+        delta[first if segments == "unit-tours" else 0] = True
+    trace = ChainTrace(Tmat=Tmat, g={"theta1": g}, delta=delta)
+    tours = None if segments == "batches" else segment_tours(trace)
+    if segments == "batches" and n % M == 0:
+        M += 1                                     # keep a remainder
+    grid = toy_rect.grid(4)
+
+    rows = _chunk(chunk, n)
+    with mock.patch.object(estimators, "CHUNK_FLOATS", rows * len(grid)):
+        est, fest = grid_estimates(trace, fam, grid, "theta1", tours=tours, M=M)
+        shift, c, e, I = _grid_sums(fam, grid, *_runs(Tmat, g[:, None])[:3])
+        M_band = max(2, n // 10)
+        bands = [global_band(trace, fam, name, grid, M=M_band, alpha=0.2)
+                 for name in (None, "theta1")]
+
+    B, se_B, I_ref, se_I, ess = dense_estimates(fam, grid, Tmat, g, tours, M)
+    _close(est.values, B)
+    _close(est.se, se_B)
+    _close(est.ess, ess)
+    _close(fest.values, I_ref)
+    _close(fest.se, se_I)
+    _close(shift + np.log(c), dense_log_B(fam, grid, Tmat))
+    _close(e, dense_estimates(fam, grid, Tmat, g, M=2)[4])
+    _close(I[0], dense_estimates(fam, grid, Tmat, g, M=2)[2])
+    for band, gb in zip(bands, (None, g)):
+        center, sup, half = dense_band(fam, grid, Tmat, gb, M_band, 0.2)
+        _close(band.center, center)
+        _close(band.sup_stats, sup)
+        _close(band.half_width, half)
+
+    h = grid[point]
+    names = ["theta1"] if functionals else []
+    T, _, w, _ = _runs(Tmat)
+    with mock.patch.object(estimators, "CHUNK_FLOATS", rows):
+        derivs_h = log_B_derivs(fam, h, T, _moment_columns(T), w)
+        ts = None if tours is None else tour_sums(trace, tours, fam, h, names, derivs)
+    ref = dense_log_B_derivs(fam, h, Tmat)
+    _close(derivs_h[0], ref[0])
+    _close(derivs_h[1], ref[1], np.abs(fam.spec.grad_A(h)).max())
+    _close(derivs_h[2], ref[2], np.abs(ref[2]).max())
+    _close(derivs_h[3], ref[3])
+    if ts is not None:
+        S, Tg, gradS, hessS, log_scale = dense_tour_sums(fam, h, trace, tours, names,
+                                                         derivs)
+        _close(ts.S, S)
+        for name in Tg:
+            _close(ts.T[name], Tg[name], np.abs(Tg[name]).max())
+        if derivs:
+            _close(ts.gradS, gradS, np.abs(gradS).max())
+            _close(ts.hessS, hessS, np.abs(hessS).max())
+        _close(ts.log_scale, log_scale)
+
+    # the argmax over runs against the same search over single draws
+    res = maximize_surface(trace, fam, toy_rect, grid_points=5, multi_starts=2)
+    with mock.patch.object(argmax_inference, "_runs", _unit_runs):
+        dense = maximize_surface(trace, fam, toy_rect, grid_points=5, multi_starts=2)
+    ref = dense_log_B_derivs(fam, res.h, Tmat)
+    _close(res.log_value, ref[0])
+    _close(res.ess, ref[3])
+    np.testing.assert_allclose(res.h, dense.h, rtol=0, atol=1e-6)   # Newton's tol
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_multiplicity(toy_model, toy_rect, fam, k):
+    """Each draw repeated k times (delta on its first copy) leaves B_n, I_g
+    and the argmax unchanged, and multiplies the weight ESS by k."""
+    base = toy_model.mh_trace(H1, n=3000, seed=4)
+    rep = ChainTrace(Tmat=np.repeat(base.Tmat, k, axis=0),
+                     g={"theta1": np.repeat(base.functional("theta1"), k)},
+                     delta=np.repeat(base.delta, k) & (np.arange(k * base.n) % k == 0),
+                     ends_at_regen=base.ends_at_regen)
+    grid = toy_rect.grid(9)
+    a = grid_estimates(base, fam, grid, "theta1", tours=segment_tours(base))
+    b = grid_estimates(rep, fam, grid, "theta1", tours=segment_tours(rep))
+    for x, y in zip(a, b):
+        np.testing.assert_allclose(y.values, x.values, rtol=1e-12)
+        np.testing.assert_allclose(y.ess, k * x.ess, rtol=1e-12)
+    h_a = maximize_surface(base, fam, toy_rect).h
+    h_b = maximize_surface(rep, fam, toy_rect).h
+    np.testing.assert_allclose(h_b, h_a, rtol=1e-12, atol=1e-12)
 
 
 # ------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from priorscan.chain_runtime import log_regen_prob, segment_tours
+from priorscan.chain_runtime import load_trace, log_regen_prob, save_trace, segment_tours
 from priorscan.models import normal_hier
 from priorscan.models.normal_hier import NormalHierModel, _accept_scan
 
@@ -73,6 +73,10 @@ def assert_same_chain(kernel, state, Z, log_u, log_v, edges, n=None, R=None):
         idx, lw = _accept_scan(lw_y[a:b], log_u[a:b], lw)
         acc.extend((idx + a).tolist())
     assert acc[:len(accepted)] == accepted
+    # rates over the stored steps: step i leads to draw i + 1
+    steps = max(trace.n - 1, 1)
+    assert trace.meta["accept_rate"] == sum(i < trace.n - 1 for i in accepted) / steps
+    assert trace.meta["regen_rate"] == delta[1:].sum() / steps
     return trace
 
 
@@ -154,6 +158,21 @@ def test_trace_in_small_blocks(kernels, monkeypatch, rows):
     assert tr.n == 250 and tr.delta[0] and not tr.ends_at_regen
     tr = kernel.trace(np.random.default_rng(5), R=3)
     assert tr.ends_at_regen and segment_tours(tr).R == 3
+
+
+@pytest.mark.parametrize("target", [{"n": 3000}, {"R": 40}, {"n": 1}])
+def test_rates_in_trace_header(kernels, tmp_path, target):
+    # the share of steps whose row changed and of regeneration flags after
+    # the first, recomputed from the rows of the written trace
+    tr = kernels[1].trace(np.random.default_rng(9), **target)
+    save_trace(tr, tmp_path / "trace.txt")
+    back = load_trace(tmp_path / "trace.txt")
+    steps = max(back.n - 1, 1)
+    changed = np.any(back.Tmat[1:] != back.Tmat[:-1], axis=1)
+    assert back.meta["accept_rate"] == changed.sum() / steps
+    assert back.meta["regen_rate"] == back.delta[1:].sum() / steps
+    if back.n > 1:
+        assert 0.0 < back.meta["regen_rate"] < back.meta["accept_rate"] < 1.0
 
 
 def test_target_validation(kernels):
