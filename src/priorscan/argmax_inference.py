@@ -13,6 +13,7 @@ covariance plays the same role.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,16 +224,15 @@ def confidence_ellipse(h_n, v_sq: np.ndarray, R: int, alpha: float,
     evals, evecs = np.linalg.eigh(0.5 * (v_sq + v_sq.T))
     if np.any(evals < -1e-10 * max(1.0, evals.max())):
         raise ValueError("v_n^2 is not positive semidefinite")
-    # the chi-square(k) quantile, imported here to keep scipy out of start-up
-    # (the closed form -2 log(alpha) for k = 2 differs from it by an ulp)
-    from scipy.special import gammaincinv
-    threshold = float(2.0 * gammaincinv(0.5 * k, 1.0 - alpha))
     if k == 2:
+        threshold = -2.0 * math.log(alpha)    # the chi-square(2) quantile
         ang = np.linspace(0.0, 2.0 * np.pi, n_boundary, endpoint=False)
         circ = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         root = evecs @ np.diag(np.sqrt(np.maximum(evals, 0.0)))
         boundary = h_n[None, :] + np.sqrt(threshold / R) * circ @ root.T
     else:
+        from scipy.special import gammaincinv    # scipy stays out of start-up
+        threshold = float(2.0 * gammaincinv(0.5 * k, 1.0 - alpha))
         boundary = np.empty((0, k))
     return Ellipse(center=h_n, shape=v_sq, R=int(R), alpha=alpha,
                    threshold=threshold, boundary=boundary)

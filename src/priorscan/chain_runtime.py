@@ -92,8 +92,12 @@ class ChainTrace:
 def save_trace(trace: ChainTrace, path) -> None:
     """Write a trace as text: one JSON header line, then one row per draw.
 
-    Floats use %.17g, which round-trips IEEE doubles bit-exactly.
+    Floats use %.17g, which round-trips IEEE doubles bit-exactly.  Each run
+    of rows with equal bits (so -0.0 stays apart from 0.0) is formatted
+    once and written once per draw it covers.
     """
+    from priorscan.estimators import _runs  # imports this module
+
     names = trace.functional_names
     header = {
         "version": TRACE_FORMAT_VERSION,
@@ -105,10 +109,12 @@ def save_trace(trace: ChainTrace, path) -> None:
     }
     body = np.column_stack([trace.Tmat, *(trace.g[name] for name in names),
                             trace.delta])
+    bits, _, w, _ = _runs(body.view(np.int64))
     row = "%.17g," * (body.shape[1] - 1) + "%d\n"
+    lines = (row * w.size % tuple(bits.view(float).ravel().tolist())).splitlines(True)
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        fh.write(row * trace.n % tuple(body.ravel().tolist()))
+        fh.write("".join(map(str.__mul__, lines, w.astype(int).tolist())))
 
 
 def load_trace(path) -> ChainTrace:

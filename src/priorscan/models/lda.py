@@ -14,6 +14,7 @@ is the posterior of (z, beta, theta), from which T is recorded.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,15 +37,48 @@ __all__ = [
 SIMPLEX_CLAMP = 1e-300
 
 
+# Bernoulli numbers B_2, B_4, ..., B_14 of the asymptotic series
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
+
+
+def _digamma(x: float) -> float:
+    """psi(x) for x > 0 (NaN elsewhere): the recurrence psi(x) = psi(x + 1)
+    - 1/x up to x >= 10, then psi(x) ~ log x - 1/(2x) - sum_k B_2k / (2k x^2k)."""
+    if not x > 0.0:
+        return math.nan
+    acc = 0.0
+    while x < 10.0:
+        acc -= 1.0 / x
+        x += 1.0
+    z = 1.0 / (x * x)
+    tail = 0.0
+    for k, b in reversed(list(enumerate(_BERNOULLI, 1))):
+        tail = (tail + b / (2 * k)) * z
+    return acc + math.log(x) - 0.5 / x - tail
+
+
+def _trigamma(x: float) -> float:
+    """psi'(x) for x > 0 (NaN elsewhere): the recurrence psi'(x) = psi'(x + 1)
+    + 1/x^2 up to x >= 10, then psi'(x) ~ 1/x + 1/(2x^2) + sum_k B_2k / x^(2k+1)."""
+    if not x > 0.0:
+        return math.nan
+    acc = 0.0
+    while x < 10.0:
+        acc += 1.0 / (x * x)
+        x += 1.0
+    z = 1.0 / (x * x)
+    tail = 0.0
+    for b in reversed(_BERNOULLI):
+        tail = (tail + b) * z
+    return acc + (1.0 + 0.5 / x + tail) / x
+
+
 def lda_spec(K: int, V: int, D: int) -> ExpFamilySpec:
     """(eta, alpha) exponential family over T = (sum log beta, sum log theta).
 
     A(eta, alpha) = -K[lgG(V eta) - V lgG(eta)] - D[lgG(K alpha) - K lgG(alpha)].
     Canonical coordinates are (eta - 1, alpha - 1).
     """
-    # imported here so that loading the module (as the CLI does) skips scipy
-    from scipy.special import gammaln, polygamma, psi
-
     def canon(h):
         return np.asarray(h, dtype=float) - 1.0
 
@@ -56,18 +90,20 @@ def lda_spec(K: int, V: int, D: int) -> ExpFamilySpec:
 
     def log_norm(h):
         eta, alpha = h
-        return float(-K * (gammaln(V * eta) - V * gammaln(eta))
-                     - D * (gammaln(K * alpha) - K * gammaln(alpha)))
+        if not (eta > 0.0 and alpha > 0.0):
+            return math.nan             # no Dirichlet; the grid pass flags it
+        return (-K * (math.lgamma(V * eta) - V * math.lgamma(eta))
+                - D * (math.lgamma(K * alpha) - K * math.lgamma(alpha)))
 
     def log_norm_grad(h):
         eta, alpha = h
-        return np.array([-K * V * (psi(V * eta) - psi(eta)),
-                         -D * K * (psi(K * alpha) - psi(alpha))])
+        return np.array([-K * V * (_digamma(V * eta) - _digamma(eta)),
+                         -D * K * (_digamma(K * alpha) - _digamma(alpha))])
 
     def log_norm_hess(h):
         eta, alpha = h
-        d2e = -K * V * (V * polygamma(1, V * eta) - polygamma(1, eta))
-        d2a = -D * K * (K * polygamma(1, K * alpha) - polygamma(1, alpha))
+        d2e = -K * V * (V * _trigamma(V * eta) - _trigamma(eta))
+        d2a = -D * K * (K * _trigamma(K * alpha) - _trigamma(alpha))
         return np.array([[d2e, 0.0], [0.0, d2a]])
 
     def log_norm_canon(omega):

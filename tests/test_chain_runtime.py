@@ -250,21 +250,22 @@ class TestTraceIO:
         assert back.ends_at_regen == trace.ends_at_regen
         assert back.meta["h1"] == trace.meta["h1"]
 
-    def test_bulk_writer_matches_row_loop(self, tmp_path):
+    @staticmethod
+    def _row_loop(trace, path):
         # the writer before it became one bulk %-format, kept as the reference
-        def row_loop(trace, path):
-            names = trace.functional_names
-            header = {"version": 1, "n": trace.n, "stat_dim": trace.stat_dim,
-                      "functionals": names, "ends_at_regen": trace.ends_at_regen,
-                      "meta": trace.meta}
-            with open(path, "w") as fh:
-                fh.write(json.dumps(header, sort_keys=True) + "\n")
-                gcols = [trace.g[name] for name in names]
-                for i in range(trace.n):
-                    vals = [*trace.Tmat[i], *(col[i] for col in gcols)]
-                    fh.write(",".join("%.17g" % v for v in vals))
-                    fh.write(",%d\n" % int(trace.delta[i]))
+        names = trace.functional_names
+        header = {"version": 1, "n": trace.n, "stat_dim": trace.stat_dim,
+                  "functionals": names, "ends_at_regen": trace.ends_at_regen,
+                  "meta": trace.meta}
+        with open(path, "w") as fh:
+            fh.write(json.dumps(header, sort_keys=True) + "\n")
+            gcols = [trace.g[name] for name in names]
+            for i in range(trace.n):
+                vals = [*trace.Tmat[i], *(col[i] for col in gcols)]
+                fh.write(",".join("%.17g" % v for v in vals))
+                fh.write(",%d\n" % int(trace.delta[i]))
 
+    def test_bulk_writer_matches_row_loop(self, tmp_path):
         special = [-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300,
                    3.0, -7.0, 2.0 ** 53, 0.1, 1.0 / 3.0]
         rng = np.random.default_rng(2)
@@ -278,8 +279,44 @@ class TestTraceIO:
         delta[0] = True
         trace = ChainTrace(Tmat=Tmat, g=g, delta=delta, meta={"h1": [0.0, 1.0]})
         save_trace(trace, tmp_path / "bulk.txt")
-        row_loop(trace, tmp_path / "loop.txt")
+        self._row_loop(trace, tmp_path / "loop.txt")
         assert (tmp_path / "bulk.txt").read_bytes() == (tmp_path / "loop.txt").read_bytes()
+
+    @pytest.mark.parametrize("case", ["repeats", "signed_zero", "nan", "delta", "n1"])
+    def test_run_writer_matches_row_loop(self, tmp_path, case):
+        # the writer formats each run of bit-equal rows once
+        rows = np.array([[1.5, -2.0, 0.1], [1.5, -2.0, 0.1], [3.0, 1e-300, -0.0],
+                         [3.0, 1e-300, 0.0], [3.0, 1e-300, 0.0],
+                         [np.nan, 1.0, 2.0], [np.nan, 1.0, 2.0], [-0.0, -0.0, -0.0]])
+        reps = np.array([3, 1, 2, 1, 4, 2, 1, 3])
+        if case == "signed_zero":       # -0.0 and 0.0 alternate, every row repeated
+            rows = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [0.0, 0.0, -0.0]])
+            rows, reps = np.tile(rows, (3, 1)), np.full(9, 2)
+        elif case == "nan":             # NaNs (one with the sign bit) in runs
+            rows = np.array([[np.nan, 0.0, 1.0], [-np.nan, 0.0, 1.0],
+                             [np.nan, np.nan, np.nan], [np.inf, -np.inf, np.nan]])
+            reps = np.array([2, 3, 1, 4])
+        elif case == "n1":
+            rows, reps = rows[:1], reps[:1]
+        Tmat = np.repeat(rows[:, :2], reps, axis=0)
+        n = Tmat.shape[0]
+        delta = np.zeros(n, dtype=bool)
+        delta[0] = True
+        if case == "delta":             # equal rows, flags inside the runs
+            delta[[2, 3, 7, 8, 9]] = True
+        trace = ChainTrace(Tmat=Tmat, g={"g": np.repeat(rows[:, 2], reps)},
+                           delta=delta, meta={"h1": [0.0, 1.0]}, ends_at_regen=True)
+        save_trace(trace, tmp_path / "runs.txt")
+        self._row_loop(trace, tmp_path / "loop.txt")
+        assert (tmp_path / "runs.txt").read_bytes() == (tmp_path / "loop.txt").read_bytes()
+        back = load_trace(tmp_path / "runs.txt")
+        for got, want in [(back.Tmat, trace.Tmat), (back.g["g"], trace.g["g"])]:
+            # bit-exact but for the sign of NaN, which %.17g drops
+            assert np.array_equal(got, want, equal_nan=True)
+            keep = ~np.isnan(want)
+            assert np.array_equal(np.signbit(got[keep]), np.signbit(want[keep]))
+        assert np.array_equal(back.delta, trace.delta)
+        assert back.ends_at_regen and back.n == n
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.txt"

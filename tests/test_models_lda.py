@@ -1,14 +1,17 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln, psi
+from scipy.special import gammaln, polygamma, psi
 
 from priorscan.estimators import estimate_B
 from priorscan.models.lda import (
     Corpus,
     LDAModel,
     LDAState,
+    _digamma,
+    _trigamma,
     lda_closeness,
     lda_spec,
     load_corpus,
@@ -42,6 +45,49 @@ class TestSpec:
             assert np.allclose(np.asarray(spec.log_norm_hess(h)),
                                fd_hess(lambda x: float(spec.log_norm(x)), h),
                                rtol=1e-3, atol=1e-3)
+
+    def test_digamma_trigamma_match_scipy(self):
+        root = 1.4616321449683623          # digamma's positive zero
+        xs = np.concatenate([np.geomspace(1e-3, 1e4, 701), np.arange(1.0, 30.0),
+                             np.arange(1.0, 30.0) - 0.5, [np.nextafter(10.0, 0.0)],
+                             root + np.array([-1e-2, -1e-6, -1e-12, 0.0, 1e-12,
+                                              1e-6, 1e-2])])
+        dig = np.array([_digamma(x) for x in xs])
+        tri = np.array([_trigamma(x) for x in xs])
+        # relative 1e-13; the absolute 1e-14 matters only near the zero
+        assert np.allclose(dig, psi(xs), rtol=1e-13, atol=1e-14)
+        assert np.allclose(tri, polygamma(1, xs), rtol=1e-13, atol=0.0)
+        assert all(math.isnan(f(x)) for f in (_digamma, _trigamma)
+                   for x in (0.0, -0.5, -1e300, math.nan))
+
+    def test_spec_matches_scipy(self):
+        K, V, D = 3, 20, 5
+
+        def pair(f, c, a, m, b, x):
+            # -c (a f(m x) - b f(x)), and c (|a f(m x)| + |b f(x)|): the
+            # magnitude its rounding is relative to (the difference can be 0)
+            u, v = a * f(m * x), b * f(x)
+            return -c * (u - v), c * (abs(u) + abs(v))
+
+        def d2(x):
+            return polygamma(1, x)
+
+        spec = lda_spec(K, V, D)
+        for h in itertools.product(np.geomspace(1e-3, 1e3, 13), repeat=2):
+            eta, alpha = h
+            cases = [
+                (spec.log_norm(h), [sum(x) for x in zip(
+                    pair(gammaln, K, 1, V, V, eta), pair(gammaln, D, 1, K, K, alpha))]),
+                *zip(spec.log_norm_grad(h), [pair(psi, K * V, 1, V, 1, eta),
+                                             pair(psi, D * K, 1, K, 1, alpha)]),
+                *zip(np.diag(spec.log_norm_hess(h)), [pair(d2, K * V, V, V, 1, eta),
+                                                      pair(d2, D * K, K, K, 1, alpha)]),
+            ]
+            for got, (want, scale) in cases:
+                assert abs(got - want) <= 1e-13 * scale, (h, got, want)
+            assert spec.log_norm_hess(h)[0, 1] == spec.log_norm_hess(h)[1, 0] == 0.0
+        assert math.isnan(spec.log_norm([0.0, 1.0]))
+        assert math.isnan(spec.log_norm([1.0, -0.5]))
 
     def test_identity_canon(self):
         spec = lda_spec(2, 12, 6)
