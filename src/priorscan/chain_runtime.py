@@ -35,6 +35,9 @@ __all__ = [
 ]
 
 TRACE_FORMAT_VERSION = 1
+# Rows per chunk of the trace writer, so that writing holds a few hundred kB
+# of rows and text whatever the trace length.
+WRITE_ROWS = 8192
 
 
 # ------------------------------------------------------------------
@@ -92,9 +95,10 @@ class ChainTrace:
 def save_trace(trace: ChainTrace, path) -> None:
     """Write a trace as text: one JSON header line, then one row per draw.
 
-    Floats use %.17g, which round-trips IEEE doubles bit-exactly.  Each run
-    of rows with equal bits (so -0.0 stays apart from 0.0) is formatted
-    once and written once per draw it covers.
+    Floats use %.17g, which round-trips IEEE doubles bit-exactly.  The body
+    is written in chunks of :data:`WRITE_ROWS` rows; in each, every run of
+    rows with equal bits (so -0.0 stays apart from 0.0) is formatted once and
+    written once per draw it covers.
     """
     from priorscan.estimators import _runs  # imports this module
 
@@ -107,14 +111,15 @@ def save_trace(trace: ChainTrace, path) -> None:
         "ends_at_regen": trace.ends_at_regen,
         "meta": trace.meta,
     }
-    body = np.column_stack([trace.Tmat, *(trace.g[name] for name in names),
-                            trace.delta])
-    bits, _, w, _ = _runs(body.view(np.int64))
-    row = "%.17g," * (body.shape[1] - 1) + "%d\n"
-    lines = (row * w.size % tuple(bits.view(float).ravel().tolist())).splitlines(True)
+    cols = [trace.Tmat, *(trace.g[name] for name in names), trace.delta]
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        fh.write("".join(map(str.__mul__, lines, w.astype(int).tolist())))
+        for a in range(0, trace.n, WRITE_ROWS):
+            body = np.column_stack([c[a:a + WRITE_ROWS] for c in cols])
+            bits, _, w, _ = _runs(body.view(np.int64))
+            row = "%.17g," * (body.shape[1] - 1) + "%d\n"
+            text = row * w.size % tuple(bits.view(float).ravel().tolist())
+            fh.writelines(map(str.__mul__, text.splitlines(True), w.astype(int).tolist()))
 
 
 def load_trace(path) -> ChainTrace:
@@ -363,12 +368,12 @@ def tour_sums(trace: ChainTrace, tours: TourIndex, family: ExpFamilyRatio, h,
         uu = u[:, :, None] * u[:, None, :] + family.hess_log_f(h, Tmat)  # (runs, k, k)
         cols += [u, uu.reshape(-1, k * k)]
     shift = _grid_sums(family, h[None, :], Tmat, w=w)[0]
-    x = np.concatenate([x for _, x in _segment_sums(
-        family, h[None, :], Tmat, shift, starts,
-        np.hstack(cols) if cols else None, w)])[:, :, 0]
+    _, S, XS = zip(*_segment_sums(family, h[None, :], Tmat, shift, starts,
+                                  np.hstack(cols) if cols else None, w))
+    x = np.concatenate(XS)[:, :, 0]
     m = len(names)
-    return TourSums(h=h, N=tours.lengths.astype(float), S=x[:, 0],
-                    T={name: x[:, 1 + j] for j, name in enumerate(names)},
-                    gradS=x[:, 1 + m:1 + m + k] if with_derivs else None,
-                    hessS=x[:, 1 + m + k:].reshape(-1, k, k) if with_derivs else None,
+    return TourSums(h=h, N=tours.lengths.astype(float), S=np.concatenate(S)[:, 0],
+                    T={name: x[:, j] for j, name in enumerate(names)},
+                    gradS=x[:, m:m + k] if with_derivs else None,
+                    hessS=x[:, m + k:].reshape(-1, k, k) if with_derivs else None,
                     log_scale=float(shift[0]))

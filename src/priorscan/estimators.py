@@ -200,15 +200,18 @@ def batch_se(trace: ChainTrace, family: ExpFamilyRatio, h, M: int,
 # grid sweeps: one chunked pass over the draws
 # ------------------------------------------------------------------
 
-# Floats in one (draws, G) block of the grid passes: 1 MB, which keeps a
-# block in a core's cache (larger blocks ran slower) and holds a pass to a
-# few such blocks whatever the trace length and grid size.
+# Floats a chunk of the grid passes holds: 1 MB, which keeps a chunk in a
+# core's cache (larger blocks ran slower) and bounds a pass's working set
+# whatever the trace length and grid size.  A chunk's rows are
+# CHUNK_FLOATS / (G * cols) for the ``cols`` (rows, G) blocks the pass holds.
 CHUNK_FLOATS = 2 ** 17
 
 
-def _log_f_chunks(family: ExpFamilyRatio, grid: np.ndarray, Tmat: np.ndarray):
-    """Yield (first row, (rows, G) block of log f_h) over consecutive chunks."""
-    rows = max(1, CHUNK_FLOATS // grid.shape[0])
+def _log_f_chunks(family: ExpFamilyRatio, grid: np.ndarray, Tmat: np.ndarray,
+                  cols: int = 1):
+    """Yield (first row, (rows, G) block of log f_h) over consecutive chunks
+    of CHUNK_FLOATS / (G * cols) rows."""
+    rows = max(1, CHUNK_FLOATS // (grid.shape[0] * cols))
     for a in range(0, Tmat.shape[0], rows):
         yield a, family.log_f_many(grid, Tmat[a:a + rows])
 
@@ -254,16 +257,23 @@ def _grid_sums(family: ExpFamilyRatio, grid: np.ndarray, Tmat: np.ndarray,
     w = np.ones(Tmat.shape[0]) if w is None else w
     shift = np.full(grid.shape[0], -np.inf)
     f_sum = f2_sum = xf_sum = np.zeros_like(shift)
-    for a, logf in _log_f_chunks(family, grid, Tmat):
+    # the chunk holds f; with columns also f w, formed once for three sums
+    for a, logf in _log_f_chunks(family, grid, Tmat, 1 if X is None else 1 + X.shape[1]):
         new = np.maximum(shift, logf.max(axis=0))
         scale = np.exp(shift - new)
         f = np.exp(np.subtract(logf, new, out=logf), out=logf)
-        fw = f * w[a:a + f.shape[0], None]
-        f_sum = f_sum * scale + fw.sum(axis=0)
-        f2_sum = f2_sum * scale ** 2 + np.einsum("ij,ij->j", fw, f)
-        if X is not None:
+        wa = w[a:a + f.shape[0]]
+        if X is None:
+            f_sum = f_sum * scale + np.einsum("ij,i->j", f, wa)
+            f2_sum = f2_sum * scale ** 2 + np.einsum("ij,i,ij->j", f, wa, f)
+        else:
+            fw = f * wa[:, None]
+            f_sum = f_sum * scale + fw.sum(axis=0)
+            f2_sum = f2_sum * scale ** 2 + np.einsum("ij,ij->j", fw, f)
             xf_sum = xf_sum * scale + X[a:a + f.shape[0]].T @ fw
+            del fw
         shift = new
+        del logf, f                     # before the next chunk is evaluated
     if not np.all(np.isfinite(shift)):
         raise InvalidSpecError(
             f"non-finite log ratio at h={grid[~np.isfinite(shift)][0]}")
@@ -274,30 +284,37 @@ def _grid_sums(family: ExpFamilyRatio, grid: np.ndarray, Tmat: np.ndarray,
 def _segment_sums(family: ExpFamilyRatio, grid: np.ndarray, Tmat: np.ndarray,
                   shift: np.ndarray, starts: np.ndarray, X: np.ndarray | None,
                   w: np.ndarray):
-    """Yield (ids, x) in segment order: the sums over the segments ``ids`` of
-    rows beginning at ``starts`` (the last ends with Tmat), x[:, 0] of
-    f w, f = f_h exp(-shift) and ``w`` the rows' run lengths, and x[:, 1:] of
-    the (n, p) columns ``X`` (or none) times f w, shape (ids.size, 1 + p, G).
-    The segment open at a chunk's end is carried into the next chunk."""
-    open_id, carry = 0, 0.0
-    for a, logf in _log_f_chunks(family, grid, Tmat):
+    """Yield (ids, S, XS) in segment order: the sums over the segments ``ids``
+    of rows beginning at ``starts`` (the last ends with Tmat), S of f w, f =
+    f_h exp(-shift) and ``w`` the rows' run lengths, shape (ids.size, G), and
+    XS of the (n, p) columns ``X`` (p = 0 without) times f w, shape
+    (ids.size, p, G).  The segment open at a chunk's end is carried into the
+    next chunk."""
+    X = np.empty((Tmat.shape[0], 0)) if X is None else X
+    open_id, carry = 0, (0.0, 0.0)
+    # the chunk holds f w and X f w: (1 + p) blocks
+    for a, logf in _log_f_chunks(family, grid, Tmat, 1 + X.shape[1]):
         rows = logf.shape[0]
         f = np.exp(np.subtract(logf, shift, out=logf), out=logf)
-        f = np.multiply(f, w[a:a + rows, None], out=f)[:, None]
-        x = f if X is None else np.concatenate([f, X[a:a + rows, :, None] * f], axis=1)
+        S = np.multiply(f, w[a:a + rows, None], out=f)
+        XS = X[a:a + rows, :, None] * S[:, None]
+        del logf, f
         first = int(np.searchsorted(starts, a, side="right")) - 1
         if first != open_id:                  # the carried segment ended at a
-            yield np.array([open_id]), carry[None]
-            carry = 0.0
+            yield np.array([open_id]), carry[0][None], carry[1][None]
+            carry = (0.0, 0.0)
         last = np.searchsorted(starts, a + rows)    # first segment after the chunk
         cuts = np.concatenate(([0], starts[first + 1:last] - a))
         # one segment per row (unit tours): reduceat would only copy, slowly
-        x = x if cuts.size == rows else np.add.reduceat(x, cuts, axis=0)
-        x[0] += carry
-        open_id, carry = first + cuts.size - 1, x[-1].copy()
+        if cuts.size != rows:
+            S, XS = np.add.reduceat(S, cuts, axis=0), np.add.reduceat(XS, cuts, axis=0)
+        S[0] += carry[0]
+        XS[0] += carry[1]
+        open_id, carry = first + cuts.size - 1, (S[-1].copy(), XS[-1].copy())
         if cuts.size > 1:
-            yield first + np.arange(cuts.size - 1), x[:-1]
-    yield np.array([open_id]), carry[None]
+            yield first + np.arange(cuts.size - 1), S[:-1], XS[:-1]
+        del S, XS                       # before the next chunk is evaluated
+    yield np.array([open_id]), carry[0][None], carry[1][None]
 
 
 def _deviations(family, grid, Tmat, shift, c, I, starts, g, w,
@@ -314,11 +331,13 @@ def _deviations(family, grid, Tmat, shift, c, I, starts, g, w,
     """
     n, R = w.sum(), starts.size
     lengths = np.add.reduceat(w, starts)
-    for ids, x in _segment_sums(family, grid, Tmat, shift, starts, g, w):
-        S, T = x[:, 0], x[:, -1]
+    for ids, S, XS in _segment_sums(family, grid, Tmat, shift, starts, g, w):
         dB = (S - lengths[ids, None] * c) / (n / R)
-        yield ids, dB, (None if g is None else T / S - I if ratio
-                        else (T - I * S) / (c * n / R))
+        if g is None:
+            yield ids, dB, None
+            continue
+        T = XS[:, 0]
+        yield ids, dB, T / S - I if ratio else (T - I * S) / (c * n / R)
 
 
 def _segmentation(n: int, tours: TourIndex | None, M: int | None):

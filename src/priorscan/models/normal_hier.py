@@ -24,9 +24,12 @@ __all__ = [
     "mh_ensemble_traces",
 ]
 
-# Random floats per block of the MH chain: the (rows, J) proposal block holds
-# 2^17 normals (1 MB), so memory stays bounded as J grows.
+# Random floats per block of the MH chain: each block draws a (rows, J)
+# array of 2^17 proposal normals (1 MB), so memory stays bounded as J grows.
 BLOCK_FLOATS = 2 ** 17
+# Rows per slice in which a drawn block is processed: the proposals, their
+# log weights and the gathered states of a slice are a few hundred kB.
+SLICE_ROWS = 2048
 
 
 def normal_hier_spec(J: int) -> ExpFamilySpec:
@@ -273,48 +276,85 @@ class MHKernel:
         tour ``R + 1`` and ends there, as ``simulate`` does.  Its meta records
         ``accept_rate`` (accepted moves) and ``regen_rate`` (regeneration
         flags after the first) over the trace's n - 1 steps.
+
+        Each block is processed in slices of :data:`SLICE_ROWS` steps, whose
+        draws are written into the trace's arrays: allocated for ``n`` draws,
+        or grown geometrically for an ``R`` target.
         """
         theta, lw = state
-        suffstat = self.model.suffstat
-        Ts, th1s = [suffstat(theta[None, :])], [theta[:1]]
-        deltas, moves = [np.ones(1, dtype=bool)], [np.zeros(1, dtype=np.intp)]
-        drawn, flags, stop, ends_at_regen = 1, 1, n, False
+        out = _TraceArrays(n or 1 + SLICE_ROWS)
+        out.put(0, self.model.suffstat(theta[None, :]), theta[:1], np.ones(1, dtype=bool))
+        drawn, flags, accepted, ends_at_regen = 1, 1, 0, False
         for z, log_u, log_v in blocks:
-            if n is not None and drawn >= n:
-                break
-            prop = self.mean + self.prop_sd * z
-            lw_y = self._log_w(prop)
-            acc, lw_end = _accept_scan(lw_y, log_u, lw)
-            lw_from = np.append(lw, lw_y[acc[:-1]])   # of the state each move leaves
-            delta = np.zeros(len(z), dtype=bool)
-            delta[acc] = log_v[acc] < log_regen_prob(lw_from, lw_y[acc], self.log_c)
-            # the state after step j is row at[j] of [current, accepted...]
-            states = np.vstack([theta, prop[acc]])
-            moved = np.zeros(len(z), dtype=np.intp)
-            moved[acc] = 1
-            at = np.cumsum(moved)
-            Ts.append(suffstat(states)[at])
-            th1s.append(states[at, 0])
-            deltas.append(delta)
-            moves.append(moved)
-            theta, lw = states[-1], lw_end
-            if R is not None:
-                opens = drawn + np.flatnonzero(delta)
-                if flags + opens.size > R:
-                    stop, ends_at_regen = int(opens[R - flags]), True
+            take = len(z) if n is None else min(len(z), n - drawn)
+            for a in range(0, take, SLICE_ROWS):
+                b = min(take, a + SLICE_ROWS)
+                theta, lw, acc, delta = self._slice(theta, lw, z[a:b], log_u[a:b],
+                                                    log_v[a:b], out, drawn)
+                if R is not None and flags + np.count_nonzero(delta) > R:
+                    # the regeneration opening tour R + 1 ends the trace there
+                    stop = int(np.flatnonzero(delta)[R - flags])
+                    accepted += np.count_nonzero(acc < stop)
+                    drawn, ends_at_regen = drawn + stop, True
                     break
-                flags += opens.size
-            drawn += len(z)
+                flags += np.count_nonzero(delta)
+                accepted += acc.size
+                drawn += delta.size
+            if ends_at_regen or drawn == n:
+                break
+            del z, log_u, log_v             # before the next block is drawn
 
-        Tmat, delta = np.concatenate(Ts)[:stop], np.concatenate(deltas)[:stop]
-        steps = max(Tmat.shape[0] - 1, 1)
-        info = {"kernel": self.kernel_id, "n": Tmat.shape[0],
-                "accept_rate": int(np.concatenate(moves)[:stop].sum()) / steps,
-                "regen_rate": int(delta[1:].sum()) / steps}
+        Tmat, th1, delta = out.trimmed(drawn)
+        steps = max(drawn - 1, 1)
+        info = {"kernel": self.kernel_id, "n": drawn,
+                "accept_rate": int(accepted) / steps,
+                "regen_rate": int(np.count_nonzero(delta[1:])) / steps}
         if meta:
             info.update(meta)
-        return ChainTrace(Tmat=Tmat, g={"theta1": np.concatenate(th1s)[:stop]},
-                          delta=delta, meta=info, ends_at_regen=ends_at_regen)
+        return ChainTrace(Tmat=Tmat, g={"theta1": th1}, delta=delta, meta=info,
+                          ends_at_regen=ends_at_regen)
+
+    def _slice(self, theta, lw, z, log_u, log_v, out: "_TraceArrays", row: int):
+        """Run the steps of one slice from state ``(theta, lw)`` and write
+        their draws to ``out`` from ``row`` on.  Returns the state after the
+        slice, its accepted steps and the regeneration flags of its draws."""
+        prop = self.mean + self.prop_sd * z
+        lw_y = self._log_w(prop)
+        acc, lw_end = _accept_scan(lw_y, log_u, lw)
+        lw_from = np.append(lw, lw_y[acc[:-1]])       # of the state each move leaves
+        delta = np.zeros(len(z), dtype=bool)
+        delta[acc] = log_v[acc] < log_regen_prob(lw_from, lw_y[acc], self.log_c)
+        # the state after step j is row at[j] of [current, accepted...]
+        states = np.vstack([theta, prop[acc]])
+        moved = np.zeros(len(z), dtype=np.intp)
+        moved[acc] = 1
+        at = np.cumsum(moved)
+        out.put(row, self.model.suffstat(states)[at], states[at, 0], delta)
+        return states[-1], lw_end, acc, delta
+
+
+class _TraceArrays:
+    """The T, theta1 and regeneration-flag arrays of a chain being run,
+    written one range of rows at a time and doubled in place when full."""
+
+    def __init__(self, rows: int):
+        self.arrays = (np.empty((rows, 2)), np.empty(rows), np.empty(rows, dtype=bool))
+
+    def put(self, row: int, *values) -> None:
+        size = row + len(values[0])
+        if size > self.arrays[0].shape[0]:
+            rows = max(size, 2 * self.arrays[0].shape[0])
+            for arr in self.arrays:        # no views exist until trimmed
+                arr.resize((rows,) + arr.shape[1:], refcheck=False)
+        for arr, v in zip(self.arrays, values):
+            arr[row:size] = v
+
+    def trimmed(self, rows: int):
+        """The first ``rows`` rows of each array, the rest given back."""
+        for arr in self.arrays:
+            if arr.shape[0] != rows:
+                arr.resize((rows,) + arr.shape[1:], refcheck=False)
+        return self.arrays
 
 
 def _accept_scan(lw_y: np.ndarray, log_u: np.ndarray, lw: float):

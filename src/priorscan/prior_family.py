@@ -254,13 +254,18 @@ class ExpFamilyRatio:
 
     def _grid_terms(self, h_grid) -> tuple[np.ndarray, np.ndarray]:
         """(omega_h - omega_1).T and A_h - A_1 over a grid, kept for the last
-        grid: the grid estimators evaluate one grid once per chunk of draws."""
+        grid of more than one point: the grid estimators evaluate one grid
+        once per chunk of draws, and the one-point passes of a search between
+        two grid passes do not evict the grid."""
         h_grid = np.asarray(h_grid, dtype=float)
         key = (h_grid.shape, h_grid.tobytes())
-        if self._grid is None or self._grid[0] != key:
-            omegas, As = self.spec.canon_many(h_grid)
-            self._grid = (key, (omegas - self._omega1).T, As - self._A1)
-        return self._grid[1], self._grid[2]
+        if self._grid is not None and self._grid[0] == key:
+            return self._grid[1:]
+        omegas, As = self.spec.canon_many(h_grid)
+        terms = ((omegas - self._omega1).T, As - self._A1)
+        if h_grid.shape[0] > 1:
+            self._grid = (key, *terms)
+        return terms
 
     def log_f(self, h, Tmat):
         """log f_h at one ``h``, shape (n,); raises on a non-finite draw."""
@@ -273,7 +278,8 @@ class ExpFamilyRatio:
     def log_f_many(self, h_grid: np.ndarray, Tmat: np.ndarray) -> np.ndarray:
         """log f_h for a whole grid at once, shape (n, G)."""
         dw, dA = self._grid_terms(h_grid)
-        out = Tmat @ dw - dA
+        out = Tmat @ dw
+        out -= dA
         if self.m > 1:
             out -= self._log_denominator(Tmat)[:, None]
         return out

@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from priorscan.cli import stream_rng
 from priorscan.estimators import _grid_sums, estimate_B
 from priorscan.models.lda import LDAModel, synth_corpus
 from priorscan.models.varsel import VSModel, synth_regression
-from priorscan.prior_family import ExpFamilyRatio, HyperRect, fd_grad, fd_hess, fd_jac
+from priorscan.prior_family import (ExpFamilyRatio, ExpFamilySpec, HyperRect, fd_grad,
+                                    fd_hess, fd_jac)
 from priorscan.serial_tempering import MixtureRatio, STGrid, lattice_anchors, run_st
 
 H1 = [0.0, 1.0]
@@ -204,6 +206,18 @@ class TestBatchArgmaxCov:
         assert nb <= 4
         ratio = np.trace(cov) / np.trace(v)
         assert 0.5 < ratio < 2.0
+
+    def test_start_grid_evaluated_once(self, toy_model, toy_rect):
+        # the Newton passes of one batch's search are one-point grids, which
+        # leave the start grid's canonical terms cached for the next batch
+        family = ExpFamilyRatio(toy_model.spec(), H1)
+        trace = toy_model.mh_trace(H1, n=6000, seed=4)
+        with mock.patch.object(ExpFamilySpec, "canon_many", autospec=True,
+                               side_effect=ExpFamilySpec.canon_many) as calls:
+            batch_argmax_cov(trace, family, toy_rect, M=8, h_n=[0.0, 1.0])
+        sizes = [len(c.args[1]) for c in calls.call_args_list]
+        assert sizes.count(21 * 21) == 1
+        assert set(sizes) == {1, 21 * 21} and len(sizes) > 8
 
     def test_validation(self, toy_trace, fam, toy_rect):
         with pytest.raises(ValueError):

@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from priorscan import chain_runtime
 from priorscan.chain_runtime import (
     ChainTrace,
     IIDKernel,
@@ -282,14 +284,18 @@ class TestTraceIO:
         self._row_loop(trace, tmp_path / "loop.txt")
         assert (tmp_path / "bulk.txt").read_bytes() == (tmp_path / "loop.txt").read_bytes()
 
-    @pytest.mark.parametrize("case", ["repeats", "signed_zero", "nan", "delta", "n1"])
-    def test_run_writer_matches_row_loop(self, tmp_path, case):
-        # the writer formats each run of bit-equal rows once
+    @pytest.mark.parametrize("case", ["repeats", "long_run", "signed_zero", "nan",
+                                      "delta", "n1"])
+    def test_run_writer_matches_row_loop(self, tmp_path, monkeypatch, case):
+        # the writer formats each run of bit-equal rows once per chunk of
+        # rows; a run cut at a chunk edge writes the same bytes
         rows = np.array([[1.5, -2.0, 0.1], [1.5, -2.0, 0.1], [3.0, 1e-300, -0.0],
                          [3.0, 1e-300, 0.0], [3.0, 1e-300, 0.0],
                          [np.nan, 1.0, 2.0], [np.nan, 1.0, 2.0], [-0.0, -0.0, -0.0]])
         reps = np.array([3, 1, 2, 1, 4, 2, 1, 3])
-        if case == "signed_zero":       # -0.0 and 0.0 alternate, every row repeated
+        if case == "long_run":          # one run across several chunk edges
+            rows, reps = rows[[0, 2, 3]], np.array([20, 3, 9])
+        elif case == "signed_zero":     # -0.0 and 0.0 alternate, every row repeated
             rows = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [0.0, 0.0, -0.0]])
             rows, reps = np.tile(rows, (3, 1)), np.full(9, 2)
         elif case == "nan":             # NaNs (one with the sign bit) in runs
@@ -297,7 +303,7 @@ class TestTraceIO:
                              [np.nan, np.nan, np.nan], [np.inf, -np.inf, np.nan]])
             reps = np.array([2, 3, 1, 4])
         elif case == "n1":
-            rows, reps = rows[:1], reps[:1]
+            rows, reps = rows[:1], np.ones(1, dtype=int)
         Tmat = np.repeat(rows[:, :2], reps, axis=0)
         n = Tmat.shape[0]
         delta = np.zeros(n, dtype=bool)
@@ -306,9 +312,13 @@ class TestTraceIO:
             delta[[2, 3, 7, 8, 9]] = True
         trace = ChainTrace(Tmat=Tmat, g={"g": np.repeat(rows[:, 2], reps)},
                            delta=delta, meta={"h1": [0.0, 1.0]}, ends_at_regen=True)
-        save_trace(trace, tmp_path / "runs.txt")
         self._row_loop(trace, tmp_path / "loop.txt")
-        assert (tmp_path / "runs.txt").read_bytes() == (tmp_path / "loop.txt").read_bytes()
+        non_divisor = next(c for c in range(5, n + 6) if n % c)
+        for size in (1, 7, non_divisor, n + 5, chain_runtime.WRITE_ROWS):
+            monkeypatch.setattr(chain_runtime, "WRITE_ROWS", size)
+            save_trace(trace, tmp_path / "runs.txt")
+            assert ((tmp_path / "runs.txt").read_bytes()
+                    == (tmp_path / "loop.txt").read_bytes()), size
         back = load_trace(tmp_path / "runs.txt")
         for got, want in [(back.Tmat, trace.Tmat), (back.g["g"], trace.g["g"])]:
             # bit-exact but for the sign of NaN, which %.17g drops
@@ -317,6 +327,28 @@ class TestTraceIO:
             assert np.array_equal(np.signbit(got[keep]), np.signbit(want[keep]))
         assert np.array_equal(back.delta, trace.delta)
         assert back.ends_at_regen and back.n == n
+
+    def test_writer_memory_does_not_grow_with_n(self, tmp_path):
+        # MH-like rows, each repeated 1-11 times: the writer's peak at 8n rows
+        # stays within a fixed budget of its peak at n rows
+        rng = np.random.default_rng(6)
+
+        def peak(n):
+            reps = rng.integers(1, 12, n)
+            Tmat = np.repeat(rng.normal(size=(n, 2)), reps, axis=0)[:n]
+            delta = np.zeros(n, dtype=bool)
+            delta[::40] = True
+            trace = ChainTrace(Tmat=Tmat, g={"theta1": Tmat[:, 0] / 3.0}, delta=delta)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                save_trace(trace, tmp_path / "trace.txt")
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        n = 20_000
+        assert peak(8 * n) - peak(n) < 2 ** 18
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -19,8 +19,8 @@ from priorscan import argmax_inference, estimators
 from priorscan.argmax_inference import _moment_columns, log_B_derivs, maximize_surface
 from priorscan.band_inference import global_band
 from priorscan.chain_runtime import ChainTrace, segment_tours, tour_sums
-from priorscan.estimators import (_grid_sums, _runs, functional_on_grid, grid_estimates,
-                                  surface_on_grid)
+from priorscan.estimators import (_grid_sums, _runs, _segment_sums, functional_on_grid,
+                                  grid_estimates, surface_on_grid)
 from priorscan.prior_family import ExpFamilyRatio
 
 H1 = [0.0, 1.0]
@@ -125,14 +125,15 @@ def fam(toy_model):
 
 
 def _chunk(kind: str, n: int) -> int:
-    """Draws per chunk."""
+    """Draws per chunk of a pass that holds one (rows, G) block; a pass that
+    holds more blocks per row takes proportionally fewer draws."""
     if kind == "one":
         return 1
     if kind == "prime":
         return 7
     if kind == "non-divisor":
         return next(c for c in range(5, n + 2) if n % c)
-    return n + 3                                   # larger than the trace
+    return 16 * (n + 3)     # larger than the trace in every pass (<= 9 blocks)
 
 
 def _close(a, b, scale=0.0):
@@ -384,3 +385,38 @@ def test_memory_bounded_by_chunk(toy_model, toy_rect, fam):
     finally:
         tracemalloc.stop()
     assert peak_mb < 64.0
+
+
+@pytest.mark.parametrize("columns", [False, True])
+@pytest.mark.parametrize("which", ["grid", "segments"])
+def test_chunk_holds_chunk_floats(toy_model, toy_rect, fam, which, columns):
+    # beside its inputs a pass holds one chunk of CHUNK_FLOATS floats, the
+    # next chunk being evaluated after the last is dropped; the segment pass
+    # also holds the sums of the segments its chunk closes.  The slack is
+    # per-point sums and NumPy's fixed 64 kB ufunc buffer.
+    trace = toy_model.mh_trace(H1, n=60_000, seed=2)
+    tours = segment_tours(trace)
+    g = trace.functional("theta1")[:tours.n_eff, None]
+    Tmat, g, w, starts = _runs(trace.Tmat[:tours.n_eff], g, tours.starts0)
+    X = g if columns else None
+    grid = toy_rect.grid(21)
+    shift = _grid_sums(fam, grid, Tmat, w=w)[0]
+    budget = 2 ** 16
+    cols = 1 + columns
+    rows = budget // (len(grid) * cols)
+    closed = 0 if which == "grid" else 1 + max(
+        np.count_nonzero((starts >= a) & (starts < a + rows))
+        for a in range(0, Tmat.shape[0], rows))
+    with mock.patch.object(estimators, "CHUNK_FLOATS", budget):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            if which == "grid":
+                _grid_sums(fam, grid, Tmat, X, w)
+            else:
+                for _ in _segment_sums(fam, grid, Tmat, shift, starts, X, w):
+                    pass
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert peak <= (budget + closed * cols * len(grid)) * 8 + 2 ** 17

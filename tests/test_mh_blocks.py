@@ -7,6 +7,9 @@ only here, as the oracle the block chain must match exactly when both are fed
 the same random numbers.
 """
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -92,9 +95,11 @@ def kernels():
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(seed=st.integers(0, 2 ** 32 - 1), steps=st.integers(0, 400),
        block=st.sampled_from(["1", "7", "non-divisor", "larger"]),
+       slice_rows=st.sampled_from([1, 3, 64, normal_hier.SLICE_ROWS]),
        which=st.integers(0, 1), target=st.sampled_from(["n", "R"]),
        frac=st.floats(0.0, 1.0))
-def test_block_chain_matches_per_step(kernels, seed, steps, block, which, target, frac):
+def test_block_chain_matches_per_step(kernels, seed, steps, block, slice_rows, which,
+                                      target, frac):
     kernel = kernels[which]
     Z, log_u, log_v = random_numbers(seed, steps, kernel.model.J)
     state = kernel.start(np.random.default_rng(seed + 1))
@@ -102,15 +107,74 @@ def test_block_chain_matches_per_step(kernels, seed, steps, block, which, target
     b = {"1": 1, "7": 7, "larger": n_draws + 3,
          "non-divisor": next(d for d in range(3, n_draws + 4) if n_draws % d)}[block]
     edges = list(range(b, steps, b))
-    if target == "n":
-        n = 1 + int(frac * steps)
-        assert_same_chain(kernel, state, Z, log_u, log_v, edges, n=n)
+    with mock.patch.object(normal_hier, "SLICE_ROWS", slice_rows):
+        if target == "n":
+            n = 1 + int(frac * steps)
+            assert_same_chain(kernel, state, Z, log_u, log_v, edges, n=n)
+        else:
+            total = int(per_step_reference(kernel, state, Z, log_u, log_v)[2].sum())
+            R = 1 + int(frac * max(total - 1, 0))
+            trace = assert_same_chain(kernel, state, Z, log_u, log_v, edges, R=R)
+            if R < total:
+                assert trace.ends_at_regen and segment_tours(trace).R == R
+
+
+def drawn_numbers(kernel, seed, sizes):
+    """The start and the random numbers ``kernel.trace`` draws from
+    ``default_rng(seed)`` in blocks of the given numbers of steps, joined."""
+    rng = np.random.default_rng(seed)
+    state = kernel.start(rng)
+    drawn = [(rng.standard_normal((b, kernel.model.J)), np.log(rng.random(b)),
+              np.log(rng.random(b))) for b in sizes]
+    return state, *(np.concatenate(x) for x in zip(*drawn))
+
+
+@pytest.mark.parametrize("target", [{"n": 1}, {"n": 50}, {"n": 1234}, {"R": 1},
+                                    {"R": 30}])
+@pytest.mark.parametrize("slice_rows", [1, 7, 64])
+def test_trace_equals_chain_on_its_drawn_numbers(kernels, monkeypatch, target,
+                                                 slice_rows):
+    # trace() draws blocks of 50 rows and runs them in slices; fed the same
+    # numbers as one block, run_blocks and the per-step reference give the
+    # same chain, and the header's rates follow from it
+    kernel = kernels[1]
+    monkeypatch.setattr(normal_hier, "BLOCK_FLOATS", 50 * kernel.model.J)
+    monkeypatch.setattr(normal_hier, "SLICE_ROWS", slice_rows)
+    tr = kernel.trace(np.random.default_rng(11), **target)
+    # n - 1 proposals for n draws, the last block short; R: full blocks
+    steps = target.get("n", 20_001) - 1
+    sizes = [50] * (steps // 50) + [steps % 50] * (steps % 50 > 0)
+    state, Z, log_u, log_v = drawn_numbers(kernel, 11, sizes or [0])
+    ref = assert_same_chain(kernel, state, Z, log_u, log_v, [], **target)
+    assert np.array_equal(tr.Tmat, ref.Tmat)
+    assert np.array_equal(tr.functional("theta1"), ref.functional("theta1"))
+    assert np.array_equal(tr.delta, ref.delta)
+    assert tr.ends_at_regen == ref.ends_at_regen == ("R" in target)
+    assert tr.meta["accept_rate"] == ref.meta["accept_rate"]
+    assert tr.meta["regen_rate"] == ref.meta["regen_rate"]
+    if "R" in target:
+        assert segment_tours(tr).R == target["R"]
     else:
-        total = int(per_step_reference(kernel, state, Z, log_u, log_v)[2].sum())
-        R = 1 + int(frac * max(total - 1, 0))
-        trace = assert_same_chain(kernel, state, Z, log_u, log_v, edges, R=R)
-        if R < total:
-            assert trace.ends_at_regen and segment_tours(trace).R == R
+        assert tr.n == target["n"]
+
+
+def test_trace_memory_is_the_trace_and_one_block(kernels):
+    # the chain writes its draws into arrays sized for n; beside them it
+    # holds one drawn block (normals and two uniform arrays) and one slice
+    kernel = kernels[0]
+    n = 300_000
+    rows = normal_hier.BLOCK_FLOATS // kernel.model.J
+    block = (normal_hier.BLOCK_FLOATS + 2 * rows) * 8
+    rng = np.random.default_rng(3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tr = kernel.trace(rng, n=n)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    trace_bytes = tr.Tmat.nbytes + tr.functional("theta1").nbytes + tr.delta.nbytes
+    assert peak <= trace_bytes + block + 2 ** 20
 
 
 @pytest.mark.parametrize("which", [0, 1])
