@@ -1,9 +1,10 @@
 """Globally valid confidence bands for I_g(·) (and B(·)) via batching.
 
-The trace is cut into M consecutive batches; the sup over the grid of the
-scaled deviation of each batch curve from the full-trace curve gives M
-approximately iid sup statistics, and an upper order statistic of those sets a
-single half-width valid simultaneously at every grid point.
+The trace is cut into M consecutive batches; the sup over the grid of each
+batch's scaled deviation from the full-trace curve gives M approximately iid
+sup statistics, and an upper order statistic of those sets a single
+half-width valid simultaneously at every grid point (Flegal & Jones 2010).
+The deviations are the linearized ones of the pointwise SEs.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from priorscan.chain_runtime import ChainTrace
-from priorscan.estimators import (ESS_UNRELIABLE, _deviations, _grid_sums, _runs,
-                                  _segmentation)
+from priorscan.estimators import ESS_UNRELIABLE, _deviations, _segmentation
 
 __all__ = ["BandReport", "global_band"]
 
@@ -75,32 +75,31 @@ def global_band(trace: ChainTrace, family, g_name: str | None,
     """Simultaneous (1 - alpha) band for I_g(·) over the grid.
 
     ``g_name=None`` produces the analogous band for B(·).  The trace is split
-    into M consecutive batches of floor(n/M) draws (trailing remainder
-    dropped); the half-width is n^{-1/2} times the ceil((1-alpha) M)-th order
-    statistic of the batch sup deviations scaled by sqrt(n/M).
+    into M consecutive batches of L = floor(n/M) draws, and the center and the
+    batch deviations (``estimators._deviations``) use those M L draws; the
+    half-width is (M L)^{-1/2} times the ceil((1-alpha) M)-th order statistic
+    of the batch sup deviations scaled by sqrt(L).  A non-finite deviation,
+    from a NaN or infinite functional value, raises ValueError.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    _, n_used, starts = _segmentation(trace.n, None, M)
-    M = starts.size
+    batches = _segmentation(trace.n, None, M)[1]
+    M, n_used = batches.R, batches.n_eff
     L = n_used // M
     if L < MIN_BATCH_LEN:
         raise ValueError(f"batch length {L} < {MIN_BATCH_LEN}; reduce M")
-    g = None if g_name is None else trace.functional(g_name)[:n_used, None]
-    Tmat, g, w, starts = _runs(trace.Tmat[:n_used], g, starts)
-    shift, c, ess, I = _grid_sums(family, grid, Tmat, g, w)
-
+    (shift, c, ess, I), deviations = _deviations(trace, family, grid, g_name,
+                                                 n_used, batches)
     sup_stats = np.empty(M)
-    for ids, dB, dI in _deviations(family, grid, Tmat, shift, c, I, starts, g, w,
-                                   ratio=True):
-        dev = dB * np.exp(shift) if g is None else dI
+    for ids, dB, dI in deviations:
+        dev = dB * np.exp(shift) if g_name is None else dI
         sup_stats[ids] = np.sqrt(L) * np.abs(dev).max(axis=1)
     if not np.all(np.isfinite(sup_stats)):
         raise ValueError(f"{np.count_nonzero(~np.isfinite(sup_stats))} of {M} batch "
-                         "curves are not finite (their weights underflow to 0)")
+                         "deviations are not finite")
     order = int(np.ceil((1.0 - alpha) * M))                    # 1-based index
     half_width = float(np.sort(sup_stats)[order - 1] / np.sqrt(n_used))
-    return BandReport(grid=grid, center=c * np.exp(shift) if g is None else I[0],
+    return BandReport(grid=grid, center=c * np.exp(shift) if g_name is None else I[0],
                       half_width=half_width, M=M, alpha=alpha, sup_stats=sup_stats,
-                      n=n_used, target="B" if g is None else f"I:{g_name}", ess=ess)
+                      n=n_used, target="B" if g_name is None else f"I:{g_name}", ess=ess)

@@ -7,7 +7,8 @@ name), so identical configs produce byte-identical outputs.  Exit codes:
 0 ok, 1 runtime warning (boundary argmax / tuning non-convergence /
 oracle mismatch), 2 configuration error, 3 runtime error (an unreadable
 input or output file, a numerically singular J_n, or a ValueError such as a
-trace with fewer than 2 complete tours or a band that is not finite).
+trace with fewer than 2 complete tours or a band whose batch deviations are
+not finite because the functional holds a NaN or infinite value).
 """
 
 from __future__ import annotations
@@ -155,6 +156,8 @@ class RunConfig:
 
     def grid(self, rect: HyperRect) -> np.ndarray:
         points = _numbers(self.get("hyper", "grid", default="21"), int, "[hyper] grid")
+        if min(points, default=0) < 1:
+            raise ConfigError(f"[hyper] grid: counts must be at least 1, got {points}")
         if len(points) == 1:
             points = points * rect.k
         return rect.grid(points)
@@ -168,7 +171,10 @@ class RunConfig:
 
     @property
     def M(self) -> int | None:
-        return self.number("inference", "M", int)
+        M = self.number("inference", "M", int)
+        if M is not None and M < 2:
+            raise ConfigError(f"[inference] M must be at least 2, got {M}")
+        return M
 
     @property
     def functional(self) -> str | None:
@@ -294,7 +300,8 @@ def cmd_argmax(cfg: RunConfig) -> int:
         method = "tour"
         n_boundary = None
     else:
-        M = M or max(2, int(np.ceil(np.sqrt(trace.n))))
+        if M is None:
+            M = max(2, int(np.ceil(np.sqrt(trace.n))))
         cov, n_boundary = batch_argmax_cov(trace, family, rect, M, h_n=res.h)
         # cov approximates n Var(h_n) = E(N1) v^2; fold into the R-scaled form
         J = tau = None
@@ -325,6 +332,9 @@ def cmd_band(cfg: RunConfig, replicate: int = 0) -> int:
     rect = cfg.rect()
     grid = cfg.grid(rect)
     g_name, alpha, M = cfg.functional, cfg.alpha, cfg.M
+    if replicate > 0 and (not isinstance(model, NormalHierModel) or g_name != "theta1"):
+        raise ConfigError("--replicate coverage needs the normal-hier model "
+                          "with functional theta1 (analytic truth)")
 
     def one_band(stream: str):
         trace = run_chain(model, cfg, stream)
@@ -338,9 +348,6 @@ def cmd_band(cfg: RunConfig, replicate: int = 0) -> int:
         band.to_json(extra={"config_sha256": cfg.sha256}))
 
     if replicate > 0:
-        if not isinstance(model, NormalHierModel) or g_name != "theta1":
-            raise ConfigError("--replicate coverage needs the normal-hier model "
-                              "with functional theta1 (analytic truth)")
         truth = np.array([model.oracle_I_theta1(h) for h in grid])
         hits = int(band.covers(truth))
         for r in range(1, replicate):

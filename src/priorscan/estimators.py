@@ -3,8 +3,9 @@
 ``B_n(h)`` is the average of the prior ratio ``f_h`` over the trace and
 estimates the marginal-likelihood ratio ``m_y(h)/m_y(h1)``; ``I_hat_g(h)`` is
 the ``f_h``-weighted average of a recorded functional.  Pointwise standard
-errors come from the delta method applied to iid tour sums; a batch-means
-alternative is provided for traces without regeneration marks.
+errors come from the delta method applied to iid tour sums, or to the sums
+of consecutive batches for traces without regeneration marks; the grid
+SEs and the band take their deviations from :func:`_deviations`.
 
 Every sum of ``f_h`` over draws is formed by one of two chunked passes over
 the trace: :func:`_grid_sums` for whole-trace weighted means of any columns,
@@ -134,12 +135,9 @@ def pointwise_se_B(tsums: TourSums) -> float:
     return float(np.sqrt(var / R) * np.exp(tsums.log_scale))
 
 
-def _influence_I(tsums: TourSums, g_name: str) -> tuple[np.ndarray, float]:
-    T = tsums.T[g_name]
-    S = tsums.S
-    I_hat = float(T.sum() / S.sum())
-    a = (T - I_hat * S) / S.mean()
-    return a, I_hat
+def _influence_I(tsums: TourSums, g_name: str) -> np.ndarray:
+    T, S = tsums.T[g_name], tsums.S
+    return (T - T.sum() / S.sum() * S) / S.mean()
 
 
 def pointwise_se_I(tsums: TourSums, g_name: str) -> float:
@@ -148,12 +146,7 @@ def pointwise_se_I(tsums: TourSums, g_name: str) -> float:
     The ratio T/S does not involve N directly, so the three-statistic delta
     method reduces to the two-statistic one; scale shifts cancel.
     """
-    R = tsums.R
-    if R < 2:
-        raise ValueError("need at least 2 complete tours")
-    a, _ = _influence_I(tsums, g_name)
-    var = float(a @ a) / (R - 1)
-    return float(np.sqrt(var / R))
+    return float(np.sqrt(cov_I_pair(tsums, tsums, g_name) / tsums.R))
 
 
 def cov_I_pair(tsums1: TourSums, tsums2: TourSums, g_name: str) -> float:
@@ -167,33 +160,30 @@ def cov_I_pair(tsums1: TourSums, tsums2: TourSums, g_name: str) -> float:
     R = tsums1.R
     if R < 2:
         raise ValueError("need at least 2 complete tours")
-    a, _ = _influence_I(tsums1, g_name)
-    b, _ = _influence_I(tsums2, g_name)
-    return float(a @ b) / (R - 1)
+    return float(_influence_I(tsums1, g_name) @ _influence_I(tsums2, g_name)) / (R - 1)
 
 
 # ------------------------------------------------------------------
-# batch-means alternative (no regeneration marks needed)
+# batch means (no regeneration marks needed)
 # ------------------------------------------------------------------
 
-def batch_values(trace: ChainTrace, family: ExpFamilyRatio, h, M: int,
-                 g_name: str | None = None) -> np.ndarray:
-    """Per-batch B_n (or I_hat_g when ``g_name`` given) over M consecutive
-    batches of floor(n/M) draws; the trailing remainder is dropped."""
-    _, n_used, starts = _segmentation(trace.n, None, M)
-    batches = TourIndex(boundaries=np.append(starts, n_used) + 1, n_eff=n_used)
-    ts = tour_sums(trace, batches, family, h, [] if g_name is None else [g_name],
+def batch_values(trace: ChainTrace, family: ExpFamilyRatio, h, M: int) -> np.ndarray:
+    """Per-batch B_n over M consecutive batches of floor(n/M) draws; the
+    trailing remainder is dropped."""
+    ts = tour_sums(trace, _segmentation(trace.n, None, M)[1], family, h, [],
                    with_derivs=False)
-    if g_name is None:
-        return ts.S * np.exp(ts.log_scale) / (n_used // M)
-    return ts.T[g_name] / ts.S
+    return ts.S / ts.N * np.exp(ts.log_scale)
 
 
 def batch_se(trace: ChainTrace, family: ExpFamilyRatio, h, M: int,
              g_name: str | None = None) -> float:
-    """Batch-means SE of B_n (or I_hat_g): sd of batch values over sqrt(M)."""
-    vals = batch_values(trace, family, h, M, g_name=g_name)
-    return float(vals.std(ddof=1) / np.sqrt(M))
+    """Batch-means SE of B_n (or I_hat_g): :func:`pointwise_se_B` (or
+    :func:`pointwise_se_I`) with the batches of :func:`batch_values` as tours.
+    Where M divides n it is the batch SE of :func:`grid_estimates` at h."""
+    names = [] if g_name is None else [g_name]
+    ts = tour_sums(trace, _segmentation(trace.n, None, M)[1], family, h, names,
+                   with_derivs=False)
+    return pointwise_se_B(ts) if g_name is None else pointwise_se_I(ts, g_name)
 
 
 # ------------------------------------------------------------------
@@ -317,40 +307,46 @@ def _segment_sums(family: ExpFamilyRatio, grid: np.ndarray, Tmat: np.ndarray,
     yield np.array([open_id]), carry[0][None], carry[1][None]
 
 
-def _deviations(family, grid, Tmat, shift, c, I, starts, g, w,
-                ratio: bool = False):
-    """Yield (ids, dB, dI): deviations from the full-trace values of the
-    segments of :func:`_segment_sums`; ``g`` is one (n, 1) column (or None),
-    ``I`` its (1, G) weighted mean and ``w`` the rows' run lengths.
+def _deviations(trace: ChainTrace, family: ExpFamilyRatio, grid: np.ndarray,
+                g_name: str | None, rows: int, segments: TourIndex):
+    """((shift, c, ess, I), deviations): :func:`_grid_sums` over the first
+    ``rows`` draws, and an iterator of (ids, dB, dI), the deviations of the
+    tours or batches ``segments`` from those values, in the order of
+    :func:`_segment_sums`.
 
-    With S_r, T_r the sums over segment r of f = f_h exp(-shift) and g f, and
-    N_r its length in draws: dB_r = (S_r - N_r c) / Nbar;
-    dI_r = (T_r - I S_r) / Sbar (delta method over tours, whose rows are
-    those ``c`` is the mean over), or with ``ratio`` the batch estimate
-    T_r / S_r - I; None without ``g``.
+    With S_r, T_r the sums over segment r of f = f_h exp(-shift) and g f, N_r
+    its length and n/R the mean, both in draws: dB_r = (S_r - N_r c) / (n/R)
+    and dI_r = (T_r - I S_r) / (c n/R) (None without ``g_name``), the
+    delta-method linearization of the self-normalized ratio (Owen 2013,
+    ch. 9) for tours and batches alike.
     """
-    n, R = w.sum(), starts.size
-    lengths = np.add.reduceat(w, starts)
-    for ids, S, XS in _segment_sums(family, grid, Tmat, shift, starts, g, w):
-        dB = (S - lengths[ids, None] * c) / (n / R)
-        if g is None:
-            yield ids, dB, None
-            continue
-        T = XS[:, 0]
-        yield ids, dB, T / S - I if ratio else (T - I * S) / (c * n / R)
+    g = None if g_name is None else trace.functional(g_name)[:rows, None]
+    # runs break at the segment starts and at n_eff, which ends the segments
+    Tmat, g, w, cuts = _runs(trace.Tmat[:rows], g, segments.boundaries - 1)
+    sums = shift, c, _, I = _grid_sums(family, grid, Tmat, g, w)
+    m, cuts = cuts[-1], cuts[:-1]
+    lengths, n, R = segments.lengths, segments.n_eff, segments.R
+
+    def deviations():
+        for ids, S, XS in _segment_sums(family, grid, Tmat[:m], shift, cuts, g, w[:m]):
+            dB = (S - lengths[ids, None] * c) / (n / R)
+            yield ids, dB, None if g is None else (XS[:, 0] - I * S) / (c * n / R)
+
+    return sums, deviations()
 
 
 def _segmentation(n: int, tours: TourIndex | None, M: int | None):
-    """(rows used, rows segmented, 0-based segment starts) for the tours, or
-    for M consecutive batches of floor(n/M) draws (default M = ceil(sqrt(n)))."""
+    """(rows used, segments): the tours and their n_eff rows, or all n rows
+    and M consecutive batches of floor(n/M) draws as a TourIndex (default
+    M = ceil(sqrt(n))), which leaves out the trailing n mod M draws."""
     if tours is not None:
-        return tours.n_eff, tours.n_eff, tours.starts0
+        return tours.n_eff, tours
     M = max(2, int(np.ceil(np.sqrt(n)))) if M is None else M
     if M < 2:
         raise ValueError("need at least 2 batches")
     if n < M:
         raise ValueError("more batches than draws")
-    return n, M * (n // M), np.arange(M) * (n // M)
+    return n, TourIndex(boundaries=np.arange(M + 1) * (n // M) + 1, n_eff=M * (n // M))
 
 
 def grid_estimates(trace: ChainTrace, family: ExpFamilyRatio, grid,
@@ -364,28 +360,24 @@ def grid_estimates(trace: ChainTrace, family: ExpFamilyRatio, grid,
     batch-means with ``M`` batches (default ceil(sqrt(n))).
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    n_eff, n_seg, starts = _segmentation(trace.n, tours, M)
-    if starts.size < 2:
+    n_eff, segments = _segmentation(trace.n, tours, M)
+    if segments.R < 2:
         raise ValueError("need at least 2 complete tours")
-    g = None if g_name is None else trace.functional(g_name)[:n_eff, None]
-    # runs break at the segment starts and at n_seg, which ends the segments
-    Tmat, g, w, cuts = _runs(trace.Tmat[:n_eff], g, np.append(starts, n_seg))
-    shift, c, ess_vals, I = _grid_sums(family, grid, Tmat, g, w)
+    (shift, c, ess_vals, I), deviations = _deviations(trace, family, grid, g_name,
+                                                      n_eff, segments)
     # sums of the deviations and of their squares, for B then for I; the
     # SEs center them at their mean over the R segments
     acc = np.zeros((4, grid.shape[0]))
-    m = cuts[-1]
-    for _, *devs in _deviations(family, grid, Tmat[:m], shift, c, I, cuts[:-1],
-                                g, w[:m], ratio=tours is None):
-        for k, d in enumerate(devs if g is not None else devs[:1]):
+    for _, *devs in deviations:
+        for k, d in enumerate(devs if g_name is not None else devs[:1]):
             acc[2 * k] += d.sum(axis=0)
             acc[2 * k + 1] += np.einsum("rj,rj->j", d, d)
-    R = starts.size
+    R = segments.R
     se = np.sqrt(np.maximum(acc[1::2] - acc[::2] ** 2 / R, 0.0) / (R - 1) / R)
     common = dict(grid=grid, ess=ess_vals, n=n_eff, R=None if tours is None else R,
                   se_method="batch" if tours is None else "tour")
     est = SurfaceEstimate(values=c * np.exp(shift), se=se[0] * np.exp(shift), **common)
-    if g is None:
+    if g_name is None:
         return est, None
     return est, FunctionalEstimate(values=I[0], se=se[1], g_name=g_name, **common)
 

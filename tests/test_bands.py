@@ -112,6 +112,16 @@ class TestStatistics:
         truth = np.array([toy_model.oracle_I_theta1(h) for h in grid])
         assert rep.covers(truth)
 
+    def test_whole_curve_coverage(self, toy_model, fam, toy_rect):
+        # 95% bands over the 11x11 grid from 100 iid runs of 20k draws each
+        # cover the whole oracle curve in >= 85% of runs; bands built from
+        # each batch's own ratio estimate covered 39 of these runs
+        grid = toy_rect.grid(11)
+        truth = np.array([toy_model.oracle_I_theta1(h) for h in grid])
+        hits = sum(global_band(toy_model.exact_trace(H1, n=20_000, seed=s), fam,
+                               "theta1", grid).covers(truth) for s in range(100))
+        assert hits >= 85
+
     def test_half_width_shrinks_with_n(self, toy_model, fam, toy_rect):
         grid = toy_rect.grid(5)
         widths = []
@@ -138,13 +148,11 @@ def test_wide_rectangle_flags_low_ess(toy_model):
     assert d["ess_min"] < 50.0
 
 
-def test_underflowing_batches_raise(toy_model):
-    """Batch curves whose f sums underflow to 0/0 make the band NaN; that is
-    an error, not a band."""
-    from priorscan.prior_family import HyperRect
+def test_non_finite_functional_raises(toy_model):
+    """A NaN functional value makes the center and every batch deviation NaN;
+    that is an error, not a band."""
     trace = toy_model.exact_trace(h1=H1, n=4000, seed=1)
-    trace.Tmat[:2000, 0] -= 3000.0
-    rect = HyperRect(lower=[-6.0, 0.05], upper=[6.0, 20.0])
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+    trace.g["theta1"][1234] = np.nan
+    with pytest.raises(ValueError, match="20 of 20 batch deviations are not finite"):
         global_band(trace, ExpFamilyRatio(toy_model.spec(), H1), "theta1",
-                    rect.grid(11), M=20)
+                    toy_model.rect.grid(5), M=20)

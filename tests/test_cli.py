@@ -225,24 +225,19 @@ class TestBand:
         assert d["ess_min"] > 0.0 and d["n_unreliable"] == 0
 
     def test_non_finite_band_is_a_runtime_error(self, tmp_path, capsys, monkeypatch):
-        # half the draws shifted far away: at every grid point one half's
-        # weights underflow to 0, so every batch curve is 0/0
+        # one NaN functional value makes every batch deviation NaN
         out = tmp_path / "out"
         cfg = _write(tmp_path, TOY_COMMON.format(out=out)
-                     .replace("rect_lower = -1, 0.5", "rect_lower = -6, 0.05")
-                     .replace("rect_upper = 1, 1.5", "rect_upper = 6, 20")
-                     .replace("grid = 3", "grid = 11")
                      + "\n[inference]\nfunctional = theta1\nM = 20\n")
         run_chain = cli.run_chain
 
-        def shifted(model, cfg, stream):
+        def with_nan(model, cfg, stream):
             trace = run_chain(model, cfg, stream)
-            trace.Tmat[:2000, 0] -= 3000.0
+            trace.g["theta1"][1234] = np.nan
             return trace
 
-        monkeypatch.setattr(cli, "run_chain", shifted)
-        with np.errstate(invalid="ignore"):
-            assert main(["band", cfg]) == EXIT_RUNTIME
+        monkeypatch.setattr(cli, "run_chain", with_nan)
+        assert main(["band", cfg]) == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert err.startswith("runtime error: ") and "not finite" in err
         assert not (out / "band.csv").exists()
@@ -260,6 +255,7 @@ class TestBand:
         out = tmp_path / "out"
         cfg = _write(tmp_path, TOY_COMMON.format(out=out))  # no functional
         assert main(["band", cfg, "--replicate", "3"]) == EXIT_CONFIG
+        assert not any(out.glob("*"))
 
 
 class TestSerialTempering:
@@ -392,8 +388,14 @@ class TestConfigErrors:
         ("band", "grid = 3", "grid = 3\n\n[inference]\nM = 2.5"),
         ("oracle-check", "grid = 3", "grid = x"),
         ("st-run", "grid = 3", "grid = 2.5"),
+        ("surface", "grid = 3", "grid = 0"),
+        ("band", "grid = 3", "grid = -2"),
+        ("band", "grid = 3", "grid = 3\n\n[inference]\nM = 0"),
+        ("band", "grid = 3", "grid = 3\n\n[inference]\nM = 1"),
+        ("argmax", "grid = 3", "grid = 3\n\n[inference]\nM = 0"),
     ], ids=["surface-grid", "surface-M", "argmax-alpha", "argmax-alpha-range",
-            "band-M", "oracle-check-grid", "st-run-grid"])
+            "band-M", "oracle-check-grid", "st-run-grid", "grid-zero",
+            "grid-negative", "band-M-zero", "band-M-one", "argmax-M-zero"])
     def test_checked_before_the_chain(self, tmp_path, capsys, monkeypatch,
                                       command, old, new):
         def no_chain(*args, **kw):

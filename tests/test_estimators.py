@@ -11,6 +11,7 @@ from priorscan.estimators import (
     estimate_B,
     estimate_I,
     functional_on_grid,
+    grid_estimates,
     pointwise_se_B,
     pointwise_se_I,
     surface_on_grid,
@@ -177,6 +178,16 @@ class TestBatchSE:
     def test_batch_count_validation(self, toy_trace, fam):
         with pytest.raises(ValueError):
             batch_values(toy_trace, fam, H1, M=1)
+
+    @pytest.mark.parametrize("M", [2, 100, 400])
+    def test_batch_se_is_the_grid_batch_se(self, toy_trace, fam, toy_rect, M):
+        # M divides n = 20000, so the grid's values and its batches cover the
+        # same draws; the two SEs come from separate passes
+        grid = toy_rect.grid(4)
+        est, fest = grid_estimates(toy_trace, fam, grid, "theta1", M=M)
+        for e, g_name in ((est, None), (fest, "theta1")):
+            se = [batch_se(toy_trace, fam, h, M=M, g_name=g_name) for h in grid]
+            np.testing.assert_allclose(se, e.se, rtol=1e-12)
 
 
 # ------------------------------------------------------------------

@@ -32,49 +32,51 @@ RTOL = 1e-10
 # ------------------------------------------------------------------
 
 def dense_estimates(fam, grid, Tmat, g, tours=None, M=None):
-    """(B, se_B, I, se_I, ess) from the full (n, G) matrix of f."""
+    """(B, se_B, I, se_I, ess) from the full (n, G) matrix of f; the SEs are
+    the sd of the linearized deviations of the tours, or of M batches of
+    floor(n/M) draws, over sqrt(R)."""
     n = tours.n_eff if tours is not None else Tmat.shape[0]
     logf = fam.log_f_many(grid, Tmat[:n])
     g = g[:n]
     shift = logf.max(axis=0)
     f = np.exp(logf - shift)
-    sums = f.sum(axis=0)
-    B = sums / n * np.exp(shift)
-    I = (g @ f) / sums
-    ess = sums ** 2 / np.einsum("ij,ij->j", f, f)
+    c = f.mean(axis=0)
+    B = c * np.exp(shift)
+    I = (g @ f) / f.sum(axis=0)
+    ess = f.sum(axis=0) ** 2 / np.einsum("ij,ij->j", f, f)
     if tours is not None:
-        N = tours.lengths.astype(float)
-        S = np.add.reduceat(f, tours.starts0, axis=0)
-        T = np.add.reduceat(g[:, None] * f, tours.starts0, axis=0)
-        R = tours.R
-        a = (S - np.outer(N / N.mean(), S.mean(axis=0))) / N.mean()
-        se_B = np.sqrt(np.einsum("rj,rj->j", a, a) / (R - 1) / R) * np.exp(shift)
-        a = (T - I * S) / S.mean(axis=0)
-        se_I = np.sqrt(np.einsum("rj,rj->j", a, a) / (R - 1) / R)
-        return B, se_B, I, se_I, ess
-    L = n // M
-    fb = f[:M * L].reshape(M, L, -1)
-    se_B = fb.mean(axis=1).std(axis=0, ddof=1) / np.sqrt(M) * np.exp(shift)
-    Ib = np.einsum("ml,mlj->mj", g[:M * L].reshape(M, L), fb) / fb.sum(axis=1)
-    se_I = Ib.std(axis=0, ddof=1) / np.sqrt(M)
+        starts, n_seg = tours.starts0, n
+    else:
+        starts, n_seg = np.arange(M) * (n // M), M * (n // M)
+    R = starts.size
+    N = np.diff(np.append(starts, n_seg))[:, None]
+    S = np.add.reduceat(f[:n_seg], starts, axis=0)
+    T = np.add.reduceat(g[:n_seg, None] * f[:n_seg], starts, axis=0)
+    dB = (S - N * c) / (n_seg / R)
+    dI = (T - I * S) / (c * n_seg / R)
+    se_B = dB.std(axis=0, ddof=1) / np.sqrt(R) * np.exp(shift)
+    se_I = dI.std(axis=0, ddof=1) / np.sqrt(R)
     return B, se_B, I, se_I, ess
 
 
 def dense_band(fam, grid, Tmat, g, M, alpha):
-    """(center, sup_stats, half_width) for B (g None) or I_g."""
+    """(center, sup_stats, half_width) for B (g None) or I_g, from the
+    linearized deviations of M batches of L = floor(n/M) draws."""
     L = Tmat.shape[0] // M
     n = M * L
     logf = fam.log_f_many(grid, Tmat[:n])
     shift = logf.max(axis=0)
     f = np.exp(logf - shift)
-    fb = f.reshape(M, L, -1)
+    c = f.mean(axis=0)
+    S = f.reshape(M, L, -1).sum(axis=1)
     if g is None:
-        center = f.mean(axis=0) * np.exp(shift)
-        batch = fb.mean(axis=1) * np.exp(shift)
+        center = c * np.exp(shift)
+        dev = (S / L - c) * np.exp(shift)
     else:
         center = (g[:n] @ f) / f.sum(axis=0)
-        batch = np.einsum("ml,mlj->mj", g[:n].reshape(M, L), fb) / fb.sum(axis=1)
-    sup = np.sqrt(L) * np.abs(batch - center).max(axis=1)
+        T = np.einsum("ml,mlj->mj", g[:n].reshape(M, L), f.reshape(M, L, -1))
+        dev = (T - center * S) / (c * L)
+    sup = np.sqrt(L) * np.abs(dev).max(axis=1)
     half = np.sort(sup)[int(np.ceil((1 - alpha) * M)) - 1] / np.sqrt(n)
     return center, sup, half
 
