@@ -4,10 +4,10 @@ The maximizer ``h_n`` of the estimated surface targets the maximizer of the
 marginal likelihood.  It is found by a coarse grid pass, then projected
 Newton on the rectangle: the gradient and Hessian of log B_n follow from the
 f_h-weighted mean and covariance of T, so each iteration is one pass over
-the draws.  With regenerative tours, the sandwich variance
-``v_n^2 = J_n^{-1} tau_n^2 J_n^{-1}`` yields an asymptotic confidence ellipse
-scaled by the tour count R; without regeneration marks, a batch-means
-covariance plays the same role.
+the draws.  The sandwich variance ``v_n^2 = J_n^{-1} tau_n^2 J_n^{-1}``, with
+tau_n^2 the covariance of the gradient sums over the R regenerative tours
+or, without regeneration marks, over R consecutive batches (batch means),
+yields an asymptotic confidence ellipse scaled by R.
 """
 
 from __future__ import annotations
@@ -249,6 +249,9 @@ def batch_argmax_cov(trace: ChainTrace, family, rect: HyperRect,
 
     Returns (cov, boundary_count): per-batch argmaxes over M consecutive
     batches; cov = (1/M) sum_m (n/M) (h^[m] - h_n)(h^[m] - h_n)^T.
+
+    No command uses it (the argmax takes the sandwich over batches); it stays
+    because the benchmark's in-process run, ``perfbench/traced.py``, imports it.
     """
     if M < 2:
         raise ValueError("need at least 2 batches")

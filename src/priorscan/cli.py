@@ -6,9 +6,10 @@ all randomness flows from per-stream generators derived from (seed, stream
 name), so identical configs produce byte-identical outputs.  Exit codes:
 0 ok, 1 runtime warning (boundary argmax / tuning non-convergence /
 oracle mismatch), 2 configuration error, 3 runtime error (an unreadable
-input or output file, a numerically singular J_n, or a ValueError such as a
-trace with fewer than 2 complete tours or a band whose batch deviations are
-not finite because the functional holds a NaN or infinite value).
+input or output file, a numerically singular J_n of the argmax's sandwich
+over tours or, without regeneration marks, batches, or a ValueError such as
+a trace with fewer than 2 complete tours or a band whose batch deviations
+are not finite because the functional holds a NaN or infinite value).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 from priorscan.argmax_inference import (
     ArgmaxReport,
     _slice_trace,
-    batch_argmax_cov,
     confidence_ellipse,
     hessian_Jn,
     maximize_surface,
@@ -35,7 +35,8 @@ from priorscan.argmax_inference import (
 )
 from priorscan.band_inference import global_band
 from priorscan.chain_runtime import ChainTrace, save_trace, segment_tours, tour_sums
-from priorscan.estimators import ESS_UNRELIABLE, grid_estimates, surface_on_grid
+from priorscan.estimators import (ESS_UNRELIABLE, _segmentation, grid_estimates,
+                                  surface_on_grid)
 from priorscan.models.lda import LDAModel, load_corpus, save_corpus, synth_corpus
 from priorscan.models.normal_hier import NormalHierModel
 from priorscan.models.varsel import VSModel, synth_regression
@@ -86,6 +87,13 @@ def _numbers(text: str, kind=float, what: str = "value") -> list:
 
 def _floats(text: str) -> np.ndarray:
     return np.array(_numbers(text), dtype=float)
+
+
+def _per_axis(counts: list, k: int, what: str) -> list:
+    """k counts, each at least 1, from one count for every axis or k of them."""
+    if min(counts, default=0) < 1 or len(counts) not in (1, k):
+        raise ConfigError(f"{what}: expected 1 or {k} counts of at least 1, got {counts}")
+    return counts * k if len(counts) == 1 else counts
 
 
 class RunConfig:
@@ -156,11 +164,7 @@ class RunConfig:
 
     def grid(self, rect: HyperRect) -> np.ndarray:
         points = _numbers(self.get("hyper", "grid", default="21"), int, "[hyper] grid")
-        if min(points, default=0) < 1:
-            raise ConfigError(f"[hyper] grid: counts must be at least 1, got {points}")
-        if len(points) == 1:
-            points = points * rect.k
-        return rect.grid(points)
+        return rect.grid(_per_axis(points, rect.k, "[hyper] grid"))
 
     @property
     def alpha(self) -> float:
@@ -284,39 +288,24 @@ def cmd_argmax(cfg: RunConfig) -> int:
     trace = run_chain(model, cfg, "argmax")
     family = ExpFamilyRatio(model.spec(), cfg.h1())
     tours = trace_tours(trace)
-    # over the complete tours' rows, which the sandwich at h_n uses
-    res = maximize_surface(trace if tours is None else
-                           _slice_trace(trace, 0, tours.n_eff), family, rect)
+    segments = _segmentation(trace.n, tours, M)[1]
+    n_eff, R = segments.n_eff, segments.R
+    # over the complete tours' or batches' rows, which the sandwich at h_n uses
+    res = maximize_surface(_slice_trace(trace, 0, n_eff), family, rect)
     if res.ess < ESS_UNRELIABLE:
         print(f"warning: weight ESS {res.ess:.3g} at h_n is below "
               f"{ESS_UNRELIABLE:g}", file=sys.stderr)
-    if tours is not None:
-        tsums = tour_sums(trace, tours, family, res.h)
-        J = hessian_Jn(tsums)
-        tau = tau_n_sq(tsums)
-        v = v_n_sq(J, tau)
-        R = tours.R
-        n_eff = tours.n_eff
-        method = "tour"
-        n_boundary = None
-    else:
-        if M is None:
-            M = max(2, int(np.ceil(np.sqrt(trace.n))))
-        cov, n_boundary = batch_argmax_cov(trace, family, rect, M, h_n=res.h)
-        # cov approximates n Var(h_n) = E(N1) v^2; fold into the R-scaled form
-        J = tau = None
-        n_eff = trace.n
-        R = n_eff  # with E_N1_hat = 1 the ellipse scaling R/v^2 = n/cov
-        v = cov
-        method = "batch"
+    tsums = tour_sums(trace, segments, family, res.h)
+    J, tau = hessian_Jn(tsums), tau_n_sq(tsums)
+    v = v_n_sq(J, tau)
     ellipse = confidence_ellipse(res.h, v, R, alpha)
     report = ArgmaxReport(
         h_n=res.h, J_n=J, tau_n_sq=tau, v_n_sq=v, R=R, n=n_eff,
         E_N1_hat=n_eff / R, alpha=alpha, chi2_threshold=ellipse.threshold,
-        boundary_flag=res.boundary, ellipse=ellipse, method=method)
+        boundary_flag=res.boundary, ellipse=ellipse,
+        method="batch" if tours is None else "tour")
     (cfg.out_dir / "argmax.json").write_text(report.to_json(extra={
         "multistart_consistent": res.multistart_consistent,
-        "batch_boundary_count": n_boundary,
         "ess_h_n": res.ess,
         "optimizer": res.optimizer,
         "config_sha256": cfg.sha256,
@@ -367,13 +356,19 @@ def _st_pieces(cfg: RunConfig, model):
     if spec_txt.startswith("lattice:"):
         shape = [_number(v, int, "[st] anchors")
                  for v in spec_txt.split(":", 1)[1].split("x")]
-        anchors = lattice_anchors(rect, shape if len(shape) > 1 else shape[0])
+        anchors = lattice_anchors(rect, _per_axis(shape, rect.k, "[st] anchors"))
     else:
-        anchors = np.array([_floats(row) for row in spec_txt.split(";")])
+        rows = [_floats(row) for row in spec_txt.split(";")]
+        if any(row.size != rect.k for row in rows):
+            raise ConfigError(f"[st] anchors: each anchor needs {rect.k} coordinates")
+        anchors = np.array(rows)
     zeta_txt = cfg.get("st", "zetas")
     zetas = (_floats(zeta_txt) if zeta_txt is not None
              else np.ones(anchors.shape[0]))
-    grid = STGrid(anchors=anchors, zetas=zetas)
+    try:
+        grid = STGrid(anchors=anchors, zetas=zetas)
+    except ValueError as exc:       # a zeta count or sign from the config
+        raise ConfigError(f"[st] zetas: {exc}") from exc
     if isinstance(model, (NormalHierModel, LDAModel)):
         st_model = model.st_model(anchors)
     else:

@@ -10,7 +10,9 @@ import pytest
 from priorscan import cli
 from priorscan.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main, stream_rng,
                            write_csv)
-from priorscan.estimators import SurfaceEstimate
+from priorscan.argmax_inference import hessian_Jn, tau_n_sq, v_n_sq
+from priorscan.chain_runtime import tour_sums
+from priorscan.estimators import SurfaceEstimate, _segmentation
 
 TOY_COMMON = """\
 [run]
@@ -127,7 +129,6 @@ class TestArgmax:
         assert not d["boundary_flag"]
         assert np.linalg.norm(np.array(d["h_n"]) - [0.0, 1.0]) < 0.3
         assert d["multistart_consistent"] is True
-        assert d["batch_boundary_count"] is None
         assert 50.0 <= d["ess_h_n"] <= d["n"]
         assert d["optimizer"]["starts"] == 9
         assert d["optimizer"]["moment_passes"] >= d["optimizer"]["newton_iters"] >= 9
@@ -202,11 +203,19 @@ M = 10
         assert main(["argmax", cfg]) in (EXIT_OK, 1)
         d = json.loads((out / "argmax.json").read_text())
         assert d["method"] == "batch"
-        assert d["J_n"] is None
         assert isinstance(d["multistart_consistent"], bool)
-        assert 0 <= d["batch_boundary_count"] <= 10
         assert 1.0 <= d["ess_h_n"] <= 400
         assert set(d["optimizer"]) == {"starts", "newton_iters", "moment_passes"}
+        # the sandwich over the M = 10 batches of 40 draws, as on the tour path
+        assert np.asarray(d["J_n"]).shape == np.asarray(d["tau_n_sq"]).shape == (2, 2)
+        assert (d["R"], d["n"], d["E_N1_hat"]) == (10, 400, 40)
+        run = cli.RunConfig(cfg)
+        model = cli.build_model(run)
+        trace = cli.run_chain(model, run, "argmax")
+        ts = tour_sums(trace, _segmentation(400, None, 10)[1],
+                       cli.ExpFamilyRatio(model.spec(), run.h1()), d["h_n"])
+        v = v_n_sq(hessian_Jn(ts), tau_n_sq(ts))
+        assert np.allclose(d["v_n_sq"], v, rtol=1e-12, atol=0.0)
 
 
 class TestBand:
@@ -393,9 +402,14 @@ class TestConfigErrors:
         ("band", "grid = 3", "grid = 3\n\n[inference]\nM = 0"),
         ("band", "grid = 3", "grid = 3\n\n[inference]\nM = 1"),
         ("argmax", "grid = 3", "grid = 3\n\n[inference]\nM = 0"),
+        ("surface", "grid = 3", "grid = 3, 4, 5"),
+        ("st-run", "grid = 3", "grid = 3\n\n[st]\nanchors = lattice:3x3x3"),
+        ("st-tune", "grid = 3", "grid = 3\n\n[st]\nanchors = lattice:2x2\nzetas = 1, 1, 1"),
+        ("st-run", "grid = 3", "grid = 3\n\n[st]\nanchors = 0, 1; 0.5"),
     ], ids=["surface-grid", "surface-M", "argmax-alpha", "argmax-alpha-range",
             "band-M", "oracle-check-grid", "st-run-grid", "grid-zero",
-            "grid-negative", "band-M-zero", "band-M-one", "argmax-M-zero"])
+            "grid-negative", "band-M-zero", "band-M-one", "argmax-M-zero",
+            "grid-count-list", "st-lattice-dims", "st-zetas-count", "st-anchor-dims"])
     def test_checked_before_the_chain(self, tmp_path, capsys, monkeypatch,
                                       command, old, new):
         def no_chain(*args, **kw):
@@ -403,6 +417,7 @@ class TestConfigErrors:
 
         monkeypatch.setattr(cli, "run_chain", no_chain)
         monkeypatch.setattr(cli, "run_st", no_chain)
+        monkeypatch.setattr(cli, "tune_zeta", no_chain)
         cfg = _write(tmp_path, TOY_COMMON.format(out=tmp_path).replace(old, new))
         assert main([command, cfg]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
