@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from priorscan.chain_runtime import ChainTrace, TourSums
-from priorscan.estimators import _grid_sums, _runs
+from priorscan.estimators import _grid_sums, _moment_columns, _runs
 from priorscan.prior_family import HyperRect
 
 __all__ = [
@@ -55,31 +55,22 @@ class MaxResult:
 MAX_NEWTON_ITERS = 100
 
 
-def _moment_columns(Tmat: np.ndarray) -> np.ndarray:
-    """Per-draw columns T - T0 and (T - T0)(T - T0)^T, flattened, T0 the first
-    draw, so that the covariance is not a difference of large numbers."""
-    D = Tmat - Tmat[0]
-    return np.hstack([D, (D[:, :, None] * D[:, None, :]).reshape(D.shape[0], -1)])
-
-
 def log_B_derivs(family, h, Tmat, X=None, w=None):
     """(log B_n, gradient, Hessian, weight ESS) at ``h`` from one
     :func:`_grid_sums` pass over the :func:`_moment_columns` ``X`` of Tmat
-    (built here unless given; a search builds them once), row i weighted by
-    ``w[i]`` draws (a search passes its run lengths; unit weights without).
+    about Tmat[0] (built here unless given; a search builds them once), row
+    i weighted by ``w[i]`` draws (a search passes its run lengths).
 
     log B_n(h) = K_n(omega_h - omega_1) - (A_h - A_1), K_n the empirical CGF
-    of T, so grad = J^T E_w[T] - grad A and, with J the Jacobian of omega,
-    hess = J^T Cov_w[T] J + sum_s E_w[T_s] hess omega_s - hess A."""
-    spec, h, d = family.spec, np.asarray(h, dtype=float), Tmat.shape[1]
-    X = _moment_columns(Tmat) if X is None else X
+    of T, so its gradient and Hessian are ``family.score_sums`` at the
+    weighted mean (S = 1, m1 = 0, m2 = Cov_w[T]), minus grad grad^T."""
+    h, d = np.asarray(h, dtype=float), Tmat.shape[1]
+    X = _moment_columns(Tmat, Tmat[0]) if X is None else X
     shift, c, ess, m = _grid_sums(family, h[None, :], Tmat, X, w)
-    mean = m[:d, 0] + Tmat[0]
     cov = m[d:, 0].reshape(d, d) - np.outer(m[:d, 0], m[:d, 0])
-    J = spec.jac(h)
-    hess = J.T @ cov @ J + np.tensordot(mean, spec.hess_canon(h), 1) - spec.hess_A(h)
-    return (shift[0] + np.log(c[0]), mean @ J - spec.grad_A(h),
-            0.5 * (hess + hess.T), ess[0])
+    grad, hess = family.score_sums(h, m[:d, 0] + Tmat[0], 1.0, np.zeros(d), cov)
+    hess = hess - np.outer(grad, grad)
+    return shift[0] + np.log(c[0]), grad, 0.5 * (hess + hess.T), ess[0]
 
 
 def _newton(family, Tmat, X, w, rect: HyperRect, h, tol: float):
@@ -132,7 +123,7 @@ def maximize_surface(trace: ChainTrace, family, rect: HyperRect, *,
     shift, c, _, _ = _grid_sums(family, grid, Tmat, w=w)
     starts = [grid[int(np.argmax(shift + np.log(c)))]]   # lowest index on ties
     starts += list(rect.sample(np.random.default_rng(seed), multi_starts))
-    X = _moment_columns(Tmat)
+    X = _moment_columns(Tmat, Tmat[0])
     consistent, iters, passes = True, 0, 0
     for i, x0 in enumerate(starts):
         h, v, ess, n_it, n_pass = _newton(family, Tmat, X, w, rect, x0, tol)
@@ -182,12 +173,14 @@ def tau_n_sq(tsums: TourSums) -> np.ndarray:
 
 def v_n_sq(J_n: np.ndarray, tau_sq: np.ndarray,
            cond_limit: float = 1e12) -> np.ndarray:
-    """Sandwich J_n^{-1} tau_n^2 J_n^{-1}; symmetric PSD by construction."""
-    cond = np.linalg.cond(J_n)
-    if not np.isfinite(cond) or cond > cond_limit:
+    """Sandwich J_n^{-1} tau_n^2 J_n^{-1}, symmetric PSD by construction; one
+    eigendecomposition of the symmetric J_n gives its condition and inverse."""
+    lam, Q = np.linalg.eigh(J_n)
+    cond = np.abs(lam).max() / np.abs(lam).min() if np.abs(lam).min() > 0 else np.inf
+    if not cond <= cond_limit:                        # also a NaN eigenvalue
         raise np.linalg.LinAlgError(
             f"J_n numerically singular (condition number {cond:.3g})")
-    Jinv = np.linalg.inv(J_n)
+    Jinv = (Q / lam) @ Q.T
     v = Jinv @ tau_sq @ Jinv.T
     return 0.5 * (v + v.T)
 

@@ -350,30 +350,26 @@ def tour_sums(trace: ChainTrace, tours: TourIndex, family: ExpFamilyRatio, h,
 
     The grid passes of :mod:`priorscan.estimators` at the one-point grid
     ``h`` give the shift recorded in ``log_scale`` (see :class:`TourSums`) and
-    the per-tour sums of f, of g f and of f times the columns u = grad log f
-    and u u^T + hess log f, all over the runs of equal rows of the trace
-    (broken at the tour starts) weighted by their lengths.
+    the per-tour sums of f, of g f and, with derivatives, of f D and f D D^T
+    (D = T - T0, T0 the first row), all over the runs of equal rows of the
+    trace (broken at the tour starts) weighted by their lengths;
+    ``family.score_sums`` turns the last two into gradS and hessS.
     """
     from priorscan.estimators import _grid_sums, _runs, _segment_sums  # imports this module
 
     h = np.asarray(h, dtype=float)
     names = trace.functional_names if functionals is None else list(functionals)
-    k = h.size
     g = [trace.functional(name)[:tours.n_eff, None] for name in names]
     Tmat, G, w, starts = _runs(trace.Tmat[:tours.n_eff], np.hstack(g) if g else None,
                                tours.starts0)
-    cols = [G] if g else []
-    if with_derivs:
-        u = family.grad_log_f(h, Tmat)                                   # (runs, k)
-        uu = u[:, :, None] * u[:, None, :] + family.hess_log_f(h, Tmat)  # (runs, k, k)
-        cols += [u, uu.reshape(-1, k * k)]
+    T0 = Tmat[0] if with_derivs else None
     shift = _grid_sums(family, h[None, :], Tmat, w=w)[0]
-    _, S, XS = zip(*_segment_sums(family, h[None, :], Tmat, shift, starts,
-                                  np.hstack(cols) if cols else None, w))
-    x = np.concatenate(XS)[:, :, 0]
-    m = len(names)
-    return TourSums(h=h, N=tours.lengths.astype(float), S=np.concatenate(S)[:, 0],
+    _, S, XS = zip(*_segment_sums(family, h[None, :], Tmat, shift, starts, G, w, T0))
+    S, x = np.concatenate(S)[:, 0], np.concatenate(XS)[:, :, 0]
+    del XS                            # the per-segment blocks, before the sums below
+    m, d = len(names), Tmat.shape[1]
+    gradS, hessS = (family.score_sums(h, T0, S, x[:, m:m + d], x[:, m + d:].reshape(-1, d, d))
+                    if with_derivs else (None, None))
+    return TourSums(h=h, N=tours.lengths.astype(float), S=S,
                     T={name: x[:, j] for j, name in enumerate(names)},
-                    gradS=x[:, m:m + k] if with_derivs else None,
-                    hessS=x[:, m + k:].reshape(-1, k, k) if with_derivs else None,
-                    log_scale=float(shift[0]))
+                    gradS=gradS, hessS=hessS, log_scale=float(shift[0]))

@@ -295,7 +295,7 @@ def cmd_argmax(cfg: RunConfig) -> int:
     if res.ess < ESS_UNRELIABLE:
         print(f"warning: weight ESS {res.ess:.3g} at h_n is below "
               f"{ESS_UNRELIABLE:g}", file=sys.stderr)
-    tsums = tour_sums(trace, segments, family, res.h)
+    tsums = tour_sums(trace, segments, family, res.h, [])
     J, tau = hessian_Jn(tsums), tau_n_sq(tsums)
     v = v_n_sq(J, tau)
     ellipse = confidence_ellipse(res.h, v, R, alpha)

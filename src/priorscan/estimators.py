@@ -271,24 +271,33 @@ def _grid_sums(family: ExpFamilyRatio, grid: np.ndarray, Tmat: np.ndarray,
             None if X is None else xf_sum / f_sum)
 
 
+def _moment_columns(Tmat: np.ndarray, T0: np.ndarray) -> np.ndarray:
+    """(rows, d + d^2) columns D = T - T0 and D D^T: about a draw, moments do not cancel."""
+    D = Tmat - T0
+    return np.hstack([D, (D[:, :, None] * D[:, None, :]).reshape(D.shape[0], -1)])
+
+
 def _segment_sums(family: ExpFamilyRatio, grid: np.ndarray, Tmat: np.ndarray,
                   shift: np.ndarray, starts: np.ndarray, X: np.ndarray | None,
-                  w: np.ndarray):
+                  w: np.ndarray, T0: np.ndarray | None = None):
     """Yield (ids, S, XS) in segment order: the sums over the segments ``ids``
     of rows beginning at ``starts`` (the last ends with Tmat), S of f w, f =
     f_h exp(-shift) and ``w`` the rows' run lengths, shape (ids.size, G), and
-    XS of the (n, p) columns ``X`` (p = 0 without) times f w, shape
-    (ids.size, p, G).  The segment open at a chunk's end is carried into the
-    next chunk."""
+    XS of the (n, p) columns ``X`` (p = 0 without), and with ``T0`` of the
+    :func:`_moment_columns` about it formed per chunk, times f w, shape
+    (ids.size, p, G).  The segment open at a chunk's end is carried on."""
     X = np.empty((Tmat.shape[0], 0)) if X is None else X
+    d = 0 if T0 is None else Tmat.shape[1]
     open_id, carry = 0, (0.0, 0.0)
-    # the chunk holds f w and X f w: (1 + p) blocks
-    for a, logf in _log_f_chunks(family, grid, Tmat, 1 + X.shape[1]):
+    # the chunk holds f w and X f w: (1 + p) blocks, p with the moment columns
+    for a, logf in _log_f_chunks(family, grid, Tmat, 1 + X.shape[1] + d + d * d):
         rows = logf.shape[0]
         f = np.exp(np.subtract(logf, shift, out=logf), out=logf)
         S = np.multiply(f, w[a:a + rows, None], out=f)
-        XS = X[a:a + rows, :, None] * S[:, None]
-        del logf, f
+        Xa = (X[a:a + rows] if T0 is None
+              else np.hstack([X[a:a + rows], _moment_columns(Tmat[a:a + rows], T0)]))
+        XS = Xa[:, :, None] * S[:, None]
+        del logf, f, Xa
         first = int(np.searchsorted(starts, a, side="right")) - 1
         if first != open_id:                  # the carried segment ended at a
             yield np.array([open_id]), carry[0][None], carry[1][None]

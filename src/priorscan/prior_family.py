@@ -293,6 +293,18 @@ class ExpFamilyRatio:
         hc = self.spec.hess_canon(h)          # (stat_dim, k, k)
         return np.tensordot(Tmat, hc, axes=(1, 0)) - self.spec.hess_A(h)[None, :, :]
 
+    def score_sums(self, h, T0, S, m1, m2):
+        """(sum f u, sum f (u u^T + hess log f)), u = grad log f_h, from S = sum f,
+        m1 = sum f D, m2 = sum f D D^T (D = T - T0) over any leading axes: with
+        J = d omega/dh, a = m1 J and b = T0 J - grad A, a + S b and J^T m2 J
+        + a b^T + b a^T + S (b b^T - hess A) + sum_s (m1 + S T0)_s hess omega_s."""
+        spec, J, S = self.spec, self.spec.jac(h), np.asarray(S, dtype=float)
+        a, b = m1 @ J, T0 @ J - spec.grad_A(h)
+        hess = (J.T @ m2 @ J + a[..., :, None] * b + b[:, None] * a[..., None, :]
+                + S[..., None, None] * (np.outer(b, b) - spec.hess_A(h))
+                + np.tensordot(m1 + S[..., None] * T0, spec.hess_canon(h), 1))
+        return a + S[..., None] * b, hess
+
 
 # ------------------------------------------------------------------
 # per-draw ratio operations (the spec-level API)

@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from priorscan import argmax_inference, estimators
-from priorscan.argmax_inference import _moment_columns, log_B_derivs, maximize_surface
+from priorscan.argmax_inference import log_B_derivs, maximize_surface
 from priorscan.band_inference import global_band
 from priorscan.chain_runtime import ChainTrace, segment_tours, tour_sums
-from priorscan.estimators import (_grid_sums, _runs, _segment_sums, functional_on_grid,
-                                  grid_estimates, surface_on_grid)
+from priorscan.estimators import (_grid_sums, _moment_columns, _runs, _segment_sums,
+                                  _segmentation, functional_on_grid, grid_estimates,
+                                  surface_on_grid)
 from priorscan.prior_family import ExpFamilyRatio
 
 H1 = [0.0, 1.0]
@@ -320,7 +321,7 @@ def test_repeated_rows_match_dense(toy_trace, toy_rect, fam, k, offset, reps, ch
     names = ["theta1"] if functionals else []
     T, _, w, _ = _runs(Tmat)
     with mock.patch.object(estimators, "CHUNK_FLOATS", rows):
-        derivs_h = log_B_derivs(fam, h, T, _moment_columns(T), w)
+        derivs_h = log_B_derivs(fam, h, T, _moment_columns(T, T[0]), w)
         ts = None if tours is None else tour_sums(trace, tours, fam, h, names, derivs)
     ref = dense_log_B_derivs(fam, h, Tmat)
     _close(derivs_h[0], ref[0])
@@ -387,6 +388,24 @@ def test_memory_bounded_by_chunk(toy_model, toy_rect, fam):
     finally:
         tracemalloc.stop()
     assert peak_mb < 64.0
+
+
+@pytest.mark.parametrize("segments, bound_mb", [("batches", 16.0), ("unit-tours", 42.0)])
+def test_tour_sums_memory(toy_model, fam, segments, bound_mb):
+    """The derivative sums come from per-segment moments of T formed chunk by
+    chunk, so beside the run-length collapse and the per-segment sums
+    tour_sums holds no per-draw derivative column: over 448 batches of
+    n = 200k exact draws those columns alone would take 11 MB."""
+    trace = toy_model.exact_trace(h1=H1, n=200_000, seed=5)
+    seg = (_segmentation(trace.n, None, None)[1] if segments == "batches"
+           else segment_tours(trace))
+    tracemalloc.start()
+    try:
+        tour_sums(trace, seg, fam, [0.2, 1.3], with_derivs=True)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < bound_mb
 
 
 @pytest.mark.parametrize("columns", [False, True])
