@@ -1,6 +1,7 @@
 """Command-line orchestration: config parsing, seeding, and CSV/JSON emission.
 
-Commands: surface, argmax, band, st-tune, st-run, synth, oracle-check.
+Commands: surface, argmax, band, st-tune, st-run, synth, oracle-check; an
+[st] section puts every command's chain on serial tempering (see run_chain).
 Configuration is a plain key=value file with sections (stdlib configparser);
 all randomness flows from per-stream generators derived from (seed, stream
 name), so identical configs produce byte-identical outputs.  Exit codes:
@@ -40,7 +41,7 @@ from priorscan.estimators import (ESS_UNRELIABLE, _segmentation, grid_estimates,
 from priorscan.models.lda import LDAModel, load_corpus, save_corpus, synth_corpus
 from priorscan.models.normal_hier import NormalHierModel
 from priorscan.models.varsel import VSModel, synth_regression
-from priorscan.prior_family import ExpFamilyRatio, HyperRect
+from priorscan.prior_family import ExpFamilyRatio, HyperRect, logsumexp
 from priorscan.serial_tempering import (
     MixtureRatio,
     STGrid,
@@ -125,6 +126,13 @@ class RunConfig:
         text = self.get(section, key, default=default, required=required)
         return None if text is None else _number(text, kind, f"[{section}] {key}")
 
+    def count(self, section: str, key: str, least: int = 1, default=None):
+        """The key's int value, which must be at least ``least``; None if absent."""
+        value = self.number(section, key, int, default=default)
+        if value is not None and value < least:
+            raise ConfigError(f"[{section}] {key} must be at least {least}, got {value}")
+        return value
+
     # -- common blocks ----------------------------------------------------
     @property
     def model_id(self) -> str:
@@ -142,14 +150,10 @@ class RunConfig:
         return p
 
     def chain_target(self) -> dict:
-        n = self.number("run", "n", int)
-        R = self.number("run", "R", int)
+        n, R = self.count("run", "n"), self.count("run", "R")
         if (n is None) == (R is None):
             raise ConfigError("set exactly one of [run] n and [run] R")
-        key, value = ("n", n) if n is not None else ("R", R)
-        if value < 1:
-            raise ConfigError(f"[run] {key} must be at least 1, got {value}")
-        return {key: value}
+        return {"n": n} if n is not None else {"R": R}
 
     def rect(self) -> HyperRect:
         lo = _floats(self.get("hyper", "rect_lower", required=True))
@@ -175,10 +179,7 @@ class RunConfig:
 
     @property
     def M(self) -> int | None:
-        M = self.number("inference", "M", int)
-        if M is not None and M < 2:
-            raise ConfigError(f"[inference] M must be at least 2, got {M}")
-        return M
+        return self.count("inference", "M", least=2)
 
     @property
     def functional(self) -> str | None:
@@ -190,38 +191,86 @@ class RunConfig:
 # ------------------------------------------------------------------
 
 def build_model(cfg: RunConfig):
+    """The config's model.  Every command builds it first, so an [st] section
+    is checked against it here, before any chain runs."""
     mid = cfg.model_id
     rect = cfg.rect()
     if mid == "normal-hier":
         y = _floats(cfg.get("model", "y", required=True))
         sigma0 = cfg.number("model", "sigma0", default=1.0)
-        return NormalHierModel(y=y, sigma0=sigma0, rect=rect)
-    if mid == "vs-bernoulli-zellner":
+        model = NormalHierModel(y=y, sigma0=sigma0, rect=rect)
+    elif mid == "vs-bernoulli-zellner":
         data = cfg.get("model", "data", required=True)
         # first non-comment line is the header
         lines = [ln for ln in Path(data).read_text().splitlines()
                  if ln.strip() and not ln.lstrip().startswith("#")]
         body = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
-        return VSModel(y=body[:, 0], X=body[:, 1:], rect=rect)
-    if mid == "lda-dirichlet":
+        model = VSModel(y=body[:, 0], X=body[:, 1:], rect=rect)
+    elif mid == "lda-dirichlet":
         corpus = load_corpus(cfg.get("model", "corpus", required=True))
         K = cfg.number("model", "K", int, required=True)
-        return LDAModel(corpus=corpus, K=K, rect=rect)
-    raise ConfigError(f"unknown model id {mid!r}")
+        model = LDAModel(corpus=corpus, K=K, rect=rect)
+    else:
+        raise ConfigError(f"unknown model id {mid!r}")
+    st_chain(model, cfg)
+    return model
 
 
-def run_chain(model, cfg: RunConfig, stream: str) -> ChainTrace:
+def st_chain(model, cfg: RunConfig, always: bool = False):
+    """(STGrid, per-anchor model) of the serial-tempering chain from the [st]
+    section.  Without one: None, or with ``always`` lattice:3x3, unit zetas."""
+    if not (always or cfg.cp.has_section("st")):
+        return None
+    if not hasattr(model, "st_model"):
+        raise ConfigError(f"[st]: the {cfg.model_id} model has no serial-tempering chain")
+    rect = cfg.rect()
+    spec_txt = cfg.get("st", "anchors", default="lattice:3x3")
+    if spec_txt.startswith("lattice:"):
+        shape = [_number(v, int, "[st] anchors")
+                 for v in spec_txt.split(":", 1)[1].split("x")]
+        anchors = lattice_anchors(rect, _per_axis(shape, rect.k, "[st] anchors"))
+    else:
+        rows = [_floats(row) for row in spec_txt.split(";")]
+        if any(row.size != rect.k for row in rows):
+            raise ConfigError(f"[st] anchors: each anchor needs {rect.k} coordinates")
+        anchors = np.array(rows)
+    zeta_txt = cfg.get("st", "zetas")
+    zetas = (_floats(zeta_txt) if zeta_txt is not None
+             else np.ones(anchors.shape[0]))
+    try:
+        grid = STGrid(anchors=anchors, zetas=zetas)
+    except ValueError as exc:       # a zeta count or value from the config
+        raise ConfigError(f"[st] zetas: {exc}") from exc
+    return grid, model.st_model(anchors)
+
+
+def run_chain(model, cfg: RunConfig, stream: str,
+              st: bool = False) -> tuple[ChainTrace, ExpFamilyRatio]:
+    """The command's chain and the prior ratio that reweights it.
+
+    With an [st] section, or ``st`` (st-run), the serial-tempering chain over
+    its anchors and their MixtureRatio, so that B_n is relative to the anchor
+    mixture; otherwise the model's chain at h1 and ExpFamilyRatio(spec, h1).
+    """
     rng = stream_rng(cfg.seed, stream)
     target = cfg.chain_target()
+    spec, tempering = model.spec(), st_chain(model, cfg, st)
+    if tempering is not None:
+        grid, st_model = tempering
+        if "n" not in target:
+            raise ConfigError("serial tempering runs use [run] n")
+        return run_st(st_model, spec, grid, n=target["n"], rng=rng), MixtureRatio(spec, grid)
     h1 = cfg.h1()
-    if isinstance(model, NormalHierModel):
-        if cfg.get("model", "kernel", default="mh") == "exact":
-            (n,) = target.values()      # iid: R complete tours are R draws
-            return model.exact_trace(h1, n, rng=rng)
-        return model.mh_trace(h1, rng=rng, **target)
-    if "R" in target:
-        raise ConfigError("this model has no regeneration construction; use n")
-    return model.trace(h1, target["n"], rng=rng)
+    if not isinstance(model, NormalHierModel):
+        if "R" in target:
+            raise ConfigError("this model has no regeneration construction; use n")
+        trace = model.trace(h1, target["n"], rng=rng)
+    elif cfg.get("model", "kernel", default="mh") == "exact":
+        (n,) = target.values()          # iid: R complete tours are R draws
+        trace = model.exact_trace(h1, n, rng=rng)
+    else:
+        trace = model.mh_trace(h1, rng=rng, **target)
+    return trace, ExpFamilyRatio(spec, h1)
 
 
 def check_functional(trace: ChainTrace, g_name: str | None) -> None:
@@ -269,11 +318,9 @@ def cmd_surface(cfg: RunConfig) -> int:
     model = build_model(cfg)
     grid = cfg.grid(cfg.rect())
     M, g_name = cfg.M, cfg.functional
-    trace = run_chain(model, cfg, "surface")
+    trace, family = run_chain(model, cfg, "surface")
     check_functional(trace, g_name)
-    family = ExpFamilyRatio(model.spec(), cfg.h1())
-    tours = trace_tours(trace)
-    est, fest = grid_estimates(trace, family, grid, g_name, tours=tours, M=M)
+    est, fest = grid_estimates(trace, family, grid, g_name, tours=trace_tours(trace), M=M)
     write_table(cfg.out_dir / "surface.csv", est, cfg.sha256)
     if fest is not None:
         write_table(cfg.out_dir / f"functional_{g_name}.csv", fest, cfg.sha256)
@@ -285,8 +332,7 @@ def cmd_argmax(cfg: RunConfig) -> int:
     model = build_model(cfg)
     rect = cfg.rect()
     alpha, M = cfg.alpha, cfg.M
-    trace = run_chain(model, cfg, "argmax")
-    family = ExpFamilyRatio(model.spec(), cfg.h1())
+    trace, family = run_chain(model, cfg, "argmax")
     tours = trace_tours(trace)
     segments = _segmentation(trace.n, tours, M)[1]
     n_eff, R = segments.n_eff, segments.R
@@ -326,9 +372,8 @@ def cmd_band(cfg: RunConfig, replicate: int = 0) -> int:
                           "with functional theta1 (analytic truth)")
 
     def one_band(stream: str):
-        trace = run_chain(model, cfg, stream)
+        trace, family = run_chain(model, cfg, stream)
         check_functional(trace, g_name)
-        family = ExpFamilyRatio(model.spec(), cfg.h1())
         return global_band(trace, family, g_name, grid, M=M, alpha=alpha)
 
     band = one_band("band")
@@ -350,72 +395,37 @@ def cmd_band(cfg: RunConfig, replicate: int = 0) -> int:
     return EXIT_OK
 
 
-def _st_pieces(cfg: RunConfig, model):
-    rect = cfg.rect()
-    spec_txt = cfg.get("st", "anchors", default="lattice:3x3")
-    if spec_txt.startswith("lattice:"):
-        shape = [_number(v, int, "[st] anchors")
-                 for v in spec_txt.split(":", 1)[1].split("x")]
-        anchors = lattice_anchors(rect, _per_axis(shape, rect.k, "[st] anchors"))
-    else:
-        rows = [_floats(row) for row in spec_txt.split(";")]
-        if any(row.size != rect.k for row in rows):
-            raise ConfigError(f"[st] anchors: each anchor needs {rect.k} coordinates")
-        anchors = np.array(rows)
-    zeta_txt = cfg.get("st", "zetas")
-    zetas = (_floats(zeta_txt) if zeta_txt is not None
-             else np.ones(anchors.shape[0]))
-    try:
-        grid = STGrid(anchors=anchors, zetas=zetas)
-    except ValueError as exc:       # a zeta count or sign from the config
-        raise ConfigError(f"[st] zetas: {exc}") from exc
-    if isinstance(model, (NormalHierModel, LDAModel)):
-        st_model = model.st_model(anchors)
-    else:
-        raise ConfigError("serial tempering supported for normal-hier and "
-                          "lda-dirichlet models")
-    return grid, st_model, model.spec()
-
-
 def _zeta_csv(path: Path, grid: STGrid, occ, cfg_hash: str) -> None:
     k = grid.anchors.shape[1]
     header = ",".join(f"h_{i+1}" for i in range(k)) + ",zeta,occupancy"
-    occ = np.full(grid.m, np.nan) if occ is None else np.asarray(occ)
     rows = np.column_stack([grid.anchors, grid.zetas, occ])
     write_csv(path, header, rows, cfg_hash)
 
 
 def cmd_st_tune(cfg: RunConfig) -> int:
     model = build_model(cfg)
-    grid, st_model, spec = _st_pieces(cfg, model)
-    rounds = cfg.number("st", "rounds", int, default=10)
-    steps = cfg.number("st", "steps_per_round", int, default=5000)
-    tuned, converged = tune_zeta(st_model, spec, grid, rounds=rounds,
+    grid, st_model = st_chain(model, cfg, always=True)
+    rounds = cfg.count("st", "rounds", default=10)
+    steps = cfg.count("st", "steps_per_round", default=5000)
+    tuned, converged = tune_zeta(st_model, model.spec(), grid, rounds=rounds,
                                  steps_per_round=steps,
                                  seed=stream_rng(cfg.seed, "st-tune"))
     _zeta_csv(cfg.out_dir / "zeta.csv", tuned, tuned.occupancies, cfg.sha256)
     write_json(cfg.out_dir / "st_tune.json", {
         "converged": bool(converged),
         "zetas": tuned.zetas.tolist(),
-        "occupancies": None if tuned.occupancies is None
-        else tuned.occupancies.tolist(),
+        "occupancies": tuned.occupancies.tolist(),
     }, cfg.sha256)
     return EXIT_OK if converged else EXIT_WARN
 
 
 def cmd_st_run(cfg: RunConfig) -> int:
     model = build_model(cfg)
-    grid, st_model, spec = _st_pieces(cfg, model)
-    target = cfg.chain_target()
-    if "n" not in target:
-        raise ConfigError("serial tempering runs use [run] n")
     surface_grid, M = cfg.grid(cfg.rect()), cfg.M
-    trace = run_st(st_model, spec, grid, n=target["n"],
-                   rng=stream_rng(cfg.seed, "st-run"))
-    occ = occupancies(trace, grid.m)
-    _zeta_csv(cfg.out_dir / "occupancy.csv", grid, occ, cfg.sha256)
+    trace, family = run_chain(model, cfg, "st-run", st=True)
+    occ = occupancies(trace, family.grid.m)
+    _zeta_csv(cfg.out_dir / "occupancy.csv", family.grid, occ, cfg.sha256)
     save_trace(trace, cfg.out_dir / "st_trace.txt")
-    family = MixtureRatio(spec, grid)
     est = surface_on_grid(trace, family, surface_grid, M=M)
     write_table(cfg.out_dir / "st_surface.csv", est, cfg.sha256)
     return EXIT_OK
@@ -455,12 +465,12 @@ def cmd_oracle_check(cfg: RunConfig) -> int:
     if not isinstance(model, NormalHierModel):
         raise ConfigError("oracle-check applies to the normal-hier model")
     grid, M = cfg.grid(cfg.rect()), cfg.M
-    trace = run_chain(model, cfg, "oracle-check")
-    family = ExpFamilyRatio(model.spec(), cfg.h1())
-    tours = trace_tours(trace)
-    est = surface_on_grid(trace, family, grid, tours=tours, M=M)
-    h1 = cfg.h1()
-    truth = np.array([model.oracle_B(h, h1) for h in grid])
+    trace, family = run_chain(model, cfg, "oracle-check")
+    est = surface_on_grid(trace, family, grid, tours=trace_tours(trace), M=M)
+    # B_n is m(h) over the chain's mixture (1/m) sum_j m(h_j)/zeta_j: m(h1) at one anchor
+    log_ref = logsumexp(np.array([model.log_marginal(a) for a in np.atleast_2d(family.h1)])
+                        - family.log_zetas) - np.log(family.m)
+    truth = np.array([np.exp(model.log_marginal(h) - log_ref) for h in grid])
     z = np.abs(est.values - truth) / np.maximum(est.se, 1e-300)
     frac_ok = float(np.mean(z <= 4.0))
     write_json(cfg.out_dir / "oracle_check.json", {
@@ -481,33 +491,22 @@ def main(argv=None) -> int:
         description="Hyperparameter surfaces from a single MCMC run, with "
                     "frequentist-valid uncertainty.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("surface", "argmax", "st-tune", "st-run", "synth",
-                 "oracle-check"):
+    commands = {"surface": cmd_surface, "argmax": cmd_argmax, "band": cmd_band,
+                "st-tune": cmd_st_tune, "st-run": cmd_st_run, "synth": cmd_synth,
+                "oracle-check": cmd_oracle_check}
+    for name in commands:
         p = sub.add_parser(name)
         p.add_argument("config", help="path to key=value config file")
-    p = sub.add_parser("band")
-    p.add_argument("config", help="path to key=value config file")
-    p.add_argument("--replicate", type=int, default=0,
-                   help="run a coverage study with this many replications")
+        if name == "band":
+            p.add_argument("--replicate", type=int, default=0,
+                           help="run a coverage study with this many replications")
     args = parser.parse_args(argv)
 
     try:
         cfg = RunConfig(args.config)
-        if args.command == "surface":
-            return cmd_surface(cfg)
-        if args.command == "argmax":
-            return cmd_argmax(cfg)
         if args.command == "band":
             return cmd_band(cfg, replicate=args.replicate)
-        if args.command == "st-tune":
-            return cmd_st_tune(cfg)
-        if args.command == "st-run":
-            return cmd_st_run(cfg)
-        if args.command == "synth":
-            return cmd_synth(cfg)
-        if args.command == "oracle-check":
-            return cmd_oracle_check(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return commands[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

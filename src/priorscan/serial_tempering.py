@@ -49,8 +49,8 @@ class STGrid:
         object.__setattr__(self, "zetas", zetas)
         if zetas.shape != (anchors.shape[0],):
             raise ValueError("need one zeta per anchor")
-        if not np.all(zetas > 0):
-            raise ValueError("zetas must be positive")
+        if not np.all(np.isfinite(zetas) & (zetas > 0)):
+            raise ValueError("zetas must be finite and positive")
 
     @property
     def m(self) -> int:
@@ -171,6 +171,18 @@ def run_st(model: STModel, spec: ExpFamilySpec, grid: STGrid, n: int,
     return trace
 
 
+def zetas_from_logs(log_z: np.ndarray) -> np.ndarray:
+    """exp(log_z) up to a common factor, taken about the midpoint of its range:
+    finite and positive for a span of up to ~1400 nats (float64 holds e^+-709),
+    where centring on the mean underflows the lowest anchors first."""
+    lo, hi = float(np.min(log_z)), float(np.max(log_z))
+    with np.errstate(over="ignore", invalid="ignore"):
+        zetas = np.exp(log_z - 0.5 * (lo + hi))
+    if not np.all(np.isfinite(zetas) & (zetas > 0)):
+        raise ValueError(f"log zetas span {hi - lo:.6g} nats, more than float64 holds")
+    return zetas
+
+
 def bridge_init_zetas(traces: list[ChainTrace], spec: ExpFamilySpec,
                       anchors: np.ndarray) -> np.ndarray:
     """Initial zetas from one short chain per anchor.
@@ -186,7 +198,7 @@ def bridge_init_zetas(traces: list[ChainTrace], spec: ExpFamilySpec,
         fwd = np.log(estimate_B(traces[j], fams[j], anchors[j + 1]))
         bwd = np.log(estimate_B(traces[j + 1], fams[j + 1], anchors[j]))
         log_z[j + 1] = log_z[j] + 0.5 * (fwd - bwd)
-    return np.exp(log_z - log_z.mean())
+    return zetas_from_logs(log_z)
 
 
 def tune_zeta(model: STModel, spec: ExpFamilySpec, grid: STGrid, *,
@@ -204,7 +216,7 @@ def tune_zeta(model: STModel, spec: ExpFamilySpec, grid: STGrid, *,
     rng = np.random.default_rng(seed)
     best = grid
     best_ratio = np.inf
-    for _ in range(rounds):
+    for r in range(rounds):
         trace = run_st(model, spec, grid, n=steps_per_round, rng=rng)
         occ = occupancies(trace, grid.m)
         occ = np.maximum(occ, 1.0 / (2.0 * steps_per_round))  # keep log finite
@@ -213,7 +225,7 @@ def tune_zeta(model: STModel, spec: ExpFamilySpec, grid: STGrid, *,
             best, best_ratio = replace(grid, occupancies=occ), ratio
         if ratio <= target_ratio:
             return replace(grid, occupancies=occ), True
-        shift, c, _, _ = _grid_sums(MixtureRatio(spec, grid), grid.anchors, trace.Tmat)
-        log_z = shift + np.log(c)
-        grid = STGrid(anchors=grid.anchors, zetas=np.exp(log_z - log_z.mean()))
+        if r + 1 < rounds:          # the last round's update would go unused
+            shift, c, _, _ = _grid_sums(MixtureRatio(spec, grid), grid.anchors, trace.Tmat)
+            grid = STGrid(anchors=grid.anchors, zetas=zetas_from_logs(shift + np.log(c)))
     return best, False

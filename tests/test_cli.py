@@ -10,7 +10,7 @@ import pytest
 from priorscan import cli
 from priorscan.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main, stream_rng,
                            write_csv)
-from priorscan.argmax_inference import hessian_Jn, tau_n_sq, v_n_sq
+from priorscan.argmax_inference import confidence_ellipse, hessian_Jn, tau_n_sq, v_n_sq
 from priorscan.chain_runtime import tour_sums
 from priorscan.estimators import SurfaceEstimate, _segmentation
 
@@ -30,6 +30,31 @@ rect_lower = -1, 0.5
 rect_upper = 1, 1.5
 h1 = 0, 1
 grid = 3
+"""
+
+
+# the toy on the rectangle of the benchmark's toy workload, on an ST chain
+TOY_ST = """\
+[run]
+model = normal-hier
+seed = 1
+n = 20000
+out = {out}
+
+[model]
+y = -2, -1, 0, 1, 2
+
+[hyper]
+rect_lower = -1, 0.3
+rect_upper = 1, 3
+h1 = 0, 1
+grid = 11
+
+[inference]
+functional = theta1
+
+[st]
+anchors = lattice:3x3
 """
 
 
@@ -146,7 +171,7 @@ class TestArgmax:
         d = json.loads((out / "argmax.json").read_text())
         cfg = cli.RunConfig(cfg_path)
         model = cli.build_model(cfg)
-        trace = cli.run_chain(model, cfg, "argmax")
+        trace, _ = cli.run_chain(model, cfg, "argmax")
         tours = cli.trace_tours(trace)
         assert d["n"] == tours.n_eff < trace.n
         family = cli.ExpFamilyRatio(model.spec(), cfg.h1())
@@ -211,7 +236,7 @@ M = 10
         assert (d["R"], d["n"], d["E_N1_hat"]) == (10, 400, 40)
         run = cli.RunConfig(cfg)
         model = cli.build_model(run)
-        trace = cli.run_chain(model, run, "argmax")
+        trace, _ = cli.run_chain(model, run, "argmax")
         ts = tour_sums(trace, _segmentation(400, None, 10)[1],
                        cli.ExpFamilyRatio(model.spec(), run.h1()), d["h_n"])
         v = v_n_sq(hessian_Jn(ts), tau_n_sq(ts))
@@ -241,9 +266,9 @@ class TestBand:
         run_chain = cli.run_chain
 
         def with_nan(model, cfg, stream):
-            trace = run_chain(model, cfg, stream)
+            trace, family = run_chain(model, cfg, stream)
             trace.g["theta1"][1234] = np.nan
-            return trace
+            return trace, family
 
         monkeypatch.setattr(cli, "run_chain", with_nan)
         assert main(["band", cfg]) == EXIT_RUNTIME
@@ -307,6 +332,136 @@ steps_per_round = 3000
         _, surf = _read_csv(out / "st_surface.csv")
         assert surf.shape == (9, 5)
         assert np.all(surf[:, 2] > 0)
+
+
+@pytest.fixture(scope="module")
+def tuned_toy_st(tmp_path_factory):
+    """The TOY_ST config with the zetas st-tune wrote for it, and its out dir."""
+    tmp = tmp_path_factory.mktemp("st")
+    out = tmp / "out"
+    base = TOY_ST.format(out=out)
+    assert main(["st-tune", _write(tmp, base, "tune.ini")]) == EXIT_OK
+    zetas = json.loads((out / "st_tune.json").read_text())["zetas"]
+    return _write(tmp, base + f"zetas = {', '.join(map(repr, zetas))}\n"), out
+
+
+@pytest.fixture
+def st_runs(monkeypatch):
+    """The anchor counts of the serial-tempering chains the CLI runs."""
+    runs, run_st = [], cli.run_st
+
+    def counted(model, spec, grid, **kw):
+        runs.append(grid.m)
+        return run_st(model, spec, grid, **kw)
+
+    monkeypatch.setattr(cli, "run_st", counted)
+    return runs
+
+
+class TestEveryCommandOnST:
+    """An [st] section puts surface, argmax, band and oracle-check on the
+    serial-tempering chain, reweighted by its anchor-mixture ratio."""
+
+    def test_oracle_check(self, tuned_toy_st, st_runs):
+        cfg, out = tuned_toy_st
+        assert main(["oracle-check", cfg]) == EXIT_OK
+        assert st_runs == [9]
+        d = json.loads((out / "oracle_check.json").read_text())
+        assert d["grid_points"] == 121 and d["fraction_within_4se"] >= 0.95
+
+    def test_argmax_ellipse_holds_the_oracle_argmax(self, tuned_toy_st, st_runs):
+        cfg, out = tuned_toy_st
+        assert main(["argmax", cfg]) == EXIT_OK
+        assert st_runs == [9]
+        d = json.loads((out / "argmax.json").read_text())
+        assert d["method"] == "batch"    # an ST chain has no regeneration marks
+        ellipse = confidence_ellipse(d["h_n"], np.array(d["v_n_sq"]), d["R"], d["alpha"])
+        assert ellipse.contains(cli.build_model(cli.RunConfig(cfg)).oracle_argmax())
+
+    def test_band_covers_the_oracle_curve(self, tuned_toy_st, st_runs):
+        cfg, out = tuned_toy_st
+        assert main(["band", cfg]) == EXIT_OK
+        assert st_runs == [9]
+        _, body = _read_csv(out / "band.csv")
+        model = cli.build_model(cli.RunConfig(cfg))
+        truth = np.array([model.oracle_I_theta1(h) for h in body[:, :2]])
+        assert body.shape == (121, 5)
+        assert np.all((body[:, 3] <= truth) & (truth <= body[:, 4]))
+
+    def test_lda_surface_and_argmax(self, tmp_path, st_runs):
+        from priorscan.models.lda import save_corpus, synth_corpus
+
+        save_corpus(synth_corpus(seed=10, D=6, V=12, K=2, n_d=30), tmp_path / "corpus.txt")
+        out = tmp_path / "out"
+        cfg = _write(tmp_path, f"""\
+[run]
+model = lda-dirichlet
+seed = 3
+n = 300
+out = {out}
+
+[model]
+corpus = {tmp_path / "corpus.txt"}
+K = 2
+
+[hyper]
+rect_lower = 0.5, 0.5
+rect_upper = 2, 2
+h1 = 1, 1
+grid = 3
+
+[st]
+anchors = lattice:2x2
+""")
+        assert main(["surface", cfg]) == EXIT_OK
+        _, surf = _read_csv(out / "surface.csv")
+        assert surf.shape == (9, 5) and np.all(np.isfinite(surf))
+        assert main(["argmax", cfg]) in (EXIT_OK, cli.EXIT_WARN)
+        assert st_runs == [4, 4]
+        d = json.loads((out / "argmax.json").read_text())
+        assert d["method"] == "batch" and d["n"] == 288     # 18 batches of 16
+        for key in ("h_n", "J_n", "tau_n_sq", "v_n_sq"):
+            assert np.all(np.isfinite(d[key])), key
+
+    @pytest.mark.parametrize("command, st", [("surface", "\n[st]\nanchors = lattice:2x2\n"),
+                                             ("st-run", "")])
+    def test_variable_selection_has_no_st_chain(self, tmp_path, capsys, command, st):
+        synth = _write(tmp_path, f"[run]\nseed = 3\nout = {tmp_path}\n"
+                                 "[synth]\nkind = regression\nm = 30\nq = 3\n", "synth.ini")
+        assert main(["synth", synth]) == EXIT_OK
+        capsys.readouterr()
+        out = tmp_path / "out"
+        cfg = _write(tmp_path, f"""\
+[run]
+model = vs-bernoulli-zellner
+seed = 1
+n = 200
+out = {out}
+
+[model]
+data = {tmp_path}/regression.csv
+
+[hyper]
+rect_lower = 0.1, 2
+rect_upper = 0.9, 20
+h1 = 0.5, 8
+grid = 3
+""" + st)
+        assert main([command, cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == ("config error: [st]: the vs-bernoulli-zellner "
+                                           "model has no serial-tempering chain\n")
+        assert not any(out.glob("*"))
+
+    def test_tune_on_a_wide_rectangle_keeps_zetas_finite(self, tmp_path):
+        # the tuning rounds' log zetas span ~1200-1400 nats here; centred on
+        # their mean, the lowest underflowed to 0 and st-tune exited 3
+        out = tmp_path / "out"
+        cfg = _write(tmp_path, TOY_ST.format(out=out)
+                     .replace("rect_lower = -1, 0.3", "rect_lower = -6, 0.05")
+                     .replace("rect_upper = 1, 3", "rect_upper = 6, 20"))
+        assert main(["st-tune", cfg]) in (EXIT_OK, cli.EXIT_WARN)
+        zetas = np.array(json.loads((out / "st_tune.json").read_text())["zetas"])
+        assert zetas.shape == (9,) and np.all(np.isfinite(zetas) & (zetas > 0))
 
 
 class TestSynthAndOracle:
@@ -406,10 +561,18 @@ class TestConfigErrors:
         ("st-run", "grid = 3", "grid = 3\n\n[st]\nanchors = lattice:3x3x3"),
         ("st-tune", "grid = 3", "grid = 3\n\n[st]\nanchors = lattice:2x2\nzetas = 1, 1, 1"),
         ("st-run", "grid = 3", "grid = 3\n\n[st]\nanchors = 0, 1; 0.5"),
+        ("st-run", "grid = 3", "grid = 3\n\n[st]\nanchors = lattice:2x2\nzetas = inf, 1, 1, 1"),
+        ("argmax", "grid = 3", "grid = 3\n\n[st]\nanchors = lattice:2x2\nzetas = 1, nan, 1, 1"),
+        ("surface", "grid = 3", "grid = 3\n\n[st]\nanchors = lattice:3x3x3"),
+        ("st-tune", "grid = 3", "grid = 3\n\n[st]\nsteps_per_round = 0"),
+        ("st-tune", "grid = 3", "grid = 3\n\n[st]\nsteps_per_round = -5"),
+        ("st-tune", "grid = 3", "grid = 3\n\n[st]\nrounds = 0"),
     ], ids=["surface-grid", "surface-M", "argmax-alpha", "argmax-alpha-range",
             "band-M", "oracle-check-grid", "st-run-grid", "grid-zero",
             "grid-negative", "band-M-zero", "band-M-one", "argmax-M-zero",
-            "grid-count-list", "st-lattice-dims", "st-zetas-count", "st-anchor-dims"])
+            "grid-count-list", "st-lattice-dims", "st-zetas-count", "st-anchor-dims",
+            "st-zetas-inf", "argmax-st-zetas-nan", "surface-st-lattice-dims",
+            "st-steps-zero", "st-steps-negative", "st-rounds-zero"])
     def test_checked_before_the_chain(self, tmp_path, capsys, monkeypatch,
                                       command, old, new):
         def no_chain(*args, **kw):

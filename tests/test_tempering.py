@@ -17,6 +17,7 @@ from priorscan.serial_tempering import (
     occupancies,
     run_st,
     tune_zeta,
+    zetas_from_logs,
 )
 
 H1 = [0.0, 1.0]
@@ -74,6 +75,30 @@ class TestSTGrid:
 
     def test_m(self, exact_grid):
         assert exact_grid.m == 9
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0])
+    def test_zetas_finite_and_positive(self, anchors, bad):
+        zetas = np.ones(len(anchors))
+        zetas[3] = bad
+        with pytest.raises(ValueError, match="finite and positive"):
+            STGrid(anchors=anchors, zetas=zetas)
+
+
+class TestZetasFromLogs:
+    def test_wide_span_stays_finite(self):
+        # a tuning round on the toy's [-6,6]x[0.05,20] rectangle: centred on
+        # the mean, exp underflows the lowest anchor to 0
+        log_z = np.array([-4.8, -8.1, -8.5, 0.0, -1348.0, -11.2])
+        assert np.exp(log_z - log_z.mean()).min() == 0.0
+        zetas = zetas_from_logs(log_z)
+        assert np.all(np.isfinite(zetas) & (zetas > 0))
+        shift = np.log(zetas) - log_z
+        assert np.allclose(shift, shift[0], rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("log_z", [[0.0, -1500.0], [0.0, np.nan], [0.0, -np.inf]])
+    def test_span_beyond_float64_raises(self, log_z):
+        with pytest.raises(ValueError, match="log zetas span"):
+            zetas_from_logs(np.array(log_z))
 
 
 class TestMixtureRatio:
