@@ -5,7 +5,18 @@ posterior-expectation surfaces I_g(h) over a compact hyperparameter rectangle
 by importance reweighting of one chain, and attaches frequentist-valid
 uncertainty: a confidence ellipse for the empirical-Bayes argmax via
 regenerative tour statistics, and globally valid confidence bands via batching.
+
+Importing priorscan before numpy sets OPENBLAS_NUM_THREADS to 1 unless the
+environment already sets it: every BLAS call here is small (chunked grid
+products, 2x2 to 12x12 solves and factors), so a pool of BLAS worker threads
+costs start-up time and never pays for itself.
 """
+
+import os
+import sys
+
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from priorscan.prior_family import (
     HyperRect,

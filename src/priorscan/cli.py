@@ -407,14 +407,15 @@ def cmd_st_tune(cfg: RunConfig) -> int:
     grid, st_model = st_chain(model, cfg, always=True)
     rounds = cfg.count("st", "rounds", default=10)
     steps = cfg.count("st", "steps_per_round", default=5000)
-    tuned, converged = tune_zeta(st_model, model.spec(), grid, rounds=rounds,
-                                 steps_per_round=steps,
-                                 seed=stream_rng(cfg.seed, "st-tune"))
+    tuned, converged, ratios = tune_zeta(st_model, model.spec(), grid, rounds=rounds,
+                                         steps_per_round=steps,
+                                         seed=stream_rng(cfg.seed, "st-tune"))
     _zeta_csv(cfg.out_dir / "zeta.csv", tuned, tuned.occupancies, cfg.sha256)
     write_json(cfg.out_dir / "st_tune.json", {
         "converged": bool(converged),
         "zetas": tuned.zetas.tolist(),
         "occupancies": tuned.occupancies.tolist(),
+        "occupancy_ratios": ratios,
     }, cfg.sha256)
     return EXIT_OK if converged else EXIT_WARN
 

@@ -196,7 +196,8 @@ class LDAState:
 
 def lda_closeness(state: LDAState, i: int, j: int, eps: float) -> float:
     """Indicator that doc mixtures theta_i and theta_j are within eps."""
-    return float(np.linalg.norm(state.theta[i] - state.theta[j]) <= eps)
+    x = state.theta[i] - state.theta[j]
+    return float(math.sqrt(x @ x) <= eps)      # np.linalg.norm's 1-D formula
 
 
 class LDAModel:
@@ -218,6 +219,16 @@ class LDAModel:
             np.full(len(doc), d, dtype=np.int64)
             for d, doc in enumerate(corpus.docs)])
         self.word_ids = np.concatenate(corpus.docs).astype(np.int64)
+        # the (doc, word) pairs that occur, and each token's pair (by counts:
+        # np.unique would page in ~0.4 MB of sorting code for this alone)
+        dv = self.doc_ids * self.V + self.word_ids
+        occurs = np.bincount(dv, minlength=self.D * self.V) > 0
+        self._pair_of = (np.cumsum(occurs) - 1)[dv]
+        self._pair_doc, self._pair_word = np.divmod(np.flatnonzero(occurs), self.V)
+        # token i adds one count at z_i V + w_i (topic-word) and one at
+        # KV + d_i K + z_i (doc-topic) of the concatenated count vector
+        self._count_at = np.stack([self.word_ids, self.K * self.V + self.doc_ids * self.K])
+        self._count_step = np.array([[self.V], [1]])
 
     def spec(self) -> ExpFamilySpec:
         return lda_spec(self.K, self.V, self.D)
@@ -229,28 +240,38 @@ class LDAModel:
                         theta=np.zeros((self.D, self.K)))
 
     def _counts(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Topic-word and doc-topic counts of the token topics ``z``."""
+        """Topic-word and doc-topic counts of the token topics ``z``, as views
+        of one count vector."""
         K, V, D = self.K, self.V, self.D
-        ckv = np.bincount(z * V + self.word_ids, minlength=K * V).reshape(K, V)
-        cdk = np.bincount(self.doc_ids * K + z, minlength=D * K).reshape(D, K)
-        return ckv, cdk
+        c = np.bincount((self._count_at + self._count_step * z).ravel(),
+                        minlength=K * V + D * K)
+        return c[:K * V].reshape(K, V), c[K * V:].reshape(D, K)
 
     def sweep(self, state: LDAState, h, rng: np.random.Generator) -> LDAState:
-        """(beta, theta) given z, then every token's topic given (beta, theta)."""
+        """(beta, theta) given z, then every token's topic given (beta, theta).
+
+        beta_t ~ Dir(eta + counts) and theta_d ~ Dir(alpha + counts) come from
+        one standard-gamma draw over the topic-word shapes, then the
+        doc-topic shapes.  The topic CDF, cumsum_k theta[d, k] beta[k, w], is
+        a (K, pairs) table over the (doc, word) pairs that occur (at most
+        min(tokens, D V) columns); each token reads its pair's column.
+        """
         eta, alpha = float(h[0]), float(h[1])
         if eta <= 0 or alpha <= 0:
             raise ValueError("eta and alpha must be positive")
-        # beta_t ~ Dir(eta + counts), theta_d ~ Dir(alpha + counts)
-        gb = rng.gamma(eta + state.ckv)
+        K, V = self.K, self.V
+        g = rng.standard_gamma(np.concatenate([eta + state.ckv.ravel(),
+                                               alpha + state.cdk.ravel()]))
+        gb, gt = g[:K * V].reshape(K, V), g[K * V:].reshape(self.D, K)
         state.beta = gb / gb.sum(axis=1, keepdims=True)
-        gt = rng.gamma(alpha + state.cdk)
         state.theta = gt / gt.sum(axis=1, keepdims=True)
         # p(z_i = k) proportional to theta[d_i, k] beta[k, w_i]: z_i counts
         # the first K - 1 cumulative sums at or below u_i ~ U(0, total_i)
-        cdf = np.cumsum(state.theta[self.doc_ids] * state.beta.T[self.word_ids],
-                        axis=1)
-        u = rng.random(self.word_ids.size) * cdf[:, -1]
-        state.z = (cdf[:, :-1] <= u[:, None]).sum(axis=1)
+        cdf = (state.theta.take(self._pair_doc, axis=0).T
+               * state.beta.take(self._pair_word, axis=1)).cumsum(axis=0)
+        cdf = cdf.take(self._pair_of, axis=1)
+        u = rng.random(self.word_ids.size) * cdf[-1]
+        state.z = (cdf[:-1] <= u).sum(axis=0)
         state.ckv, state.cdk = self._counts(state.z)
         return state
 

@@ -92,7 +92,8 @@ class MixtureRatio(ExpFamilyRatio):
 # ------------------------------------------------------------------
 
 class STModel(Protocol):
-    """Per-anchor machinery a model must supply to run serial tempering."""
+    """Per-anchor machinery a model must supply to run serial tempering;
+    the T that ``observe`` returns is ``suffstat(theta)``."""
 
     def start(self, rng): ...
     def anchor_step(self, j: int, theta, rng): ...
@@ -101,7 +102,7 @@ class STModel(Protocol):
 
 
 def st_step(state, ratio: ExpFamilyRatio, model: STModel,
-            rng: np.random.Generator):
+            rng: np.random.Generator, T=None):
     """One serial-tempering transition on (label, theta).
 
     ``ratio`` is the chain's :class:`MixtureRatio`, whose per-anchor table
@@ -109,7 +110,8 @@ def st_step(state, ratio: ExpFamilyRatio, model: STModel,
     proposal is uniform on {j-1, j+1}; an out-of-range proposal leaves the
     label unchanged (symmetric proposal, so it cancels in the acceptance
     ratio).  The likelihood cancels too, leaving only prior ratios through
-    the sufficient statistic.  Then theta moves by the kernel of the
+    the sufficient statistic: ``T`` when the caller has it for this theta,
+    else ``model.suffstat(theta)``.  Then theta moves by the kernel of the
     (possibly new) label.
     """
     j, theta = state
@@ -117,7 +119,9 @@ def st_step(state, ratio: ExpFamilyRatio, model: STModel,
     if m > 1:
         jp = j + (1 if rng.random() < 0.5 else -1)
         if 0 <= jp < m:
-            T = np.asarray(model.suffstat(theta), dtype=float)
+            if T is None:
+                T = model.suffstat(theta)
+            T = np.asarray(T, dtype=float)
             log_num = float(ratio.omegas[jp] @ T) - ratio.As[jp] - ratio.log_zetas[jp]
             log_den = float(ratio.omegas[j] @ T) - ratio.As[j] - ratio.log_zetas[j]
             if np.log(rng.random()) < log_num - log_den:
@@ -127,7 +131,11 @@ def st_step(state, ratio: ExpFamilyRatio, model: STModel,
 
 
 class STKernel:
-    """Kernel over (label, theta); labels are recorded as a trace functional."""
+    """Kernel over (label, theta); labels are recorded as a trace functional.
+
+    ``step`` reuses the sufficient statistic that ``observe`` formed for the
+    same state, so the chain computes it once per draw.
+    """
 
     has_regen = False
 
@@ -139,16 +147,21 @@ class STKernel:
         self.kernel_id = kernel_id
         self.start_label = start_label
         self.ratio = MixtureRatio(spec, grid)
+        self._observed = (None, None)       # (state, its T) of the last observe
 
     def start(self, rng):
         return (self.start_label, self.model.start(rng))
 
     def step(self, state, rng):
-        return st_step(state, self.ratio, self.model, rng), False
+        seen, T = self._observed
+        self._observed = (None, None)       # step moves theta in place
+        return st_step(state, self.ratio, self.model, rng,
+                       T if seen is state else None), False
 
     def observe(self, state):
         j, theta = state
         T, g = self.model.observe(theta)
+        self._observed = (state, T)
         g = dict(g)
         g[LABEL_FUNCTIONAL] = float(j)
         return T, g
@@ -203,29 +216,34 @@ def bridge_init_zetas(traces: list[ChainTrace], spec: ExpFamilySpec,
 
 def tune_zeta(model: STModel, spec: ExpFamilySpec, grid: STGrid, *,
               rounds: int = 10, steps_per_round: int = 5000,
-              seed=None, target_ratio: float = 2.0) -> tuple[STGrid, bool]:
+              seed=None, target_ratio: float = 2.0) -> tuple[STGrid, bool, list[float]]:
     """Iteratively adjust zeta toward uniform label occupancy.
 
     Stops when the max/min occupancy ratio over a tuning run is at most
-    ``target_ratio``; returns (tuned grid, converged flag).  After each
-    round, zeta_j becomes the round's mixture-reweighted estimate of the
-    normalizing constant at anchor j: a fixed-point iteration whose exact
-    solution gives uniform occupancy, and which updates anchors the labels
-    rarely visited.
+    ``target_ratio``; returns (tuned grid, converged flag, each round's
+    max/min occupancy ratio).  After each round, zeta_j becomes the round's
+    mixture-reweighted estimate of the normalizing constant at anchor j: a
+    fixed-point iteration whose exact solution gives uniform occupancy, and
+    which updates anchors the labels rarely visited.  An anchor the labels
+    never visited keeps its zeta: its estimate rests on no draw near it and
+    can run off by thousands of nats in a few rounds.
     """
     rng = np.random.default_rng(seed)
+    floor = 1.0 / (2.0 * steps_per_round)   # occupancy of an unvisited anchor
     best = grid
     best_ratio = np.inf
+    ratios = []
     for r in range(rounds):
         trace = run_st(model, spec, grid, n=steps_per_round, rng=rng)
-        occ = occupancies(trace, grid.m)
-        occ = np.maximum(occ, 1.0 / (2.0 * steps_per_round))  # keep log finite
+        occ = np.maximum(occupancies(trace, grid.m), floor)     # a finite ratio
         ratio = occ.max() / occ.min()
+        ratios.append(float(ratio))
         if ratio < best_ratio:
             best, best_ratio = replace(grid, occupancies=occ), ratio
         if ratio <= target_ratio:
-            return replace(grid, occupancies=occ), True
+            return replace(grid, occupancies=occ), True, ratios
         if r + 1 < rounds:          # the last round's update would go unused
             shift, c, _, _ = _grid_sums(MixtureRatio(spec, grid), grid.anchors, trace.Tmat)
-            grid = STGrid(anchors=grid.anchors, zetas=zetas_from_logs(shift + np.log(c)))
-    return best, False
+            log_z = np.where(occ == floor, np.log(grid.zetas), shift + np.log(c))
+            grid = STGrid(anchors=grid.anchors, zetas=zetas_from_logs(log_z))
+    return best, False, ratios

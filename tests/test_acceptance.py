@@ -456,8 +456,8 @@ def test_criterion_10_lda():
     st_rect = HyperRect([0.5, 0.5], [2.0, 2.0])
     anchors = lattice_anchors(st_rect, 3)
     grid0 = STGrid(anchors=anchors, zetas=np.ones(9))
-    tuned, converged = tune_zeta(model.st_model(anchors), model.spec(), grid0,
-                                 rounds=10, steps_per_round=3000, seed=10)
+    tuned, converged, _ = tune_zeta(model.st_model(anchors), model.spec(), grid0,
+                                    rounds=10, steps_per_round=3000, seed=10)
     st_trace = run_st(model.st_model(anchors), model.spec(), tuned,
                       n=10_000, seed=111)
     occ = occupancies(st_trace, 9)

@@ -321,6 +321,10 @@ steps_per_round = 3000
         assert rc in (EXIT_OK, 1)
         d = json.loads((out / "st_tune.json").read_text())
         assert len(d["zetas"]) == 4
+        # one max/min occupancy per round run; the best is the round returned
+        ratios, occ = d["occupancy_ratios"], np.array(d["occupancies"])
+        assert 1 <= len(ratios) <= 6 and (rc == EXIT_OK) == (ratios[-1] <= 2.0)
+        assert min(ratios) == occ.max() / occ.min()
         header, body = _read_csv(out / "zeta.csv")
         assert header == ["h_1", "h_2", "zeta", "occupancy"]
 
@@ -649,6 +653,30 @@ def test_cli_import_leaves_out_scipy_stats():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     assert res.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("first, user, want", [
+    ("", None, "1"),                # the default: one BLAS thread
+    ("", "3", "3"),                 # a value the user set is kept
+    ("import numpy; ", None, None), # too late to matter: left alone
+])
+def test_import_pins_blas_threads(first, user, want):
+    # every BLAS call priorscan makes is small, so an OpenBLAS worker pool
+    # only costs start-up CPU
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if user is not None:
+        env["OPENBLAS_NUM_THREADS"] = user
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    code = (f"{first}import json, os, priorscan.cli; status = '/proc/self/status'; "
+            "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), "
+            "[line.split()[1] for line in open(status) if line.startswith('Threads:')] "
+            "if os.path.exists(status) else None]))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    value, threads = json.loads(res.stdout)
+    assert value == want
+    if want == "1" and sys.platform.startswith("linux"):
+        assert threads == ["1"]
 
 
 class TestRuntimeErrors:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, polygamma, psi
 
+from priorscan.chain_runtime import simulate
 from priorscan.estimators import estimate_B
 from priorscan.models.lda import (
     Corpus,
@@ -18,7 +19,8 @@ from priorscan.models.lda import (
     save_corpus,
     synth_corpus,
 )
-from priorscan.prior_family import ExpFamilyRatio, fd_grad, fd_hess
+from priorscan.prior_family import ExpFamilyRatio, HyperRect, fd_grad, fd_hess
+from priorscan.serial_tempering import STGrid, STKernel, lattice_anchors, run_st, st_step
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +157,70 @@ class TestSweep:
         b = model.trace([1.0, 1.0], n=30, seed=5, burn=10)
         assert np.array_equal(a.Tmat, b.Tmat)
         assert np.array_equal(a.g["close_0_1"], b.g["close_0_1"])
+
+
+class ReferenceLDA(LDAModel):
+    """The sweep as first written: two gamma draws, per-token gathers of theta
+    and beta, a cumsum along the topics and two bincounts."""
+
+    def sweep(self, state, h, rng):
+        eta, alpha = float(h[0]), float(h[1])
+        gb = rng.gamma(eta + state.ckv)
+        state.beta = gb / gb.sum(axis=1, keepdims=True)
+        gt = rng.gamma(alpha + state.cdk)
+        state.theta = gt / gt.sum(axis=1, keepdims=True)
+        cdf = np.cumsum(state.theta[self.doc_ids] * state.beta.T[self.word_ids],
+                        axis=1)
+        u = rng.random(self.word_ids.size) * cdf[:, -1]
+        state.z = (cdf[:, :-1] <= u[:, None]).sum(axis=1)
+        K, V, D = self.K, self.V, self.D
+        state.ckv = np.bincount(state.z * V + self.word_ids, minlength=K * V).reshape(K, V)
+        state.cdk = np.bincount(self.doc_ids * K + state.z, minlength=D * K).reshape(D, K)
+        return state
+
+    def observe(self, state):
+        return self.suffstat(state), {
+            f"close_{i}_{j}": float(np.linalg.norm(state.theta[i] - state.theta[j]) <= eps)
+            for i, j, eps in self.closeness_pairs}
+
+
+class SuffstatEachStep(STKernel):
+    """The serial-tempering kernel recomputing T for every label move."""
+
+    def step(self, state, rng):
+        return st_step(state, self.ratio, self.model, rng), False
+
+
+class TestSameChain:
+    """The sweep and the serial-tempering step draw the chain of the reference
+    code above from the same random stream, bit for bit."""
+
+    @pytest.mark.parametrize("K, seed", [(2, 1), (2, 7), (3, 2), (3, 11)])
+    def test_trace(self, K, seed):
+        corpus = synth_corpus(seed=seed, D=5, V=9, K=K, n_d=20)
+        pairs = ((0, 1, 0.3), (1, 3, 0.5))
+        h = [0.6, 1.7]                                  # eta != alpha
+        got = LDAModel(corpus, K, closeness_pairs=pairs).trace(h, n=150, seed=seed, burn=5)
+        want = ReferenceLDA(corpus, K, closeness_pairs=pairs).trace(h, n=150, seed=seed, burn=5)
+        assert np.array_equal(got.Tmat, want.Tmat)
+        assert got.g.keys() == want.g.keys()
+        assert all(np.array_equal(got.g[name], want.g[name]) for name in got.g)
+        assert 0 < got.g["close_0_1"].sum() < got.n     # the functional moves
+
+    @pytest.mark.parametrize("K, seed", [(2, 3), (3, 5)])
+    def test_serial_tempering(self, K, seed):
+        corpus = synth_corpus(seed=seed, D=5, V=9, K=K, n_d=20)
+        rect = HyperRect(lower=[0.5, 0.4], upper=[2.0, 1.6])
+        anchors = lattice_anchors(rect, 2)
+        grid = STGrid(anchors=anchors, zetas=[1e3, 1.0, 1e-2, 3.0])
+        got = run_st(LDAModel(corpus, K).st_model(anchors), lda_spec(K, 9, 5), grid,
+                     n=400, seed=seed)
+        ref = ReferenceLDA(corpus, K)
+        want = simulate(SuffstatEachStep(ref.st_model(anchors), ref.spec(), grid),
+                        n=400, seed=seed)
+        assert np.array_equal(got.Tmat, want.Tmat)
+        assert all(np.array_equal(got.g[name], want.g[name]) for name in want.g)
+        assert np.unique(got.g["_label"]).size > 1      # the label moves
 
 
 class TestEstimation:

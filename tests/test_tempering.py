@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from priorscan.chain_runtime import simulate
+from priorscan.cli import stream_rng
 from priorscan.estimators import batch_se, estimate_B, estimate_I
 from priorscan.prior_family import ExpFamilyRatio, HyperRect
 from priorscan.serial_tempering import (
@@ -206,21 +207,41 @@ class TestSTChain:
 
 class TestTuning:
     def test_already_tuned_returns_quickly(self, toy_model, anchors, exact_grid):
-        tuned, converged = tune_zeta(toy_model.st_model(anchors),
-                                     toy_model.spec(), exact_grid,
-                                     rounds=3, steps_per_round=4000, seed=2)
+        tuned, converged, _ = tune_zeta(toy_model.st_model(anchors),
+                                        toy_model.spec(), exact_grid,
+                                        rounds=3, steps_per_round=4000, seed=2)
         assert converged
         assert np.allclose(tuned.zetas, exact_grid.zetas)
         assert tuned.occupancies is not None
 
     def test_tunes_from_uniform_start(self, toy_model, anchors):
         grid0 = STGrid(anchors=anchors, zetas=np.ones(len(anchors)))
-        tuned, converged = tune_zeta(toy_model.st_model(anchors),
-                                     toy_model.spec(), grid0,
-                                     rounds=8, steps_per_round=4000, seed=3)
+        tuned, converged, _ = tune_zeta(toy_model.st_model(anchors),
+                                        toy_model.spec(), grid0,
+                                        rounds=8, steps_per_round=4000, seed=3)
         assert converged
         occ = tuned.occupancies
         assert occ.max() / occ.min() <= 2.0
+
+    def test_unvisited_anchor_keeps_its_zeta(self, toy_model):
+        # On the wide rectangle four anchors see at most one visit a round.
+        # The fixed-point update of an unvisited anchor rests on no draw of
+        # its own: left free, its log zeta fell from -1391 to -6457 nats in
+        # round 10, past what float64 holds, and tuning failed.
+        anchors = lattice_anchors(HyperRect([-6.0, 0.05], [6.0, 20.0]), 3)
+        grid0 = STGrid(anchors=anchors, zetas=np.ones(len(anchors)))
+        tuned, converged, ratios = tune_zeta(
+            toy_model.st_model(anchors), toy_model.spec(), grid0, rounds=11,
+            steps_per_round=5000, seed=stream_rng(1, "st-tune"))
+        assert np.all(np.isfinite(tuned.zetas) & (tuned.zetas > 0))
+        assert len(ratios) == 11 and not converged
+        assert all(np.isfinite(ratios)) and min(ratios) >= 1.0
+        # the anchors at h_1 = 6 are never visited: their zetas stay equal,
+        # as they started, while the visited ones move
+        held = tuned.occupancies == 1.0 / (2 * 5000)
+        assert held.sum() == 3
+        assert np.all(tuned.zetas[held] == tuned.zetas[held][0])
+        assert np.unique(tuned.zetas[~held]).size == (~held).sum()
 
     def test_bridge_init(self, toy_model, anchors):
         # one short per-anchor run; bridged zetas should land within a factor
