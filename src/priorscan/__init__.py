@@ -23,9 +23,6 @@ from priorscan.prior_family import (
     ExpFamilySpec,
     EnvelopeSet,
     ExpFamilyRatio,
-    log_ratio,
-    ratio_grad,
-    ratio_hess,
     envelope_corners,
     check_envelope,
 )
@@ -33,10 +30,7 @@ from priorscan.chain_runtime import (
     ChainTrace,
     TourIndex,
     TourSums,
-    MinorizationPair,
     simulate,
-    split_step,
-    indep_mh_regen_prob,
     segment_tours,
     tour_sums,
 )

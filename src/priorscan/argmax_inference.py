@@ -171,13 +171,16 @@ def tau_n_sq(tsums: TourSums) -> np.ndarray:
     return 0.5 * (tau + tau.T)
 
 
-def v_n_sq(J_n: np.ndarray, tau_sq: np.ndarray,
-           cond_limit: float = 1e12) -> np.ndarray:
+# A J_n whose condition number exceeds this is numerically singular.
+COND_LIMIT = 1e12
+
+
+def v_n_sq(J_n: np.ndarray, tau_sq: np.ndarray) -> np.ndarray:
     """Sandwich J_n^{-1} tau_n^2 J_n^{-1}, symmetric PSD by construction; one
     eigendecomposition of the symmetric J_n gives its condition and inverse."""
     lam, Q = np.linalg.eigh(J_n)
     cond = np.abs(lam).max() / np.abs(lam).min() if np.abs(lam).min() > 0 else np.inf
-    if not cond <= cond_limit:                        # also a NaN eigenvalue
+    if not cond <= COND_LIMIT:                        # also a NaN eigenvalue
         raise np.linalg.LinAlgError(
             f"J_n numerically singular (condition number {cond:.3g})")
     Jinv = (Q / lam) @ Q.T

@@ -1,4 +1,4 @@
-"""Chain traces, regenerative (split-chain) simulation, and tour statistics.
+"""Chain traces, kernel simulation, and tour statistics.
 
 A :class:`ChainTrace` stores, per draw, the sufficient statistic ``T_i``, the
 recorded functional values ``g_i`` and a regeneration flag ``delta_i`` — never
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -21,12 +21,8 @@ __all__ = [
     "ChainTrace",
     "TourIndex",
     "TourSums",
-    "MinorizationPair",
     "Kernel",
-    "IIDKernel",
     "simulate",
-    "split_step",
-    "indep_mh_regen_prob",
     "log_regen_prob",
     "segment_tours",
     "tour_sums",
@@ -50,7 +46,8 @@ class ChainTrace:
 
     ``ends_at_regen`` is true when the draw after the last stored one would
     have been a regeneration (the trace ends exactly at a tour boundary);
-    R-target simulation guarantees this, n-target simulation does not.
+    the toy's iid draws and its MH chain run for R tours guarantee this,
+    :func:`simulate` does not.
     """
 
     Tmat: np.ndarray                 # (n, stat_dim)
@@ -157,48 +154,6 @@ class Kernel(Protocol):
     def observe(self, state) -> tuple[np.ndarray, dict[str, float]]: ...
 
 
-class IIDKernel:
-    """Adapter turning an iid sampler into a kernel that regenerates every step."""
-
-    has_regen = True
-
-    def __init__(self, draw: Callable, observe: Callable, kernel_id: str = "iid"):
-        self._draw = draw
-        self._observe = observe
-        self.kernel_id = kernel_id
-
-    def start(self, rng):
-        return self._draw(rng)
-
-    def step(self, state, rng):
-        return self._draw(rng), True
-
-    def observe(self, state):
-        return self._observe(state)
-
-
-@dataclass(frozen=True)
-class MinorizationPair:
-    """Minorization K_theta(A) >= s(theta) Q(A) with the residual kernel.
-
-    ``residual`` samples G_theta = (K_theta - s(theta) Q) / (1 - s(theta)).
-    """
-
-    s: Callable[[object], float]
-    Q: Callable[[np.random.Generator], object]
-    residual: Callable[[object, np.random.Generator], object]
-
-
-def split_step(state, pair: MinorizationPair, rng: np.random.Generator):
-    """One step of the split chain: regenerate from Q with prob s(state)."""
-    p = float(pair.s(state))
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"minorization probability s={p} outside [0, 1)")
-    if rng.random() < p:
-        return pair.Q(rng), True
-    return pair.residual(state, rng), False
-
-
 def log_regen_prob(lw_x, lw_y, log_c):
     """Log regeneration probability on an accepted independence-MH move x -> y.
 
@@ -211,27 +166,14 @@ def log_regen_prob(lw_x, lw_y, log_c):
                                       log_c - np.minimum(lw_x, lw_y)))
 
 
-def indep_mh_regen_prob(w_x: float, w_y: float, c: float) -> float:
-    """:func:`log_regen_prob` on the linear scale, for positive ``w`` and ``c``."""
-    if not (w_x > 0 and w_y > 0 and c > 0):
-        raise ValueError("w_x, w_y, c must all be positive")
-    return float(np.exp(log_regen_prob(np.log(w_x), np.log(w_y), np.log(c))))
-
-
-def simulate(kernel: Kernel, *, n: int | None = None, R: int | None = None,
-             seed=None, rng: np.random.Generator | None = None,
+def simulate(kernel: Kernel, *, n: int, seed=None,
+             rng: np.random.Generator | None = None,
              meta: Mapping | None = None) -> ChainTrace:
-    """Run a kernel for a fixed number of steps or complete tours.
+    """Run a kernel for ``n`` draws, the start included.
 
-    Exactly one of ``n`` (draw count) and ``R`` (complete-tour count) must be
-    given.  With ``R``, the chain runs until the regeneration opening tour
-    R+1 and drops that draw, so the trace ends exactly at a tour boundary.
+    The regeneration flags are the kernel's; the trace need not end at a tour
+    boundary, so :func:`segment_tours` drops a final partial tour.
     """
-    if (n is None) == (R is None):
-        raise ValueError("specify exactly one of n= and R=")
-    if R is not None and not getattr(kernel, "has_regen", False):
-        raise ValueError("kernel has no regeneration info; R-target unavailable "
-                         "(use n= and batching-based inference)")
     if rng is None:
         rng = np.random.default_rng(seed)
 
@@ -241,20 +183,13 @@ def simulate(kernel: Kernel, *, n: int | None = None, R: int | None = None,
 
     state = kernel.start(rng)
     delta = True  # start is a draw from the regeneration measure
-    flags_stored = 0
     while True:
-        if R is not None and delta and flags_stored >= R:
-            ends_at_regen = True
-            break
-        if delta:
-            flags_stored += 1
         T, g = kernel.observe(state)
         T_rows.append(np.asarray(T, dtype=float))
         for name, val in g.items():
             g_rows.setdefault(name, []).append(float(val))
         deltas.append(delta)
-        if n is not None and len(T_rows) >= n:
-            ends_at_regen = False
+        if len(T_rows) >= n:
             break
         state, delta = kernel.step(state, rng)
 
@@ -266,7 +201,6 @@ def simulate(kernel: Kernel, *, n: int | None = None, R: int | None = None,
         g={k: np.asarray(v) for k, v in g_rows.items()},
         delta=np.asarray(deltas, dtype=bool),
         meta=info,
-        ends_at_regen=ends_at_regen,
     )
 
 

@@ -126,9 +126,10 @@ class RunConfig:
         text = self.get(section, key, default=default, required=required)
         return None if text is None else _number(text, kind, f"[{section}] {key}")
 
-    def count(self, section: str, key: str, least: int = 1, default=None):
+    def count(self, section: str, key: str, least: int = 1, default=None,
+              required: bool = False):
         """The key's int value, which must be at least ``least``; None if absent."""
-        value = self.number(section, key, int, default=default)
+        value = self.number(section, key, int, default=default, required=required)
         if value is not None and value < least:
             raise ConfigError(f"[{section}] {key} must be at least {least}, got {value}")
         return value
@@ -164,11 +165,21 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
     def h1(self) -> np.ndarray:
-        return _floats(self.get("hyper", "h1", required=True))
+        h1, k = _floats(self.get("hyper", "h1", required=True)), self.rect().k
+        if h1.size != k:
+            raise ConfigError(f"[hyper] h1: expected {k} coordinates, got {h1.size}")
+        return h1
 
     def grid(self, rect: HyperRect) -> np.ndarray:
         points = _numbers(self.get("hyper", "grid", default="21"), int, "[hyper] grid")
         return rect.grid(_per_axis(points, rect.k, "[hyper] grid"))
+
+    def kernel(self) -> str:
+        """The toy model's chain: mh (default) or exact (iid draws)."""
+        kernel = self.get("model", "kernel", default="mh")
+        if kernel not in ("mh", "exact"):
+            raise ConfigError(f"[model] kernel: expected mh or exact, got {kernel!r}")
+        return kernel
 
     @property
     def alpha(self) -> float:
@@ -191,13 +202,14 @@ class RunConfig:
 # ------------------------------------------------------------------
 
 def build_model(cfg: RunConfig):
-    """The config's model.  Every command builds it first, so an [st] section
-    is checked against it here, before any chain runs."""
+    """The config's model.  Every command builds it first, so the rectangle,
+    h1 and an [st] section are checked against it here, before any chain runs."""
     mid = cfg.model_id
     rect = cfg.rect()
     if mid == "normal-hier":
         y = _floats(cfg.get("model", "y", required=True))
         sigma0 = cfg.number("model", "sigma0", default=1.0)
+        cfg.kernel()
         model = NormalHierModel(y=y, sigma0=sigma0, rect=rect)
     elif mid == "vs-bernoulli-zellner":
         data = cfg.get("model", "data", required=True)
@@ -207,11 +219,17 @@ def build_model(cfg: RunConfig):
         body = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
         model = VSModel(y=body[:, 0], X=body[:, 1:], rect=rect)
     elif mid == "lda-dirichlet":
+        K = cfg.count("model", "K", required=True)
         corpus = load_corpus(cfg.get("model", "corpus", required=True))
-        K = cfg.number("model", "K", int, required=True)
         model = LDAModel(corpus=corpus, K=K, rect=rect)
     else:
         raise ConfigError(f"unknown model id {mid!r}")
+    k = model.spec().k
+    if rect.k != k:
+        raise ConfigError(f"[hyper] rect_lower, rect_upper: the {mid} model has "
+                          f"{k} hyperparameters, the rectangle {rect.k}")
+    if cfg.get("hyper", "h1") is not None:
+        cfg.h1()
     st_chain(model, cfg)
     return model
 
@@ -265,7 +283,7 @@ def run_chain(model, cfg: RunConfig, stream: str,
         if "R" in target:
             raise ConfigError("this model has no regeneration construction; use n")
         trace = model.trace(h1, target["n"], rng=rng)
-    elif cfg.get("model", "kernel", default="mh") == "exact":
+    elif cfg.kernel() == "exact":
         (n,) = target.values()          # iid: R complete tours are R draws
         trace = model.exact_trace(h1, n, rng=rng)
     else:
@@ -363,6 +381,8 @@ def cmd_argmax(cfg: RunConfig) -> int:
 
 
 def cmd_band(cfg: RunConfig, replicate: int = 0) -> int:
+    if replicate < 0:
+        raise ConfigError(f"--replicate must be at least 0, got {replicate}")
     model = build_model(cfg)
     rect = cfg.rect()
     grid = cfg.grid(rect)

@@ -41,7 +41,6 @@ __all__ = [
     "pointwise_se_B",
     "pointwise_se_I",
     "cov_I_pair",
-    "batch_values",
     "batch_se",
     "grid_estimates",
     "surface_on_grid",
@@ -167,19 +166,12 @@ def cov_I_pair(tsums1: TourSums, tsums2: TourSums, g_name: str) -> float:
 # batch means (no regeneration marks needed)
 # ------------------------------------------------------------------
 
-def batch_values(trace: ChainTrace, family: ExpFamilyRatio, h, M: int) -> np.ndarray:
-    """Per-batch B_n over M consecutive batches of floor(n/M) draws; the
-    trailing remainder is dropped."""
-    ts = tour_sums(trace, _segmentation(trace.n, None, M)[1], family, h, [],
-                   with_derivs=False)
-    return ts.S / ts.N * np.exp(ts.log_scale)
-
-
 def batch_se(trace: ChainTrace, family: ExpFamilyRatio, h, M: int,
              g_name: str | None = None) -> float:
     """Batch-means SE of B_n (or I_hat_g): :func:`pointwise_se_B` (or
-    :func:`pointwise_se_I`) with the batches of :func:`batch_values` as tours.
-    Where M divides n it is the batch SE of :func:`grid_estimates` at h."""
+    :func:`pointwise_se_I`) with M consecutive batches of floor(n/M) draws as
+    tours, the trailing remainder dropped.  Where M divides n it is the batch
+    SE of :func:`grid_estimates` at h."""
     names = [] if g_name is None else [g_name]
     ts = tour_sums(trace, _segmentation(trace.n, None, M)[1], family, h, names,
                    with_derivs=False)

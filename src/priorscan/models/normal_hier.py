@@ -30,6 +30,12 @@ BLOCK_FLOATS = 2 ** 17
 # Rows per slice in which a drawn block is processed: the proposals, their
 # log weights and the gathered states of a slice are a few hundred kB.
 SLICE_ROWS = 2048
+# The MH proposal is the posterior at h1 with each sd times PROPOSAL_INFLATION;
+# by default c is the median importance weight of PILOT proposals drawn on
+# the stream of seed PILOT_SEED.
+PROPOSAL_INFLATION = 2.0
+PILOT = 1000
+PILOT_SEED = 0
 
 
 def normal_hier_spec(J: int) -> ExpFamilySpec:
@@ -162,16 +168,12 @@ class NormalHierModel:
                   "kernel": "toy-exact", "n": n},
             ends_at_regen=True)
 
-    def mh_kernel(self, h1, proposal_inflation: float = 2.0,
-                  c: float | None = None, pilot: int = 1000,
-                  pilot_seed: int = 0) -> "MHKernel":
-        return MHKernel(self, h1, proposal_inflation=proposal_inflation,
-                        c=c, pilot=pilot, pilot_seed=pilot_seed)
+    def mh_kernel(self, h1, c: float | None = None) -> "MHKernel":
+        return MHKernel(self, h1, c=c)
 
     def mh_trace(self, h1, *, n: int | None = None, R: int | None = None,
-                 seed=None, rng=None, proposal_inflation: float = 2.0,
-                 c: float | None = None) -> ChainTrace:
-        kernel = self.mh_kernel(h1, proposal_inflation=proposal_inflation, c=c)
+                 seed=None, rng=None) -> ChainTrace:
+        kernel = self.mh_kernel(h1)
         if rng is None:
             rng = np.random.default_rng(seed)
         return kernel.trace(rng, n=n, R=R,
@@ -186,24 +188,23 @@ class MHKernel:
     """Independence Metropolis-Hastings on the toy posterior with regeneration.
 
     The proposal is the posterior at h1 with per-coordinate sd inflated by
-    ``proposal_inflation``; the splitting constant ``c`` defaults to the
+    :data:`PROPOSAL_INFLATION`; the splitting constant ``c`` defaults to the
     median importance weight over a pilot sample from the proposal.
     Regeneration marks are drawn retrospectively on accepted moves.
     """
 
     has_regen = True
 
-    def __init__(self, model: NormalHierModel, h1, proposal_inflation: float = 2.0,
-                 c: float | None = None, pilot: int = 1000, pilot_seed: int = 0):
+    def __init__(self, model: NormalHierModel, h1, c: float | None = None):
         self.model = model
         self.h1 = np.asarray(h1, dtype=float)
         self.mean, post_sd = model.posterior_params(self.h1)
         self.post_sd = post_sd
-        self.prop_sd = proposal_inflation * post_sd
+        self.prop_sd = PROPOSAL_INFLATION * post_sd
         self.kernel_id = "toy-indep-mh"
         if c is None:
-            rng = np.random.default_rng(pilot_seed)
-            draws = self.mean + self.prop_sd * rng.standard_normal((pilot, model.J))
+            rng = np.random.default_rng(PILOT_SEED)
+            draws = self.mean + self.prop_sd * rng.standard_normal((PILOT, model.J))
             c = float(np.exp(np.median(self._log_w(draws))))
         if c <= 0:
             raise ValueError("splitting constant c must be positive")
@@ -273,7 +274,7 @@ class MHKernel:
         normals ``(b, J)`` for the proposals, and the logs of the uniforms
         that decide acceptance and, on an accepted move, regeneration.  The
         trace stops after ``n`` draws, or drops the regeneration that opens
-        tour ``R + 1`` and ends there, as ``simulate`` does.  Its meta records
+        tour ``R + 1`` and ends there (``ends_at_regen``).  Its meta records
         ``accept_rate`` (accepted moves) and ``regen_rate`` (regeneration
         flags after the first) over the trace's n - 1 steps.
 
@@ -374,15 +375,14 @@ def _accept_scan(lw_y: np.ndarray, log_u: np.ndarray, lw: float):
 
 
 def mh_ensemble_traces(model: NormalHierModel, h1, n: int, n_chains: int,
-                       seed=None, proposal_inflation: float = 2.0,
-                       c: float | None = None) -> list[ChainTrace]:
+                       seed=None) -> list[ChainTrace]:
     """``n_chains`` independent MH chains of ``n`` draws each.
 
     Chain i is :meth:`MHKernel.trace` on the i-th stream spawned from
     ``SeedSequence(seed)``; one kernel, with one pilot estimate of ``c``,
     serves them all.  Used by replication studies.
     """
-    kernel = model.mh_kernel(h1, proposal_inflation=proposal_inflation, c=c)
+    kernel = model.mh_kernel(h1)
     meta = {"h1": list(np.asarray(h1, dtype=float))}
     return [kernel.trace(np.random.default_rng(s), n=n, meta=meta)
             for s in np.random.SeedSequence(seed).spawn(n_chains)]

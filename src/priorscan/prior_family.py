@@ -24,9 +24,6 @@ __all__ = [
     "ExpFamilySpec",
     "EnvelopeSet",
     "ExpFamilyRatio",
-    "log_ratio",
-    "ratio_grad",
-    "ratio_hess",
     "envelope_corners",
     "check_envelope",
 ]
@@ -304,33 +301,6 @@ class ExpFamilyRatio:
                 + S[..., None, None] * (np.outer(b, b) - spec.hess_A(h))
                 + np.tensordot(m1 + S[..., None] * T0, spec.hess_canon(h), 1))
         return a + S[..., None] * b, hess
-
-
-# ------------------------------------------------------------------
-# per-draw ratio operations (the spec-level API)
-# ------------------------------------------------------------------
-
-def log_ratio(spec: ExpFamilySpec, h, h1, T) -> float:
-    """log of nu_h(theta)/nu_h1(theta) through the sufficient statistic T."""
-    return float(ExpFamilyRatio(spec, h1).log_f(h, _row(T))[0])
-
-
-def _row(T) -> np.ndarray:
-    return np.asarray(T, dtype=float)[None, :]
-
-
-def ratio_grad(spec: ExpFamilySpec, h, h1, T) -> np.ndarray:
-    """Gradient in h of f_h = nu_h/nu_h1 at the draw with statistic T."""
-    fam, Tmat = ExpFamilyRatio(spec, h1), _row(T)
-    return np.exp(fam.log_f(h, Tmat)[0]) * fam.grad_log_f(h, Tmat)[0]
-
-
-def ratio_hess(spec: ExpFamilySpec, h, h1, T) -> np.ndarray:
-    """Hessian in h of f_h; symmetric by construction."""
-    fam, Tmat = ExpFamilyRatio(spec, h1), _row(T)
-    u = fam.grad_log_f(h, Tmat)[0]
-    m = np.exp(fam.log_f(h, Tmat)[0]) * (np.outer(u, u) + fam.hess_log_f(h, Tmat)[0])
-    return 0.5 * (m + m.T)
 
 
 # ------------------------------------------------------------------

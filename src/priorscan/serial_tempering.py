@@ -16,7 +16,7 @@ from typing import Protocol
 import numpy as np
 
 from priorscan.chain_runtime import ChainTrace, simulate
-from priorscan.estimators import _grid_sums, estimate_B
+from priorscan.estimators import _grid_sums
 from priorscan.prior_family import ExpFamilyRatio, ExpFamilySpec, HyperRect
 
 __all__ = [
@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 LABEL_FUNCTIONAL = "_label"
+# tune_zeta stops at the first round whose max/min label occupancy is at most this
+OCCUPANCY_RATIO_TARGET = 2.0
 
 
 @dataclass(frozen=True)
@@ -58,21 +60,15 @@ class STGrid:
 
 
 def lattice_anchors(rect: HyperRect, shape) -> np.ndarray:
-    """Uniform anchor lattice over the rectangle, snaked so that consecutive
-    indices are lattice neighbors (nearest-neighbor label proposals stay local)."""
-    if np.isscalar(shape):
-        shape = [int(shape)] * rect.k
-    axes = [np.linspace(lo, hi, p) for lo, hi, p in
-            zip(rect.lower, rect.upper, shape)]
-    if rect.k == 1:
-        return axes[0][:, None]
-    if rect.k == 2:
-        rows = []
-        for i, a in enumerate(axes[0]):
-            col = axes[1] if i % 2 == 0 else axes[1][::-1]
-            rows.append(np.column_stack([np.full_like(col, a), col]))
-        return np.vstack(rows)
-    raise ValueError("anchor lattices supported for k <= 2; pass explicit anchors")
+    """Uniform anchor lattice over the rectangle (k <= 2), snaked so that
+    consecutive indices are lattice neighbors (nearest-neighbor label
+    proposals stay local): the rows of ``rect.grid(shape)`` along the first
+    axis, every odd row reversed."""
+    if rect.k > 2:
+        raise ValueError("anchor lattices supported for k <= 2; pass explicit anchors")
+    rows = rect.grid(shape).reshape(np.atleast_1d(shape)[0], -1, rect.k)
+    rows[1::2] = rows[1::2, ::-1]
+    return rows.reshape(-1, rect.k)
 
 
 # ------------------------------------------------------------------
@@ -138,19 +134,17 @@ class STKernel:
     """
 
     has_regen = False
+    kernel_id = "serial-tempering"
 
-    def __init__(self, model: STModel, spec: ExpFamilySpec, grid: STGrid,
-                 kernel_id: str = "serial-tempering", start_label: int = 0):
+    def __init__(self, model: STModel, spec: ExpFamilySpec, grid: STGrid):
         self.model = model
         self.spec = spec
         self.grid = grid
-        self.kernel_id = kernel_id
-        self.start_label = start_label
         self.ratio = MixtureRatio(spec, grid)
         self._observed = (None, None)       # (state, its T) of the last observe
 
     def start(self, rng):
-        return (self.start_label, self.model.start(rng))
+        return (0, self.model.start(rng))
 
     def step(self, state, rng):
         seen, T = self._observed
@@ -196,35 +190,17 @@ def zetas_from_logs(log_z: np.ndarray) -> np.ndarray:
     return zetas
 
 
-def bridge_init_zetas(traces: list[ChainTrace], spec: ExpFamilySpec,
-                      anchors: np.ndarray) -> np.ndarray:
-    """Initial zetas from one short chain per anchor.
-
-    Consecutive-anchor normalizing-constant ratios are estimated as the
-    geometric mean of the forward and backward reweighting estimates (robust
-    when one direction has poor overlap) and accumulated along the snake.
-    """
-    m = anchors.shape[0]
-    fams = [ExpFamilyRatio(spec, anchors[j]) for j in range(m)]
-    log_z = np.zeros(m)
-    for j in range(m - 1):
-        fwd = np.log(estimate_B(traces[j], fams[j], anchors[j + 1]))
-        bwd = np.log(estimate_B(traces[j + 1], fams[j + 1], anchors[j]))
-        log_z[j + 1] = log_z[j] + 0.5 * (fwd - bwd)
-    return zetas_from_logs(log_z)
-
-
 def tune_zeta(model: STModel, spec: ExpFamilySpec, grid: STGrid, *,
               rounds: int = 10, steps_per_round: int = 5000,
-              seed=None, target_ratio: float = 2.0) -> tuple[STGrid, bool, list[float]]:
+              seed=None) -> tuple[STGrid, bool, list[float]]:
     """Iteratively adjust zeta toward uniform label occupancy.
 
     Stops when the max/min occupancy ratio over a tuning run is at most
-    ``target_ratio``; returns (tuned grid, converged flag, each round's
-    max/min occupancy ratio).  After each round, zeta_j becomes the round's
-    mixture-reweighted estimate of the normalizing constant at anchor j: a
-    fixed-point iteration whose exact solution gives uniform occupancy, and
-    which updates anchors the labels rarely visited.  An anchor the labels
+    :data:`OCCUPANCY_RATIO_TARGET`; returns (tuned grid, converged flag, each
+    round's max/min occupancy ratio).  After each round, zeta_j becomes the
+    round's mixture-reweighted estimate of the normalizing constant at anchor
+    j: a fixed-point iteration whose exact solution gives uniform occupancy,
+    and which updates anchors the labels rarely visited.  An anchor the labels
     never visited keeps its zeta: its estimate rests on no draw near it and
     can run off by thousands of nats in a few rounds.
     """
@@ -240,7 +216,7 @@ def tune_zeta(model: STModel, spec: ExpFamilySpec, grid: STGrid, *,
         ratios.append(float(ratio))
         if ratio < best_ratio:
             best, best_ratio = replace(grid, occupancies=occ), ratio
-        if ratio <= target_ratio:
+        if ratio <= OCCUPANCY_RATIO_TARGET:
             return replace(grid, occupancies=occ), True, ratios
         if r + 1 < rounds:          # the last round's update would go unused
             shift, c, _, _ = _grid_sums(MixtureRatio(spec, grid), grid.anchors, trace.Tmat)

@@ -7,25 +7,31 @@ import pytest
 from priorscan import chain_runtime
 from priorscan.chain_runtime import (
     ChainTrace,
-    IIDKernel,
-    MinorizationPair,
-    indep_mh_regen_prob,
     load_trace,
+    log_regen_prob,
     save_trace,
     segment_tours,
     simulate,
-    split_step,
     tour_sums,
 )
 from priorscan.estimators import estimate_B
 from priorscan.prior_family import ExpFamilyRatio
 
 
-def _scalar_iid_kernel():
-    return IIDKernel(
-        draw=lambda rng: rng.standard_normal(),
-        observe=lambda x: (np.array([x, x * x]), {"g": float(x)}),
-        kernel_id="unit-iid")
+class _IIDKernel:
+    """iid N(0, 1) draws: every step regenerates."""
+
+    has_regen = True
+    kernel_id = "unit-iid"
+
+    def start(self, rng):
+        return rng.standard_normal()
+
+    def step(self, state, rng):
+        return rng.standard_normal(), True
+
+    def observe(self, x):
+        return np.array([x, x * x]), {"g": float(x)}
 
 
 class _NoRegenKernel:
@@ -69,80 +75,26 @@ class TestChainTrace:
 
 class TestSimulate:
     def test_iid_all_regen(self):
-        tr = simulate(_scalar_iid_kernel(), n=50, seed=0)
+        tr = simulate(_IIDKernel(), n=50, seed=0)
         assert tr.n == 50 and tr.delta.all()
         tours = segment_tours(tr)
         assert tours.R == 49 or not tr.ends_at_regen  # n-target drops last flag
         assert np.all(tours.lengths == 1)
 
-    def test_r_target_ends_at_regen(self):
-        tr = simulate(_scalar_iid_kernel(), R=30, seed=1)
-        assert tr.ends_at_regen and tr.n == 30
-        tours = segment_tours(tr)
-        assert tours.R == 30 and tours.n_eff == 30
-
-    def test_r_target_requires_regen_info(self):
-        with pytest.raises(ValueError):
-            simulate(_NoRegenKernel(), R=5, seed=0)
-
     def test_no_regen_mode_flags(self):
         tr = simulate(_NoRegenKernel(), n=20, seed=0)
         assert tr.delta[0] and not tr.delta[1:].any()
 
-    def test_exactly_one_target(self):
-        with pytest.raises(ValueError):
-            simulate(_scalar_iid_kernel(), n=5, R=5)
-        with pytest.raises(ValueError):
-            simulate(_scalar_iid_kernel())
-
     def test_determinism(self):
-        a = simulate(_scalar_iid_kernel(), n=100, seed=42)
-        b = simulate(_scalar_iid_kernel(), n=100, seed=42)
+        a = simulate(_IIDKernel(), n=100, seed=42)
+        b = simulate(_IIDKernel(), n=100, seed=42)
         assert np.array_equal(a.Tmat, b.Tmat)
         assert np.array_equal(a.g["g"], b.g["g"])
         assert np.array_equal(a.delta, b.delta)
 
 
-# ------------------------------------------------------------------
-# split-chain machinery
-# ------------------------------------------------------------------
-
-class TestSplitStep:
-    def test_s_out_of_range(self):
-        pair = MinorizationPair(s=lambda x: 1.0, Q=lambda rng: 0.0,
-                                residual=lambda x, rng: x)
-        with pytest.raises(ValueError):
-            split_step(0.0, pair, np.random.default_rng(0))
-
-    def test_s_zero_never_regenerates(self):
-        pair = MinorizationPair(s=lambda x: 0.0, Q=lambda rng: 99.0,
-                                residual=lambda x, rng: x + 1.0)
-        rng = np.random.default_rng(0)
-        state = 0.0
-        for _ in range(100):
-            state, delta = split_step(state, pair, rng)
-            assert not delta
-        assert state == 100.0
-
-    def test_constant_s_regen_rate(self):
-        # iid N(0,1) kernel minorized with s = p, Q = N(0,1), residual = N(0,1)
-        p = 0.3
-        pair = MinorizationPair(s=lambda x: p,
-                                Q=lambda rng: rng.standard_normal(),
-                                residual=lambda x, rng: rng.standard_normal())
-        rng = np.random.default_rng(7)
-        n = 20000
-        deltas = np.empty(n, dtype=bool)
-        draws = np.empty(n)
-        state = 0.0
-        for i in range(n):
-            state, deltas[i] = split_step(state, pair, rng)
-            draws[i] = state
-        rate = deltas.mean()
-        assert abs(rate - p) < 4 * np.sqrt(p * (1 - p) / n)
-        # invariant distribution unchanged by the split
-        assert abs(draws.mean()) < 4 / np.sqrt(n)
-        assert abs(draws.var() - 1.0) < 4 * np.sqrt(2.0 / n)
+def _regen_prob(w_x, w_y, c):
+    return float(np.exp(log_regen_prob(np.log(w_x), np.log(w_y), np.log(c))))
 
 
 class TestIndepMHRegenProb:
@@ -152,12 +104,7 @@ class TestIndepMHRegenProb:
         (2.0, 10.0, 4.0, 1.0),
     ])
     def test_spec_values(self, wx, wy, c, expect):
-        assert indep_mh_regen_prob(wx, wy, c) == pytest.approx(expect, rel=1e-12)
-
-    def test_nonpositive_rejected(self):
-        for bad in [(0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 0.0)]:
-            with pytest.raises(ValueError):
-                indep_mh_regen_prob(*bad)
+        assert _regen_prob(wx, wy, c) == pytest.approx(expect, rel=1e-12)
 
     def test_pointwise_minorization_identity(self):
         # The accepted-move flow times the regeneration probability must equal
@@ -166,7 +113,7 @@ class TestIndepMHRegenProb:
         rng = np.random.default_rng(8)
         for _ in range(500):
             wx, wy, c = np.exp(rng.uniform(-4, 4, size=3))
-            lhs = min(1.0, wy / wx) * indep_mh_regen_prob(wx, wy, c)
+            lhs = min(1.0, wy / wx) * _regen_prob(wx, wy, c)
             rhs = min(wx, c) * min(wy, c) / (c * wx)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -193,10 +140,10 @@ class TestSegmentTours:
         assert np.array_equal(tours.lengths, [3, 1])
         assert tours.n_eff == 4
 
-    def test_partition_identity(self):
-        tr = simulate(_scalar_iid_kernel(), R=40, seed=2)
+    def test_partition_identity(self, toy_model):
+        tr = toy_model.mh_trace([0.0, 1.0], R=40, seed=2)
         tours = segment_tours(tr)
-        assert tours.lengths.sum() == tours.n_eff
+        assert tours.R == 40 and tours.lengths.sum() == tours.n_eff == tr.n
 
     def test_too_few_flags(self):
         tr = ChainTrace(Tmat=np.zeros((4, 1)), g={},

@@ -571,22 +571,39 @@ class TestConfigErrors:
         ("st-tune", "grid = 3", "grid = 3\n\n[st]\nsteps_per_round = 0"),
         ("st-tune", "grid = 3", "grid = 3\n\n[st]\nsteps_per_round = -5"),
         ("st-tune", "grid = 3", "grid = 3\n\n[st]\nrounds = 0"),
+        ("surface", "kernel = exact", "kernel = foo"),
+        ("argmax", "kernel = exact", "kernel = Exact"),
+        ("surface", "h1 = 0, 1", "h1 = 0.0, 1.0, 2.0"),
+        ("band", "rect_lower = -1, 0.5\nrect_upper = 1, 1.5\nh1 = 0, 1",
+         "rect_lower = -1, 0.5, 0\nrect_upper = 1, 1.5, 1\nh1 = 0, 1, 0.5"),
+        # K is read before the corpus, which need not exist
+        ("surface", ("model = normal-hier", "y = -2, -1, 0, 1, 2"),
+         ("model = lda-dirichlet", "corpus = no-such-corpus.txt\nK = 0")),
+        ("band --replicate -3", "grid = 3",
+         "grid = 3\n\n[inference]\nfunctional = theta1"),
     ], ids=["surface-grid", "surface-M", "argmax-alpha", "argmax-alpha-range",
             "band-M", "oracle-check-grid", "st-run-grid", "grid-zero",
             "grid-negative", "band-M-zero", "band-M-one", "argmax-M-zero",
             "grid-count-list", "st-lattice-dims", "st-zetas-count", "st-anchor-dims",
             "st-zetas-inf", "argmax-st-zetas-nan", "surface-st-lattice-dims",
-            "st-steps-zero", "st-steps-negative", "st-rounds-zero"])
+            "st-steps-zero", "st-steps-negative", "st-rounds-zero",
+            "kernel-unknown", "kernel-case", "h1-dims", "rect-dims", "lda-K-zero",
+            "replicate-negative"])
     def test_checked_before_the_chain(self, tmp_path, capsys, monkeypatch,
                                       command, old, new):
+        # ``command`` may carry options; ``old`` and ``new`` are one
+        # replacement or tuples of them
         def no_chain(*args, **kw):
             raise AssertionError("the chain ran before the config was checked")
 
         monkeypatch.setattr(cli, "run_chain", no_chain)
         monkeypatch.setattr(cli, "run_st", no_chain)
         monkeypatch.setattr(cli, "tune_zeta", no_chain)
-        cfg = _write(tmp_path, TOY_COMMON.format(out=tmp_path).replace(old, new))
-        assert main([command, cfg]) == EXIT_CONFIG
+        text = TOY_COMMON.format(out=tmp_path)
+        for o, n in [(old, new)] if isinstance(old, str) else zip(old, new):
+            text = text.replace(o, n)
+        cfg = _write(tmp_path, text)
+        assert main([*command.split(), cfg]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
 
     @pytest.mark.parametrize("command", ["surface", "band"])

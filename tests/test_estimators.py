@@ -5,7 +5,6 @@ from priorscan.chain_runtime import ChainTrace, segment_tours, tour_sums
 from priorscan.estimators import (
     ESS_UNRELIABLE,
     batch_se,
-    batch_values,
     cov_I_pair,
     ess,
     estimate_B,
@@ -165,19 +164,13 @@ class TestTourSE:
 # ------------------------------------------------------------------
 
 class TestBatchSE:
-    def test_batch_values_mean_consistency(self, toy_trace, fam):
-        h = [0.5, 1.2]
-        vals = batch_values(toy_trace, fam, h, M=100)
-        assert vals.shape == (100,)
-        assert vals.mean() == pytest.approx(estimate_B(toy_trace, fam, h), rel=1e-10)
-
     def test_batch_se_positive(self, toy_trace, fam):
         assert batch_se(toy_trace, fam, [0.5, 1.2], M=100) > 0.0
         assert batch_se(toy_trace, fam, [0.5, 1.2], M=100, g_name="theta1") > 0.0
 
     def test_batch_count_validation(self, toy_trace, fam):
         with pytest.raises(ValueError):
-            batch_values(toy_trace, fam, H1, M=1)
+            batch_se(toy_trace, fam, H1, M=1)
 
     @pytest.mark.parametrize("M", [2, 100, 400])
     def test_batch_se_is_the_grid_batch_se(self, toy_trace, fam, toy_rect, M):

@@ -14,9 +14,6 @@ from priorscan.prior_family import (
     envelope_corners,
     fd_grad,
     fd_hess,
-    log_ratio,
-    ratio_grad,
-    ratio_hess,
 )
 
 def fd_hess_direct(f, h, rel_step=1e-4):
@@ -83,8 +80,19 @@ class TestHyperRect:
 
 
 # ------------------------------------------------------------------
-# log_ratio and derivatives
+# the ratio at one draw, and its h-derivatives
 # ------------------------------------------------------------------
+
+def log_ratio(spec, h, h1, T):
+    """log nu_h/nu_h1 at the draw with statistic T."""
+    return float(ExpFamilyRatio(spec, h1).log_f(h, np.asarray(T, dtype=float)[None])[0])
+
+
+def score(spec, h, h1, T):
+    """(grad log f_h, hess log f_h) at the draw with statistic T."""
+    fam, Tmat = ExpFamilyRatio(spec, h1), np.asarray(T, dtype=float)[None]
+    return fam.grad_log_f(h, Tmat)[0], fam.hess_log_f(h, Tmat)[0]
+
 
 class TestLogRatio:
     def test_identity_at_h1(self):
@@ -119,7 +127,7 @@ class TestLogRatio:
         h1 = np.array([0.2, 1.4])
         T = np.array([2.0, 7.0])
         expect = TOY5.jac(h1).T @ T - TOY5.grad_A(h1)
-        assert np.allclose(ratio_grad(TOY5, h1, h1, T), expect, rtol=1e-12)
+        assert np.allclose(score(TOY5, h1, h1, T)[0], expect, rtol=1e-12)
 
     def test_grad_hess_match_fd(self):
         rng = np.random.default_rng(1)
@@ -127,25 +135,24 @@ class TestLogRatio:
         for _ in range(10):
             h = np.array([rng.uniform(-0.8, 0.8), rng.uniform(0.5, 2.5)])
             T = np.array([rng.normal() * 3, rng.uniform(1, 10)])
-            f = lambda x: np.exp(log_ratio(TOY5, x, h1, T))
-            g = ratio_grad(TOY5, h, h1, T)
-            assert np.allclose(g, fd_grad(f, h), rtol=1e-6)
-            H = ratio_hess(TOY5, h, h1, T)
-            assert np.allclose(H, fd_hess_direct(f, h), rtol=1e-5, atol=1e-8)
+            log_f = lambda x: log_ratio(TOY5, x, h1, T)
+            u, H = score(TOY5, h, h1, T)
+            assert np.allclose(u, fd_grad(log_f, h), rtol=1e-6)
+            assert np.allclose(H, fd_hess_direct(log_f, h), rtol=1e-5, atol=1e-8)
 
     def test_hess_symmetric(self):
-        H = ratio_hess(TOY5, [0.3, 1.7], [0.0, 1.0], [1.0, 6.0])
+        H = score(TOY5, [0.3, 1.7], [0.0, 1.0], [1.0, 6.0])[1]
         assert np.array_equal(H, H.T)
 
     def test_hess_identity_canon_closed_form(self):
-        # lda_spec has canon(h) = h - 1 (identity shift), so at h = h1
-        # the Hessian of f is (T - grad A)(T - grad A)^T - hess A
+        # lda_spec has canon(h) = h - 1 (identity shift), so the gradient of
+        # log f is T - grad A and its Hessian -hess A
         spec = lda_spec(2, 12, 6)
         h = np.array([0.7, 1.2])
         T = np.array([-50.0, -10.0])
-        u = T - spec.grad_A(h)
-        expect = np.outer(u, u) - spec.hess_A(h)
-        assert np.allclose(ratio_hess(spec, h, h, T), expect, rtol=1e-10)
+        u, H = score(spec, h, h, T)
+        assert np.allclose(u, T - spec.grad_A(h), rtol=1e-10)
+        assert np.allclose(H, -spec.hess_A(h), rtol=1e-10)
 
 
 # ------------------------------------------------------------------

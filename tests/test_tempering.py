@@ -13,7 +13,6 @@ from priorscan.serial_tempering import (
     MixtureRatio,
     STGrid,
     STKernel,
-    bridge_init_zetas,
     lattice_anchors,
     occupancies,
     run_st,
@@ -242,13 +241,3 @@ class TestTuning:
         assert held.sum() == 3
         assert np.all(tuned.zetas[held] == tuned.zetas[held][0])
         assert np.unique(tuned.zetas[~held]).size == (~held).sum()
-
-    def test_bridge_init(self, toy_model, anchors):
-        # one short per-anchor run; bridged zetas should land within a factor
-        # of ~2 of the exact marginal-likelihood ratios
-        traces = [toy_model.exact_trace(a, n=3000, seed=100 + j)
-                  for j, a in enumerate(anchors)]
-        zetas = bridge_init_zetas(traces, toy_model.spec(), anchors)
-        log_ml = np.array([toy_model.log_marginal(a) for a in anchors])
-        exact = np.exp(log_ml - log_ml.mean())
-        assert np.all(np.abs(np.log(zetas) - np.log(exact)) < np.log(2.0))
