@@ -105,24 +105,37 @@ def _newton(family, Tmat, X, w, rect: HyperRect, h, tol: float):
     return h, val, ess, it, passes
 
 
+def _grid_modes(values: np.ndarray, shape) -> np.ndarray:
+    """Indices of the local maxima of ``values`` over a lattice of ``shape``
+    (C order), the points no lower than any neighbour along each axis: best
+    first, the lowest index first among equal values."""
+    v, mode = values.reshape(shape), np.ones(shape, dtype=bool)
+    for axis in range(v.ndim):
+        u, m = np.moveaxis(v, axis, 0), np.moveaxis(mode, axis, 0)    # views
+        m[:-1] &= u[:-1] >= u[1:]
+        m[1:] &= u[1:] >= u[:-1]
+    idx = np.flatnonzero(mode)
+    return idx[np.argsort(-values[idx], kind="stable")]
+
+
 def maximize_surface(trace: ChainTrace, family, rect: HyperRect, *,
                      grid_points: int = 21, tol: float = 1e-6,
-                     multi_starts: int = 8, seed: int = 0) -> MaxResult:
+                     multi_starts: int = 8) -> MaxResult:
     """Argmax of log B_n over the rectangle.
 
-    Coarse grid (``grid_points`` per axis, ties broken by lowest lexicographic
-    index) followed by projected Newton (:func:`_newton`) from its best
-    point; ``multi_starts`` extra random starts probe for multimodality.  The
-    log is maximized since the argmax is invariant to strictly increasing
-    transforms.  Every pass runs over the trace's runs of equal rows
+    A coarse grid pass (``grid_points`` per axis), then projected Newton
+    (:func:`_newton`) from its best point and, to probe for multimodality,
+    from at most ``multi_starts`` other local maxima of the grid, best first
+    (ties broken by lowest lexicographic index).  The log is maximized since
+    the argmax is invariant to strictly increasing transforms.  Every pass
+    runs over the trace's runs of equal rows
     (:func:`~priorscan.estimators._runs`), collapsed once here.
     """
     if trace.n == 0:
         raise ValueError("empty trace")
     grid, (Tmat, _, w, _) = rect.grid(grid_points), _runs(trace.Tmat)
     shift, c, _, _ = _grid_sums(family, grid, Tmat, w=w)
-    starts = [grid[int(np.argmax(shift + np.log(c)))]]   # lowest index on ties
-    starts += list(rect.sample(np.random.default_rng(seed), multi_starts))
+    starts = grid[_grid_modes(shift + np.log(c), (grid_points,) * rect.k)[:1 + multi_starts]]
     X = _moment_columns(Tmat, Tmat[0])
     consistent, iters, passes = True, 0, 0
     for i, x0 in enumerate(starts):

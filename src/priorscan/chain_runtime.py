@@ -298,12 +298,12 @@ def tour_sums(trace: ChainTrace, tours: TourIndex, family: ExpFamilyRatio, h,
                                tours.starts0)
     T0 = Tmat[0] if with_derivs else None
     shift = _grid_sums(family, h[None, :], Tmat, w=w)[0]
-    _, S, XS = zip(*_segment_sums(family, h[None, :], Tmat, shift, starts, G, w, T0))
-    S, x = np.concatenate(S)[:, 0], np.concatenate(XS)[:, :, 0]
-    del XS                            # the per-segment blocks, before the sums below
-    m, d = len(names), Tmat.shape[1]
-    gradS, hessS = (family.score_sums(h, T0, S, x[:, m:m + d], x[:, m + d:].reshape(-1, d, d))
+    P = np.concatenate([block for _, block in _segment_sums(family, h[None, :], Tmat, shift,
+                                                            starts, G, w, T0)])[..., 0]
+    S, m, d = P[:, 0], 1 + len(names), Tmat.shape[1]
+    gradS, hessS = (family.score_sums(h, T0, S, P[:, m:m + d],
+                                      P[:, m + d:].reshape(-1, d, d))
                     if with_derivs else (None, None))
     return TourSums(h=h, N=tours.lengths.astype(float), S=S,
-                    T={name: x[:, j] for j, name in enumerate(names)},
+                    T={name: P[:, 1 + j] for j, name in enumerate(names)},
                     gradS=gradS, hessS=hessS, log_scale=float(shift[0]))

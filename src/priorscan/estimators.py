@@ -24,6 +24,7 @@ has unit weights and the same sums.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,10 +191,10 @@ CHUNK_FLOATS = 2 ** 17
 
 
 def _log_f_chunks(family: ExpFamilyRatio, grid: np.ndarray, Tmat: np.ndarray,
-                  cols: int = 1):
+                  cols: int = 1, max_rows: int | None = None):
     """Yield (first row, (rows, G) block of log f_h) over consecutive chunks
-    of CHUNK_FLOATS / (G * cols) rows."""
-    rows = max(1, CHUNK_FLOATS // (grid.shape[0] * cols))
+    of CHUNK_FLOATS / (G * cols) rows, and at most ``max_rows``."""
+    rows = max(1, min(CHUNK_FLOATS // (grid.shape[0] * cols), max_rows or Tmat.shape[0]))
     for a in range(0, Tmat.shape[0], rows):
         yield a, family.log_f_many(grid, Tmat[a:a + rows])
 
@@ -246,8 +247,8 @@ def _grid_sums(family: ExpFamilyRatio, grid: np.ndarray, Tmat: np.ndarray,
         f = np.exp(np.subtract(logf, new, out=logf), out=logf)
         wa = w[a:a + f.shape[0]]
         if X is None:
-            f_sum = f_sum * scale + np.einsum("ij,i->j", f, wa)
-            f2_sum = f2_sum * scale ** 2 + np.einsum("ij,i,ij->j", f, wa, f)
+            f_sum = f_sum * scale + wa @ f
+            f2_sum = f2_sum * scale ** 2 + wa @ np.square(f, out=f)
         else:
             fw = f * wa[:, None]
             f_sum = f_sum * scale + fw.sum(axis=0)
@@ -272,40 +273,51 @@ def _moment_columns(Tmat: np.ndarray, T0: np.ndarray) -> np.ndarray:
 def _segment_sums(family: ExpFamilyRatio, grid: np.ndarray, Tmat: np.ndarray,
                   shift: np.ndarray, starts: np.ndarray, X: np.ndarray | None,
                   w: np.ndarray, T0: np.ndarray | None = None):
-    """Yield (ids, S, XS) in segment order: the sums over the segments ``ids``
-    of rows beginning at ``starts`` (the last ends with Tmat), S of f w, f =
-    f_h exp(-shift) and ``w`` the rows' run lengths, shape (ids.size, G), and
-    XS of the (n, p) columns ``X`` (p = 0 without), and with ``T0`` of the
-    :func:`_moment_columns` about it formed per chunk, times f w, shape
-    (ids.size, p, G).  The segment open at a chunk's end is carried on."""
+    """Yield (ids, P) in segment order: the sums over the segments ``ids`` of
+    rows beginning at ``starts`` (the last ends with Tmat), shape
+    (ids.size, 1 + p, G), of f w in P[:, 0] and of the (n, p) columns ``X``
+    times f w in P[:, 1:], f = f_h exp(-shift) and ``w`` the rows' run
+    lengths; with ``T0`` the :func:`_moment_columns` about it, formed per
+    chunk, follow X.  The segment open at a chunk's end is carried on.
+
+    A chunk's sums are one matrix product: w and w X scattered by segment
+    into a ((1 + p) segments, rows) block, times the chunk's block of f; with
+    ``T0`` the columns multiply f instead, and the block holds w alone.  Up
+    to sqrt(CHUNK_FLOATS / block rows per segment) rows bound the block."""
     X = np.empty((Tmat.shape[0], 0)) if X is None else X
-    d = 0 if T0 is None else Tmat.shape[1]
-    open_id, carry = 0, (0.0, 0.0)
-    # the chunk holds f w and X f w: (1 + p) blocks, p with the moment columns
-    for a, logf in _log_f_chunks(family, grid, Tmat, 1 + X.shape[1] + d + d * d):
+    p = X.shape[1] + (0 if T0 is None else Tmat.shape[1] * (Tmat.shape[1] + 1))
+    q = 1 if T0 is not None else 1 + p              # block rows per segment
+    open_id, carry = 0, 0.0
+    for a, logf in _log_f_chunks(family, grid, Tmat, 1 + p, math.isqrt(CHUNK_FLOATS // q)):
         rows = logf.shape[0]
         f = np.exp(np.subtract(logf, shift, out=logf), out=logf)
-        S = np.multiply(f, w[a:a + rows, None], out=f)
-        Xa = (X[a:a + rows] if T0 is None
-              else np.hstack([X[a:a + rows], _moment_columns(Tmat[a:a + rows], T0)]))
-        XS = Xa[:, :, None] * S[:, None]
-        del logf, f, Xa
+        cols = np.hstack([np.ones((rows, 1)), X[a:a + rows]]
+                         + ([] if T0 is None else [_moment_columns(Tmat[a:a + rows], T0)]))
+        c = w[None, a:a + rows] if T0 is not None else (w[a:a + rows, None] * cols).T
+        if T0 is not None:
+            f = (cols[:, :, None] * f[:, None]).reshape(rows, -1)
         first = int(np.searchsorted(starts, a, side="right")) - 1
         if first != open_id:                  # the carried segment ended at a
-            yield np.array([open_id]), carry[0][None], carry[1][None]
-            carry = (0.0, 0.0)
+            yield np.array([open_id]), carry[None]
+            carry = 0.0
         last = np.searchsorted(starts, a + rows)    # first segment after the chunk
         cuts = np.concatenate(([0], starts[first + 1:last] - a))
-        # one segment per row (unit tours): reduceat would only copy, slowly
-        if cuts.size != rows:
-            S, XS = np.add.reduceat(S, cuts, axis=0), np.add.reduceat(XS, cuts, axis=0)
-        S[0] += carry[0]
-        XS[0] += carry[1]
-        open_id, carry = first + cuts.size - 1, (S[-1].copy(), XS[-1].copy())
+        if cuts.size == rows:                  # one segment per row (unit tours)
+            P = c[:, :, None] * f
+        else:
+            C = np.zeros((q, cuts.size, rows))
+            C[:, np.searchsorted(cuts, np.arange(rows), "right") - 1, np.arange(rows)] = c
+            P = C.reshape(-1, rows) @ f
+            del C
+        del logf, f
+        P = P.reshape(q, cuts.size, -1, grid.shape[0])
+        P = P[0] if T0 is not None else P[:, :, 0].transpose(1, 0, 2)
+        P[0] += carry
+        open_id, carry = first + cuts.size - 1, P[-1].copy()
         if cuts.size > 1:
-            yield first + np.arange(cuts.size - 1), S[:-1], XS[:-1]
-        del S, XS                       # before the next chunk is evaluated
-    yield np.array([open_id]), carry[0][None], carry[1][None]
+            yield first + np.arange(cuts.size - 1), P[:-1]
+        del P                           # before the next chunk is evaluated
+    yield np.array([open_id]), carry[None]
 
 
 def _deviations(trace: ChainTrace, family: ExpFamilyRatio, grid: np.ndarray,
@@ -329,9 +341,10 @@ def _deviations(trace: ChainTrace, family: ExpFamilyRatio, grid: np.ndarray,
     lengths, n, R = segments.lengths, segments.n_eff, segments.R
 
     def deviations():
-        for ids, S, XS in _segment_sums(family, grid, Tmat[:m], shift, cuts, g, w[:m]):
+        for ids, P in _segment_sums(family, grid, Tmat[:m], shift, cuts, g, w[:m]):
+            S = P[:, 0]
             dB = (S - lengths[ids, None] * c) / (n / R)
-            yield ids, dB, None if g is None else (XS[:, 0] - I * S) / (c * n / R)
+            yield ids, dB, None if g is None else (P[:, 1] - I * S) / (c * n / R)
 
     return sums, deviations()
 

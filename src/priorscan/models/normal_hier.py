@@ -205,9 +205,11 @@ class MHKernel:
         if c is None:
             rng = np.random.default_rng(PILOT_SEED)
             draws = self.mean + self.prop_sd * rng.standard_normal((PILOT, model.J))
-            c = float(np.exp(np.median(self._log_w(draws))))
-        if c <= 0:
-            raise ValueError("splitting constant c must be positive")
+            # np.median's value at an even PILOT, without its numpy.ma import
+            lw, m = np.sort(self._log_w(draws)), PILOT // 2       # NaN sorts last
+            c = float("nan") if np.isnan(lw[-1]) else float(np.exp((lw[m - 1] + lw[m]) / 2))
+        if not c > 0:
+            raise ValueError(f"splitting constant c must be positive, got {c}")
         self.log_c = float(np.log(c))
 
     def _log_w(self, theta: np.ndarray) -> np.ndarray:

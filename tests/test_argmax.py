@@ -4,8 +4,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from priorscan import argmax_inference
 from priorscan.argmax_inference import (
     ArgmaxReport,
+    _grid_modes,
     _slice_trace,
     batch_argmax_cov,
     confidence_ellipse,
@@ -75,10 +77,77 @@ class TestMaximizeSurface:
 
     def test_deterministic(self, toy_trace, fam, toy_rect):
         a = maximize_surface(toy_trace, fam, toy_rect, grid_points=5,
-                             multi_starts=4, seed=3)
+                             multi_starts=4)
         b = maximize_surface(toy_trace, fam, toy_rect, grid_points=5,
-                             multi_starts=4, seed=3)
+                             multi_starts=4)
         assert np.array_equal(a.h, b.h)
+
+
+class TestGridModes:
+    """The Newton starts: the coarse grid's local maxima, best first."""
+
+    def test_two_modes_k1(self):
+        v = np.array([0.0, 2.0, 1.0, 0.5, 3.0, 1.0])
+        assert _grid_modes(v, (6,)).tolist() == [4, 1]
+
+    def test_two_modes_k2(self):
+        x = np.linspace(-1.0, 1.0, 7)
+        X1, X2 = np.meshgrid(x, x, indexing="ij")
+        bump = lambda c1, c2, a: a * np.exp(-((X1 - c1) ** 2 + (X2 - c2) ** 2) / 0.1)
+        v = (bump(-2 / 3, -2 / 3, 1.0) + bump(2 / 3, 1 / 3, 2.0)).ravel()
+        modes = _grid_modes(v, (7, 7))
+        assert modes.tolist() == [5 * 7 + 4, 1 * 7 + 1]
+        assert modes[0] == np.argmax(v)
+
+    def test_ties_lowest_index_first(self):
+        # a plateau is a run of points no lower than their neighbours
+        assert _grid_modes(np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0]), (6,)).tolist() == \
+            [0, 2, 3, 5]
+        assert _grid_modes(np.zeros((3, 2)).ravel(), (3, 2)).tolist() == list(range(6))
+        # a point lower than a neighbour along either axis is no mode
+        v = np.array([[0.0, 1.0], [1.0, 0.0]]).ravel()
+        assert _grid_modes(v, (2, 2)).tolist() == [1, 2]
+
+    @staticmethod
+    def _search(toy_trace, values, newton, **kw):
+        """maximize_surface on a 5 x 5 grid whose log B_n values are
+        ``values`` and whose Newton search maps a start x0 to ``newton(x0)``."""
+        rect = HyperRect([0.0, 0.0], [1.0, 1.0])
+        fake_sums = lambda family, grid, Tmat, X=None, w=None: (
+            np.asarray(values, dtype=float), np.ones(grid.shape[0]), None, None)
+        fake_newton = lambda family, Tmat, X, w, rect, x0, tol: (*newton(x0), 50.0, 2, 3)
+        with mock.patch.object(argmax_inference, "_grid_sums", fake_sums), \
+                mock.patch.object(argmax_inference, "_newton", fake_newton):
+            return maximize_surface(toy_trace, None, rect, grid_points=5, **kw)
+
+    # three cones, peaked at grid points (1, 1), (3, 3) and (4, 0): a point
+    # off a peak rises toward it along some axis, so they are the only modes
+    VALUES = np.max([a - np.abs(np.arange(5)[:, None] - i) - np.abs(np.arange(5) - j)
+                     for a, i, j in ((3, 1, 1), (2, 3, 3), (1, 4, 0))], axis=0)
+
+    @pytest.mark.parametrize("multi_starts, starts", [(0, 1), (1, 2), (2, 3), (8, 3)])
+    def test_multi_starts_cap(self, toy_trace, multi_starts, starts):
+        seen = []
+        res = self._search(toy_trace, self.VALUES.ravel(),
+                           lambda x0: seen.append(x0.tolist()) or (x0, 0.0),
+                           multi_starts=multi_starts)
+        assert seen == [[0.25, 0.25], [0.75, 0.75], [1.0, 0.0]][:starts]
+        assert res.optimizer == {"starts": starts, "newton_iters": 2 * starts,
+                                 "moment_passes": 3 * starts}
+        assert res.multistart_consistent and res.h.tolist() == [0.25, 0.25]
+
+    def test_second_mode_wins_after_newton(self, toy_trace):
+        # the grid's second mode climbs higher than its best one
+        res = self._search(toy_trace, self.VALUES.ravel(),
+                           lambda x0: (x0, 5.0 if x0[0] == 0.75 else 4.0))
+        assert res.h.tolist() == [0.75, 0.75] and res.log_value == 5.0
+        assert not res.multistart_consistent
+
+    def test_lower_second_mode_is_consistent(self, toy_trace):
+        res = self._search(toy_trace, self.VALUES.ravel(),
+                           lambda x0: (x0, 4.0 if x0[0] == 0.25 else 3.5))
+        assert res.h.tolist() == [0.25, 0.25] and res.log_value == 4.0
+        assert res.multistart_consistent
 
 
 class TestSandwich:
@@ -357,5 +426,7 @@ def test_newton_agrees_with_nelder_mead(toy_model):
         assert np.abs(res.h - h_ref).max() <= 1e-5
         assert res.log_value >= v_ref - 1e-10
         assert res.boundary == on_boundary
-        assert res.optimizer["starts"] == 9
-        assert res.optimizer["moment_passes"] >= res.optimizer["newton_iters"] >= 9
+        # the coarse grid has one local maximum, and Newton converges from it
+        assert res.optimizer["starts"] == 1
+        assert 3 <= res.optimizer["newton_iters"] <= 4
+        assert res.optimizer["moment_passes"] == res.optimizer["newton_iters"] + 1

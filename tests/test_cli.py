@@ -155,8 +155,7 @@ class TestArgmax:
         assert np.linalg.norm(np.array(d["h_n"]) - [0.0, 1.0]) < 0.3
         assert d["multistart_consistent"] is True
         assert 50.0 <= d["ess_h_n"] <= d["n"]
-        assert d["optimizer"]["starts"] == 9
-        assert d["optimizer"]["moment_passes"] >= d["optimizer"]["newton_iters"] >= 9
+        assert d["optimizer"] == {"starts": 1, "newton_iters": 3, "moment_passes": 4}
         assert (out / "ellipse.csv").exists()
 
     def test_maximizes_over_complete_tours(self, tmp_path):
@@ -620,12 +619,13 @@ class TestConfigErrors:
 
 def test_start_up_and_toy_surface_leave_out_scipy(tmp_path):
     # importing scipy.special costs ~0.3 s of every command; the child runs
-    # the toy and LDA commands with every import of scipy failing
+    # the toy and LDA commands with every import of scipy failing.  numpy.ma
+    # (~20 ms of CPU, pulled in by np.median) stays out too
     from priorscan.models.lda import save_corpus, synth_corpus
 
     save_corpus(synth_corpus(seed=10, D=6, V=12, K=2, n_d=30), tmp_path / "corpus.txt")
-    toy = _write(tmp_path, TOY_COMMON.format(out=tmp_path / "toy")
-                 + "\n[inference]\nfunctional = theta1\n", "toy.ini")
+    toy = _write(tmp_path, TOY_COMMON.format(out=tmp_path / "toy").replace(
+        "kernel = exact", "kernel = mh") + "\n[inference]\nfunctional = theta1\n", "toy.ini")
     lda = _write(tmp_path, f"""\
 [run]
 model = lda-dirichlet
@@ -655,7 +655,7 @@ zetas = 1, 1, 1, 1
     code = ("import json, sys; sys.modules['scipy'] = None; import priorscan.cli as cli; "
             f"codes = [cli.main(args) for args in {runs!r}]; "
             "print(json.dumps([codes, [m for m, v in sys.modules.items() "
-            "if m.startswith('scipy') and v is not None]]))")
+            "if (m.startswith('scipy') or m == 'numpy.ma') and v is not None]]))")
     src = str(Path(cli.__file__).resolve().parents[1])
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})

@@ -441,3 +441,35 @@ def test_chunk_holds_chunk_floats(toy_model, toy_rect, fam, which, columns):
         finally:
             tracemalloc.stop()
     assert peak <= (budget + closed * cols * len(grid)) * 8 + 2 ** 17
+
+
+@pytest.mark.parametrize("segments", ["tours", "batches", "unit-tours"])
+def test_chunk_size_does_not_matter(toy_model, toy_rect, fam, segments):
+    # chunks of 2^12 and of 2^17 floats cut the rows at other places, and so
+    # change which segments one matrix product sums and which are carried
+    # across a chunk edge; the sums, the moment columns' among them, agree
+    trace = (toy_model.exact_trace(H1, n=20_000, seed=3) if segments == "unit-tours"
+             else toy_model.mh_trace(H1, n=20_000, seed=3))
+    seg = (_segmentation(trace.n, None, 50)[1] if segments == "batches"
+           else segment_tours(trace))
+    g = trace.functional("theta1")[:seg.n_eff, None]
+    Tmat, g, w, starts = _runs(trace.Tmat[:seg.n_eff], g, seg.starts0)
+    h = np.array([[0.2, 1.3]])
+
+    def sums():
+        out = []
+        for grid, T0 in ((toy_rect.grid(9), None), (h, Tmat[0])):
+            shift = _grid_sums(fam, grid, Tmat, w=w)[0]
+            out.append(np.concatenate(
+                [P for _, P in _segment_sums(fam, grid, Tmat, shift, starts, g, w, T0)]))
+        return out
+
+    with mock.patch.object(estimators, "CHUNK_FLOATS", 2 ** 12):
+        small = sums()
+    with mock.patch.object(estimators, "CHUNK_FLOATS", 2 ** 17):
+        large = sums()
+    for a, b in zip(small, large):
+        assert a.shape == b.shape == (seg.R,) + a.shape[1:]
+        # each column to 1e-13 of its largest segment sum, where sums cancel
+        scale = np.abs(b).max(axis=0, keepdims=True)
+        np.testing.assert_allclose(a / scale, b / scale, rtol=1e-13, atol=1e-13)

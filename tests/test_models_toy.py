@@ -1,8 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from priorscan.chain_runtime import segment_tours
 from priorscan.models.normal_hier import (
+    PILOT,
+    PILOT_SEED,
+    MHKernel,
     NormalHierModel,
     mh_ensemble_traces,
     normal_hier_spec,
@@ -113,6 +118,23 @@ class TestMHKernel:
         trace = toy_model.mh_trace(H1, R=50, seed=2)
         assert trace.ends_at_regen
         assert segment_tours(trace).R == 50
+
+    @pytest.mark.parametrize("h1", [[0.0, 1.0], [0.5, 2.0], [-1.0, 0.3]])
+    def test_splitting_constant_is_the_pilot_median(self, toy_model, h1):
+        kernel = toy_model.mh_kernel(h1)
+        rng = np.random.default_rng(PILOT_SEED)
+        draws = kernel.mean + kernel.prop_sd * rng.standard_normal((PILOT, toy_model.J))
+        assert kernel.log_c == np.log(float(np.exp(np.median(kernel._log_w(draws)))))
+
+    def test_nan_pilot_weight_raises(self, toy_model):
+        def log_w(self, theta):
+            lw = np.zeros(theta.shape[0])
+            lw[7] = np.nan
+            return lw
+
+        with mock.patch.object(MHKernel, "_log_w", log_w):
+            with pytest.raises(ValueError, match="positive, got nan"):
+                toy_model.mh_kernel(H1)
 
 
 class TestEnsemble:
