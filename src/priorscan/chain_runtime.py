@@ -228,7 +228,7 @@ class TourIndex:
 
     @property
     def starts0(self) -> np.ndarray:
-        """0-based start index of each tour, for reduceat-style segment sums."""
+        """0-based start index of each tour: where the segment sums start a segment."""
         return self.boundaries[:-1] - 1
 
 

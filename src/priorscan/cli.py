@@ -2,7 +2,7 @@
 
 Commands: surface, argmax, band, st-tune, st-run, synth, oracle-check; an
 [st] section puts every command's chain on serial tempering (see run_chain).
-Configuration is a plain key=value file with sections (stdlib configparser);
+Configuration is an INI file whose every key SCHEMA parses and checks;
 all randomness flows from per-stream generators derived from (seed, stream
 name), so identical configs produce byte-identical outputs.  Exit codes:
 0 ok, 1 runtime warning (boundary argmax / tuning non-convergence /
@@ -64,7 +64,7 @@ class ConfigError(Exception):
 
 
 # ------------------------------------------------------------------
-# config plumbing
+# config schema
 # ------------------------------------------------------------------
 
 def stream_rng(seed: int, name: str) -> np.random.Generator:
@@ -73,32 +73,88 @@ def stream_rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), tag]))
 
 
-def _number(text, kind=float, what: str = "value"):
-    """``kind(text)`` for ``kind`` int or float, raising ConfigError."""
-    try:
-        return kind(text)
-    except ValueError as exc:
-        raise ConfigError(f"{what}: expected {kind.__name__}, got {text!r}") from exc
-
-
-def _numbers(text: str, kind=float, what: str = "value") -> list:
-    return [_number(tok, kind, what) for tok in text.replace(";", ",").split(",")
-            if tok.strip()]
+def _numbers(text: str, kind=float) -> list:
+    return [kind(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
 
 
 def _floats(text: str) -> np.ndarray:
     return np.array(_numbers(text), dtype=float)
 
 
-def _per_axis(counts: list, k: int, what: str) -> list:
+def _checked(parse, ok):
+    """``parse``, raising ValueError also where ``ok`` of the value is false."""
+    def checked(text: str):
+        if not ok(parse(text)):
+            raise ValueError(text)
+        return parse(text)
+    return checked
+
+
+def _anchors(text: str):
+    """A lattice's counts per axis (tuple), or explicit anchor rows (array)."""
+    if text.startswith("lattice:"):
+        return tuple(int(v) for v in text[len("lattice:"):].split("x"))
+    return np.array([_floats(row) for row in text.split(";")])   # ragged rows: ValueError
+
+
+def _per_axis(counts: tuple, k: int, what: str) -> tuple:
     """k counts, each at least 1, from one count for every axis or k of them."""
     if min(counts, default=0) < 1 or len(counts) not in (1, k):
         raise ConfigError(f"{what}: expected 1 or {k} counts of at least 1, got {counts}")
     return counts * k if len(counts) == 1 else counts
 
 
+TOY, VS, LDA = "normal-hier", "vs-bernoulli-zellner", "lda-dirichlet"
+ALL = (TOY, VS, LDA)
+REQUIRED = object()
+COUNT = _checked(int, lambda v: v >= 1)
+KERNELS, SYNTHS = ("mh", "exact"), ("regression", "corpus")
+
+# (section, key) -> (kind, parser, default or REQUIRED, models whose configs may
+# set it).  Keys as documented; configparser lowercases them, so they match in
+# any case.  The README's key table lists the same keys.
+SCHEMA = {
+    ("run", "model"): ("model id", str, REQUIRED, ALL),
+    ("run", "seed"): ("integer", int, 0, ALL),
+    ("run", "out"): ("path", str, ".", ALL),
+    ("run", "n"): ("integer >= 1", COUNT, None, ALL),
+    ("run", "R"): ("integer >= 1", COUNT, None, (TOY,)),
+    ("model", "y"): ("numbers", _floats, REQUIRED, (TOY,)),
+    ("model", "sigma0"): ("number", float, 1.0, (TOY,)),
+    ("model", "kernel"): ("mh or exact", _checked(str, KERNELS.__contains__), "mh", (TOY,)),
+    ("model", "data"): ("path", str, REQUIRED, (VS,)),
+    ("model", "corpus"): ("path", str, REQUIRED, (LDA,)),
+    ("model", "K"): ("integer >= 1", COUNT, REQUIRED, (LDA,)),
+    ("hyper", "rect_lower"): ("numbers", _floats, REQUIRED, ALL),
+    ("hyper", "rect_upper"): ("numbers", _floats, REQUIRED, ALL),
+    ("hyper", "h1"): ("numbers", _floats, REQUIRED, ALL),
+    ("hyper", "grid"): ("integers", lambda text: tuple(_numbers(text, int)), (21,), ALL),
+    ("inference", "alpha"): ("number in (0, 1)", _checked(float, lambda a: 0 < a < 1), 0.05, ALL),
+    ("inference", "M"): ("integer >= 2", _checked(int, lambda v: v >= 2), None, ALL),
+    ("inference", "functional"): ("name", str, None, ALL),
+    ("st", "anchors"): ("lattice:AxB or anchor rows", _anchors, (3, 3), ALL),
+    ("st", "zetas"): ("numbers", _floats, None, ALL),
+    ("st", "rounds"): ("integer >= 1", COUNT, 10, ALL),
+    ("st", "steps_per_round"): ("integer >= 1", COUNT, 5000, ALL),
+    ("synth", "kind"): ("regression or corpus", _checked(str, SYNTHS.__contains__), REQUIRED, ALL),
+    **{("synth", key): ("integer", int, default, ALL)
+       for key, default in (("m", 50), ("q", 8), ("D", 6), ("V", 12), ("K", 2), ("n_d", 30))},
+    **{("synth", key): ("number", float, default, ALL)
+       for key, default in (("sparsity", 0.3), ("snr", 2.0), ("eta", 0.5), ("alpha", 0.5))},
+}
+
+
+def _unread(what: str, name: str, known: list) -> ConfigError:
+    import difflib              # on the error path only
+
+    near = difflib.get_close_matches(name, known, n=1)
+    return ConfigError(f"{what}: no command reads it; "
+                       + (f"did you mean {near[0]}?" if near else "known: " + ", ".join(known)))
+
+
 class RunConfig:
-    """Validated view over the parsed config file."""
+    """The config file, every key parsed through SCHEMA when it is read:
+    ``cfg[section, key]`` is the key's value, or its default."""
 
     def __init__(self, path: str):
         self.path = Path(path)
@@ -106,95 +162,65 @@ class RunConfig:
             raise ConfigError(f"config file not found: {path}")
         raw = self.path.read_bytes()
         self.sha256 = hashlib.sha256(raw).hexdigest()
-        cp = configparser.ConfigParser()
+        cp = configparser.ConfigParser(interpolation=None)     # values verbatim
         try:
             cp.read_string(raw.decode())
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
-        self.cp = cp
+        self.sections, self.values = set(cp.sections()), {}
+        model = cp.get("run", "model", fallback=None)
+        sections = [f"[{s}]" for s in dict.fromkeys(s for s, _ in SCHEMA)]
+        # configparser copies [DEFAULT]'s keys into every section
+        for section in [cp.default_section] * bool(cp.defaults()) + cp.sections():
+            if f"[{section}]" not in sections:
+                raise _unread(f"[{section}]", f"[{section}]", sections)
+            keys = {k.lower(): k for s, k in SCHEMA if s == section}
+            for key, text in cp[section].items():
+                if key not in keys:
+                    raise _unread(f"[{section}] {key}", key, list(keys.values()))
+                name = section, keys[key]
+                kind, parse, _, models = SCHEMA[name]
+                if model in ALL and model not in models:
+                    raise ConfigError(f"[{section}] {name[1]}: the {model} model does not read it")
+                try:
+                    self.values[name] = parse(text)
+                except ValueError as exc:
+                    raise ConfigError(f"[{section}] {name[1]}: expected {kind}, "
+                                      f"got {text!r}") from exc
+        if ("hyper", "h1") in self.values and self.h1().size != self.rect().k:
+            raise ConfigError(f"[hyper] h1: expected {self.rect().k} coordinates, "
+                              f"got {self.h1().size}")
 
-    def get(self, section: str, key: str, default=None, required: bool = False):
-        if self.cp.has_option(section, key):
-            return self.cp.get(section, key)
-        if required:
-            raise ConfigError(f"missing [{section}] {key}")
-        return default
-
-    def number(self, section: str, key: str, kind=float, default=None,
-               required: bool = False):
-        """The key's value as ``kind`` (int or float), None if absent."""
-        text = self.get(section, key, default=default, required=required)
-        return None if text is None else _number(text, kind, f"[{section}] {key}")
-
-    def count(self, section: str, key: str, least: int = 1, default=None,
-              required: bool = False):
-        """The key's int value, which must be at least ``least``; None if absent."""
-        value = self.number(section, key, int, default=default, required=required)
-        if value is not None and value < least:
-            raise ConfigError(f"[{section}] {key} must be at least {least}, got {value}")
-        return value
-
-    # -- common blocks ----------------------------------------------------
-    @property
-    def model_id(self) -> str:
-        return self.get("run", "model", required=True)
-
-    @property
-    def seed(self) -> int:
-        return self.number("run", "seed", int, default=0)
+    def __getitem__(self, name: tuple[str, str]):
+        if name in self.values:
+            return self.values[name]
+        if SCHEMA[name][2] is REQUIRED:
+            raise ConfigError(f"missing [{name[0]}] {name[1]}")
+        return SCHEMA[name][2]
 
     @property
     def out_dir(self) -> Path:
-        out = os.environ.get("PRIORSCAN_OUT") or self.get("run", "out", default=".")
-        p = Path(out)
+        p = Path(os.environ.get("PRIORSCAN_OUT") or self["run", "out"])
         p.mkdir(parents=True, exist_ok=True)
         return p
 
     def chain_target(self) -> dict:
-        n, R = self.count("run", "n"), self.count("run", "R")
+        n, R = self["run", "n"], self["run", "R"]
         if (n is None) == (R is None):
             raise ConfigError("set exactly one of [run] n and [run] R")
         return {"n": n} if n is not None else {"R": R}
 
     def rect(self) -> HyperRect:
-        lo = _floats(self.get("hyper", "rect_lower", required=True))
-        hi = _floats(self.get("hyper", "rect_upper", required=True))
         try:
-            return HyperRect(lower=lo, upper=hi)
+            return HyperRect(lower=self["hyper", "rect_lower"], upper=self["hyper", "rect_upper"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
     def h1(self) -> np.ndarray:
-        h1, k = _floats(self.get("hyper", "h1", required=True)), self.rect().k
-        if h1.size != k:
-            raise ConfigError(f"[hyper] h1: expected {k} coordinates, got {h1.size}")
-        return h1
+        return self["hyper", "h1"]
 
     def grid(self, rect: HyperRect) -> np.ndarray:
-        points = _numbers(self.get("hyper", "grid", default="21"), int, "[hyper] grid")
-        return rect.grid(_per_axis(points, rect.k, "[hyper] grid"))
-
-    def kernel(self) -> str:
-        """The toy model's chain: mh (default) or exact (iid draws)."""
-        kernel = self.get("model", "kernel", default="mh")
-        if kernel not in ("mh", "exact"):
-            raise ConfigError(f"[model] kernel: expected mh or exact, got {kernel!r}")
-        return kernel
-
-    @property
-    def alpha(self) -> float:
-        a = self.number("inference", "alpha", default=0.05)
-        if not 0.0 < a < 1.0:
-            raise ConfigError("alpha must lie in (0, 1)")
-        return a
-
-    @property
-    def M(self) -> int | None:
-        return self.count("inference", "M", least=2)
-
-    @property
-    def functional(self) -> str | None:
-        return self.get("inference", "functional")
+        return rect.grid(_per_axis(self["hyper", "grid"], rect.k, "[hyper] grid"))
 
 
 # ------------------------------------------------------------------
@@ -202,34 +228,26 @@ class RunConfig:
 # ------------------------------------------------------------------
 
 def build_model(cfg: RunConfig):
-    """The config's model.  Every command builds it first, so the rectangle,
-    h1 and an [st] section are checked against it here, before any chain runs."""
-    mid = cfg.model_id
-    rect = cfg.rect()
-    if mid == "normal-hier":
-        y = _floats(cfg.get("model", "y", required=True))
-        sigma0 = cfg.number("model", "sigma0", default=1.0)
-        cfg.kernel()
-        model = NormalHierModel(y=y, sigma0=sigma0, rect=rect)
-    elif mid == "vs-bernoulli-zellner":
-        data = cfg.get("model", "data", required=True)
+    """The config's model.  Every command builds it first, so the rectangle
+    and an [st] section are checked against it here, before any chain runs."""
+    mid, rect = cfg["run", "model"], cfg.rect()
+    if mid == TOY:
+        model = NormalHierModel(y=cfg["model", "y"], sigma0=cfg["model", "sigma0"], rect=rect)
+    elif mid == VS:
         # first non-comment line is the header
-        lines = [ln for ln in Path(data).read_text().splitlines()
+        lines = [ln for ln in Path(cfg["model", "data"]).read_text().splitlines()
                  if ln.strip() and not ln.lstrip().startswith("#")]
         body = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
         model = VSModel(y=body[:, 0], X=body[:, 1:], rect=rect)
-    elif mid == "lda-dirichlet":
-        K = cfg.count("model", "K", required=True)
-        corpus = load_corpus(cfg.get("model", "corpus", required=True))
-        model = LDAModel(corpus=corpus, K=K, rect=rect)
+    elif mid == LDA:
+        model = LDAModel(K=cfg["model", "K"], corpus=load_corpus(cfg["model", "corpus"]),
+                         rect=rect)
     else:
         raise ConfigError(f"unknown model id {mid!r}")
     k = model.spec().k
     if rect.k != k:
         raise ConfigError(f"[hyper] rect_lower, rect_upper: the {mid} model has "
                           f"{k} hyperparameters, the rectangle {rect.k}")
-    if cfg.get("hyper", "h1") is not None:
-        cfg.h1()
     st_chain(model, cfg)
     return model
 
@@ -237,26 +255,20 @@ def build_model(cfg: RunConfig):
 def st_chain(model, cfg: RunConfig, always: bool = False):
     """(STGrid, per-anchor model) of the serial-tempering chain from the [st]
     section.  Without one: None, or with ``always`` lattice:3x3, unit zetas."""
-    if not (always or cfg.cp.has_section("st")):
+    if not (always or "st" in cfg.sections):
         return None
     if not hasattr(model, "st_model"):
-        raise ConfigError(f"[st]: the {cfg.model_id} model has no serial-tempering chain")
-    rect = cfg.rect()
-    spec_txt = cfg.get("st", "anchors", default="lattice:3x3")
-    if spec_txt.startswith("lattice:"):
-        shape = [_number(v, int, "[st] anchors")
-                 for v in spec_txt.split(":", 1)[1].split("x")]
-        anchors = lattice_anchors(rect, _per_axis(shape, rect.k, "[st] anchors"))
-    else:
-        rows = [_floats(row) for row in spec_txt.split(";")]
-        if any(row.size != rect.k for row in rows):
-            raise ConfigError(f"[st] anchors: each anchor needs {rect.k} coordinates")
-        anchors = np.array(rows)
-    zeta_txt = cfg.get("st", "zetas")
-    zetas = (_floats(zeta_txt) if zeta_txt is not None
-             else np.ones(anchors.shape[0]))
+        raise ConfigError(f"[st]: the {cfg['run', 'model']} model has no serial-tempering chain")
+    if cfg["run", "R"] is not None:
+        raise ConfigError("[run] R: serial tempering runs use [run] n")
+    rect, anchors, zetas = cfg.rect(), cfg["st", "anchors"], cfg["st", "zetas"]
+    if isinstance(anchors, tuple):
+        anchors = lattice_anchors(rect, _per_axis(anchors, rect.k, "[st] anchors"))
+    elif anchors.shape[1] != rect.k:
+        raise ConfigError(f"[st] anchors: each anchor needs {rect.k} coordinates")
     try:
-        grid = STGrid(anchors=anchors, zetas=zetas)
+        grid = STGrid(anchors=anchors,
+                      zetas=np.ones(anchors.shape[0]) if zetas is None else zetas)
     except ValueError as exc:       # a zeta count or value from the config
         raise ConfigError(f"[st] zetas: {exc}") from exc
     return grid, model.st_model(anchors)
@@ -270,20 +282,16 @@ def run_chain(model, cfg: RunConfig, stream: str,
     its anchors and their MixtureRatio, so that B_n is relative to the anchor
     mixture; otherwise the model's chain at h1 and ExpFamilyRatio(spec, h1).
     """
-    rng = stream_rng(cfg.seed, stream)
+    rng = stream_rng(cfg["run", "seed"], stream)
     target = cfg.chain_target()
     spec, tempering = model.spec(), st_chain(model, cfg, st)
     if tempering is not None:
         grid, st_model = tempering
-        if "n" not in target:
-            raise ConfigError("serial tempering runs use [run] n")
         return run_st(st_model, spec, grid, n=target["n"], rng=rng), MixtureRatio(spec, grid)
     h1 = cfg.h1()
-    if not isinstance(model, NormalHierModel):
-        if "R" in target:
-            raise ConfigError("this model has no regeneration construction; use n")
+    if not isinstance(model, NormalHierModel):      # [run] R is the toy's alone
         trace = model.trace(h1, target["n"], rng=rng)
-    elif cfg.kernel() == "exact":
+    elif cfg["model", "kernel"] == "exact":
         (n,) = target.values()          # iid: R complete tours are R draws
         trace = model.exact_trace(h1, n, rng=rng)
     else:
@@ -335,7 +343,7 @@ def write_table(path: Path, table, cfg_hash: str) -> None:
 def cmd_surface(cfg: RunConfig) -> int:
     model = build_model(cfg)
     grid = cfg.grid(cfg.rect())
-    M, g_name = cfg.M, cfg.functional
+    M, g_name = cfg["inference", "M"], cfg["inference", "functional"]
     trace, family = run_chain(model, cfg, "surface")
     check_functional(trace, g_name)
     est, fest = grid_estimates(trace, family, grid, g_name, tours=trace_tours(trace), M=M)
@@ -349,7 +357,7 @@ def cmd_surface(cfg: RunConfig) -> int:
 def cmd_argmax(cfg: RunConfig) -> int:
     model = build_model(cfg)
     rect = cfg.rect()
-    alpha, M = cfg.alpha, cfg.M
+    alpha, M = cfg["inference", "alpha"], cfg["inference", "M"]
     trace, family = run_chain(model, cfg, "argmax")
     tours = trace_tours(trace)
     segments = _segmentation(trace.n, tours, M)[1]
@@ -386,7 +394,7 @@ def cmd_band(cfg: RunConfig, replicate: int = 0) -> int:
     model = build_model(cfg)
     rect = cfg.rect()
     grid = cfg.grid(rect)
-    g_name, alpha, M = cfg.functional, cfg.alpha, cfg.M
+    g_name, alpha, M = (cfg["inference", key] for key in ("functional", "alpha", "M"))
     if replicate > 0 and (not isinstance(model, NormalHierModel) or g_name != "theta1"):
         raise ConfigError("--replicate coverage needs the normal-hier model "
                           "with functional theta1 (analytic truth)")
@@ -425,11 +433,10 @@ def _zeta_csv(path: Path, grid: STGrid, occ, cfg_hash: str) -> None:
 def cmd_st_tune(cfg: RunConfig) -> int:
     model = build_model(cfg)
     grid, st_model = st_chain(model, cfg, always=True)
-    rounds = cfg.count("st", "rounds", default=10)
-    steps = cfg.count("st", "steps_per_round", default=5000)
-    tuned, converged, ratios = tune_zeta(st_model, model.spec(), grid, rounds=rounds,
-                                         steps_per_round=steps,
-                                         seed=stream_rng(cfg.seed, "st-tune"))
+    tuned, converged, ratios = tune_zeta(st_model, model.spec(), grid,
+                                         rounds=cfg["st", "rounds"],
+                                         steps_per_round=cfg["st", "steps_per_round"],
+                                         seed=stream_rng(cfg["run", "seed"], "st-tune"))
     _zeta_csv(cfg.out_dir / "zeta.csv", tuned, tuned.occupancies, cfg.sha256)
     write_json(cfg.out_dir / "st_tune.json", {
         "converged": bool(converged),
@@ -442,7 +449,7 @@ def cmd_st_tune(cfg: RunConfig) -> int:
 
 def cmd_st_run(cfg: RunConfig) -> int:
     model = build_model(cfg)
-    surface_grid, M = cfg.grid(cfg.rect()), cfg.M
+    surface_grid, M = cfg.grid(cfg.rect()), cfg["inference", "M"]
     trace, family = run_chain(model, cfg, "st-run", st=True)
     occ = occupancies(trace, family.grid.m)
     _zeta_csv(cfg.out_dir / "occupancy.csv", family.grid, occ, cfg.sha256)
@@ -453,39 +460,26 @@ def cmd_st_run(cfg: RunConfig) -> int:
 
 
 def cmd_synth(cfg: RunConfig) -> int:
-    kind = cfg.get("synth", "kind", required=True)
-    out = cfg.out_dir
+    kind, seed, out = cfg["synth", "kind"], cfg["run", "seed"], cfg.out_dir
     if kind == "regression":
-        data = synth_regression(
-            seed=cfg.seed,
-            m=cfg.number("synth", "m", int, default=50),
-            q=cfg.number("synth", "q", int, default=8),
-            sparsity=cfg.number("synth", "sparsity", default=0.3),
-            snr=cfg.number("synth", "snr", default=2.0))
+        data = synth_regression(seed=seed, **{key: cfg["synth", key]
+                                              for key in ("m", "q", "sparsity", "snr")})
         path = out / "regression.csv"
         header = "y," + ",".join(f"x_{j+1}" for j in range(data.X.shape[1]))
         write_csv(path, header, np.column_stack([data.y, data.X]), cfg.sha256)
         write_json(out / "regression.json", dict(data.meta), cfg.sha256)
         return EXIT_OK
-    if kind == "corpus":
-        corpus = synth_corpus(
-            seed=cfg.seed,
-            D=cfg.number("synth", "D", int, default=6),
-            V=cfg.number("synth", "V", int, default=12),
-            K=cfg.number("synth", "K", int, default=2),
-            n_d=cfg.number("synth", "n_d", int, default=30),
-            eta=cfg.number("synth", "eta", default=0.5),
-            alpha=cfg.number("synth", "alpha", default=0.5))
-        save_corpus(corpus, out / "corpus.txt")
-        return EXIT_OK
-    raise ConfigError(f"unknown synth kind {kind!r} (regression|corpus)")
+    corpus = synth_corpus(seed=seed, **{key: cfg["synth", key]
+                                        for key in ("D", "V", "K", "n_d", "eta", "alpha")})
+    save_corpus(corpus, out / "corpus.txt")
+    return EXIT_OK
 
 
 def cmd_oracle_check(cfg: RunConfig) -> int:
     model = build_model(cfg)
     if not isinstance(model, NormalHierModel):
         raise ConfigError("oracle-check applies to the normal-hier model")
-    grid, M = cfg.grid(cfg.rect()), cfg.M
+    grid, M = cfg.grid(cfg.rect()), cfg["inference", "M"]
     trace, family = run_chain(model, cfg, "oracle-check")
     est = surface_on_grid(trace, family, grid, tours=trace_tours(trace), M=M)
     # B_n is m(h) over the chain's mixture (1/m) sum_j m(h_j)/zeta_j: m(h1) at one anchor

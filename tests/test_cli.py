@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -580,6 +582,17 @@ class TestConfigErrors:
          ("model = lda-dirichlet", "corpus = no-such-corpus.txt\nK = 0")),
         ("band --replicate -3", "grid = 3",
          "grid = 3\n\n[inference]\nfunctional = theta1"),
+        # keys and sections that no command reads, or not with this model
+        ("surface", ("model = normal-hier", "y = -2, -1, 0, 1, 2", "kernel = exact"),
+         ("model = lda-dirichlet", "corpus = no-such-corpus.txt\nK = 2",
+          "kernel = foo\nsigma0 = -5")),
+        ("st-tune", "grid = 3", "grid = 3\n\n[st]\nsteps_per_rond = 10"),
+        ("surface", "[run]", "[DEFAULT]\nseed = 2\n\n[run]"),
+        ("surface", "grid = 3", "grid = 3\n\n[infrence]\nalpha = 0.1"),
+        ("surface", ("model = normal-hier", "y = -2, -1, 0, 1, 2\nkernel = exact", "n = 4000"),
+         ("model = lda-dirichlet", "corpus = no-such-corpus.txt\nK = 2", "R = 50")),
+        ("surface", ("n = 4000", "grid = 3"),
+         ("R = 50", "grid = 3\n\n[st]\nanchors = lattice:2x2")),
     ], ids=["surface-grid", "surface-M", "argmax-alpha", "argmax-alpha-range",
             "band-M", "oracle-check-grid", "st-run-grid", "grid-zero",
             "grid-negative", "band-M-zero", "band-M-one", "argmax-M-zero",
@@ -587,7 +600,8 @@ class TestConfigErrors:
             "st-zetas-inf", "argmax-st-zetas-nan", "surface-st-lattice-dims",
             "st-steps-zero", "st-steps-negative", "st-rounds-zero",
             "kernel-unknown", "kernel-case", "h1-dims", "rect-dims", "lda-K-zero",
-            "replicate-negative"])
+            "replicate-negative", "lda-toy-keys", "st-steps-typo", "default-section",
+            "section-typo", "lda-R", "st-R"])
     def test_checked_before_the_chain(self, tmp_path, capsys, monkeypatch,
                                       command, old, new):
         # ``command`` may carry options; ``old`` and ``new`` are one
@@ -605,6 +619,29 @@ class TestConfigErrors:
         assert main([*command.split(), cfg]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
 
+    @pytest.mark.parametrize("command, old, new, message", [
+        ("st-tune", "grid = 3", "grid = 3\n\n[st]\nsteps_per_rond = 10",
+         "[st] steps_per_rond: no command reads it; did you mean steps_per_round?"),
+        ("surface", "grid = 3", "grid = 3\n\n[infrence]\nalpha = 0.1",
+         "[infrence]: no command reads it; did you mean [inference]?"),
+        ("surface", "model = normal-hier", "model = lda-dirichlet",
+         "[model] y: the lda-dirichlet model does not read it"),
+        # configparser lowercases keys; messages keep the documented spelling
+        ("surface", "grid = 3", "grid = 3\n\n[inference]\nm = 1",
+         "[inference] M: expected integer >= 2, got '1'"),
+    ], ids=["key-typo", "section-typo", "other-model", "key-spelling"])
+    def test_unread_key_message(self, tmp_path, capsys, command, old, new, message):
+        cfg = _write(tmp_path, TOY_COMMON.format(out=tmp_path).replace(old, new))
+        assert main([command, cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_percent_is_read_verbatim(self, tmp_path):
+        # with configparser's interpolation a '%' raised InterpolationSyntaxError
+        out = tmp_path / "o%3"
+        cfg = _write(tmp_path, TOY_COMMON.format(out=out))
+        assert main(["surface", cfg]) == EXIT_OK
+        assert (out / "surface.csv").is_file()
+
     @pytest.mark.parametrize("command", ["surface", "band"])
     def test_unknown_functional(self, tmp_path, capsys, command):
         out = tmp_path / "out"
@@ -615,6 +652,42 @@ class TestConfigErrors:
         assert err == ("config error: [inference] functional: unknown 'theta9'; "
                        "recorded: theta1\n")
         assert not any(out.glob("*.csv"))
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_readme_documents_every_schema_key():
+    readme = (ROOT / "README.md").read_text()
+    documented = set(re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \|", readme, re.M))
+    assert documented == set(cli.SCHEMA)
+
+
+def _shipped_configs(monkeypatch):
+    """(where, text) of the configs the benchmark writes, the CI heredocs and
+    the README's INI blocks."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from workloads import WORKLOADS, render_configs
+
+    for name, workload in WORKLOADS.items():
+        for file, text in render_configs(workload.params, seed=1).items():
+            yield f"{name} {file}", text
+    ci = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    for file, text in re.findall(r"cat > (\S+\.ini) <<'EOF'\n(.*?)\n *EOF\n", ci, re.S):
+        yield f"tests.yml {file}", textwrap.dedent(text)
+    for i, text in enumerate(re.findall(r"```ini\n(.*?)```", (ROOT / "README.md").read_text(),
+                                        re.S)):
+        yield f"README block {i}", text
+
+
+def test_shipped_configs_parse(tmp_path, monkeypatch):
+    configs = list(_shipped_configs(monkeypatch))
+    assert len(configs) >= 10
+    for i, (where, text) in enumerate(configs):
+        try:
+            cli.RunConfig(_write(tmp_path, text, f"{i}.ini"))
+        except cli.ConfigError as exc:
+            raise AssertionError(f"{where}: {exc}") from exc
 
 
 def test_start_up_and_toy_surface_leave_out_scipy(tmp_path):
