@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import gc
 import hashlib
 import json
 import os
@@ -46,12 +47,13 @@ from priorscan.serial_tempering import (
     MixtureRatio,
     STGrid,
     lattice_anchors,
+    lattice_neighbours,
     occupancies,
     run_st,
     tune_zeta,
 )
 
-__all__ = ["main"]
+__all__ = ["main", "entry"]
 
 EXIT_OK = 0
 EXIT_WARN = 1
@@ -107,7 +109,7 @@ def _per_axis(counts: tuple, k: int, what: str) -> tuple:
 TOY, VS, LDA = "normal-hier", "vs-bernoulli-zellner", "lda-dirichlet"
 ALL = (TOY, VS, LDA)
 REQUIRED = object()
-COUNT = _checked(int, lambda v: v >= 1)
+COUNT, COUNT2 = _checked(int, lambda v: v >= 1), _checked(int, lambda v: v >= 2)
 KERNELS, SYNTHS = ("mh", "exact"), ("regression", "corpus")
 
 # (section, key) -> (kind, parser, default or REQUIRED, models whose configs may
@@ -130,15 +132,17 @@ SCHEMA = {
     ("hyper", "h1"): ("numbers", _floats, REQUIRED, ALL),
     ("hyper", "grid"): ("integers", lambda text: tuple(_numbers(text, int)), (21,), ALL),
     ("inference", "alpha"): ("number in (0, 1)", _checked(float, lambda a: 0 < a < 1), 0.05, ALL),
-    ("inference", "M"): ("integer >= 2", _checked(int, lambda v: v >= 2), None, ALL),
+    ("inference", "M"): ("integer >= 2", COUNT2, None, ALL),
     ("inference", "functional"): ("name", str, None, ALL),
     ("st", "anchors"): ("lattice:AxB or anchor rows", _anchors, (3, 3), ALL),
     ("st", "zetas"): ("numbers", _floats, None, ALL),
     ("st", "rounds"): ("integer >= 1", COUNT, 10, ALL),
     ("st", "steps_per_round"): ("integer >= 1", COUNT, 5000, ALL),
     ("synth", "kind"): ("regression or corpus", _checked(str, SYNTHS.__contains__), REQUIRED, ALL),
-    **{("synth", key): ("integer", int, default, ALL)
-       for key, default in (("m", 50), ("q", 8), ("D", 6), ("V", 12), ("K", 2), ("n_d", 30))},
+    # synth_regression standardizes each column by its SD, which needs m >= 2 rows
+    ("synth", "m"): ("integer >= 2", COUNT2, 50, ALL),
+    **{("synth", key): ("integer >= 1", COUNT, default, ALL)
+       for key, default in (("q", 8), ("D", 6), ("V", 12), ("K", 2), ("n_d", 30))},
     **{("synth", key): ("number", float, default, ALL)
        for key, default in (("sparsity", 0.3), ("snr", 2.0), ("eta", 0.5), ("alpha", 0.5))},
 }
@@ -254,7 +258,8 @@ def build_model(cfg: RunConfig):
 
 def st_chain(model, cfg: RunConfig, always: bool = False):
     """(STGrid, per-anchor model) of the serial-tempering chain from the [st]
-    section.  Without one: None, or with ``always`` lattice:3x3, unit zetas."""
+    section.  Without one: None, or with ``always`` lattice:3x3, unit zetas.
+    Labels on a lattice move between its neighbours along every axis."""
     if not (always or "st" in cfg.sections):
         return None
     if not hasattr(model, "st_model"):
@@ -262,12 +267,14 @@ def st_chain(model, cfg: RunConfig, always: bool = False):
     if cfg["run", "R"] is not None:
         raise ConfigError("[run] R: serial tempering runs use [run] n")
     rect, anchors, zetas = cfg.rect(), cfg["st", "anchors"], cfg["st", "zetas"]
+    neighbours = None               # explicit anchors: moves along the rows' order
     if isinstance(anchors, tuple):
-        anchors = lattice_anchors(rect, _per_axis(anchors, rect.k, "[st] anchors"))
+        shape = _per_axis(anchors, rect.k, "[st] anchors")
+        anchors, neighbours = lattice_anchors(rect, shape), lattice_neighbours(shape)
     elif anchors.shape[1] != rect.k:
         raise ConfigError(f"[st] anchors: each anchor needs {rect.k} coordinates")
     try:
-        grid = STGrid(anchors=anchors,
+        grid = STGrid(anchors=anchors, neighbours=neighbours,
                       zetas=np.ones(anchors.shape[0]) if zetas is None else zetas)
     except ValueError as exc:       # a zeta count or value from the config
         raise ConfigError(f"[st] zetas: {exc}") from exc
@@ -530,5 +537,17 @@ def main(argv=None) -> int:
         return EXIT_RUNTIME
 
 
+def entry() -> None:
+    """The ``priorscan`` process: ``main`` on ``sys.argv``, then exit with its
+    code.  ``gc.freeze()`` first moves every object out of the collector's
+    reach, so the interpreter's exit skips the full collection over the
+    ~23k objects in module reference cycles (numpy's and ours), whose memory
+    the OS takes back anyway; ~15 ms a process.  Not in ``main``, which
+    tests call in-process."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

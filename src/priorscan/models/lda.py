@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 SIMPLEX_CLAMP = 1e-300
+PRIOR_CACHE = 64        # (eta, alpha) pairs whose gamma-shape priors a model keeps
 
 
 # Bernoulli numbers B_2, B_4, ..., B_14 of the asymptotic series
@@ -192,6 +193,7 @@ class LDAState:
     cdk: np.ndarray       # (D, K) doc-topic counts
     beta: np.ndarray      # (K, V) row-stochastic
     theta: np.ndarray     # (D, K) row-stochastic
+    counts: np.ndarray | None = None    # (KV + DK,) ckv then cdk, both views of it
 
 
 def lda_closeness(state: LDAState, i: int, j: int, eps: float) -> float:
@@ -229,6 +231,7 @@ class LDAModel:
         # KV + d_i K + z_i (doc-topic) of the concatenated count vector
         self._count_at = np.stack([self.word_ids, self.K * self.V + self.doc_ids * self.K])
         self._count_step = np.array([[self.V], [1]])
+        self._priors = {}       # (eta, alpha) -> the gamma shapes' prior part
 
     def spec(self) -> ExpFamilySpec:
         return lda_spec(self.K, self.V, self.D)
@@ -236,16 +239,30 @@ class LDAModel:
     # -- state updates ----------------------------------------------------
     def init_state(self, rng: np.random.Generator) -> LDAState:
         z = rng.integers(0, self.K, size=self.word_ids.size)
-        return LDAState(z, *self._counts(z), beta=np.zeros((self.K, self.V)),
-                        theta=np.zeros((self.D, self.K)))
+        c, ckv, cdk = self._counts(z)
+        return LDAState(z, ckv, cdk, beta=np.zeros((self.K, self.V)),
+                        theta=np.zeros((self.D, self.K)), counts=c)
 
-    def _counts(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Topic-word and doc-topic counts of the token topics ``z``, as views
-        of one count vector."""
+    def _counts(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The count vector of the token topics ``z``, then its topic-word and
+        doc-topic counts as views of it."""
         K, V, D = self.K, self.V, self.D
         c = np.bincount((self._count_at + self._count_step * z).ravel(),
                         minlength=K * V + D * K)
-        return c[:K * V].reshape(K, V), c[K * V:].reshape(D, K)
+        return c, c[:K * V].reshape(K, V), c[K * V:].reshape(D, K)
+
+    def _prior(self, eta: float, alpha: float) -> np.ndarray:
+        """eta over the topic-word shapes, then alpha over the doc-topic ones;
+        kept per (eta, alpha), as a chain sweeps at h1 or at its anchors."""
+        prior = self._priors.get((eta, alpha))
+        if prior is None:
+            if eta <= 0 or alpha <= 0:
+                raise ValueError("eta and alpha must be positive")
+            if len(self._priors) >= PRIOR_CACHE:
+                self._priors.clear()
+            prior = self._priors[eta, alpha] = np.repeat(
+                [eta, alpha], [self.K * self.V, self.D * self.K])
+        return prior
 
     def sweep(self, state: LDAState, h, rng: np.random.Generator) -> LDAState:
         """(beta, theta) given z, then every token's topic given (beta, theta).
@@ -256,30 +273,27 @@ class LDAModel:
         a (K, pairs) table over the (doc, word) pairs that occur (at most
         min(tokens, D V) columns); each token reads its pair's column.
         """
-        eta, alpha = float(h[0]), float(h[1])
-        if eta <= 0 or alpha <= 0:
-            raise ValueError("eta and alpha must be positive")
         K, V = self.K, self.V
-        g = rng.standard_gamma(np.concatenate([eta + state.ckv.ravel(),
-                                               alpha + state.cdk.ravel()]))
+        g = rng.standard_gamma(self._prior(float(h[0]), float(h[1])) + state.counts)
         gb, gt = g[:K * V].reshape(K, V), g[K * V:].reshape(self.D, K)
-        state.beta = gb / gb.sum(axis=1, keepdims=True)
-        state.theta = gt / gt.sum(axis=1, keepdims=True)
+        # np.add.reduce is what ndarray.sum calls, less a Python-level wrapper
+        state.beta = gb / np.add.reduce(gb, axis=1, keepdims=True)
+        state.theta = gt / np.add.reduce(gt, axis=1, keepdims=True)
         # p(z_i = k) proportional to theta[d_i, k] beta[k, w_i]: z_i counts
         # the first K - 1 cumulative sums at or below u_i ~ U(0, total_i)
         cdf = (state.theta.take(self._pair_doc, axis=0).T
                * state.beta.take(self._pair_word, axis=1)).cumsum(axis=0)
         cdf = cdf.take(self._pair_of, axis=1)
         u = rng.random(self.word_ids.size) * cdf[-1]
-        state.z = (cdf[:-1] <= u).sum(axis=0)
-        state.ckv, state.cdk = self._counts(state.z)
+        state.z = np.add.reduce(cdf[:-1] <= u, axis=0)
+        state.counts, state.ckv, state.cdk = self._counts(state.z)
         return state
 
     # -- trace plumbing ---------------------------------------------------
     def suffstat(self, state: LDAState) -> np.ndarray:
         logb = np.log(np.maximum(state.beta, SIMPLEX_CLAMP))
         logt = np.log(np.maximum(state.theta, SIMPLEX_CLAMP))
-        return np.array([logb.sum(), logt.sum()])
+        return np.array([np.add.reduce(logb, axis=None), np.add.reduce(logt, axis=None)])
 
     def observe(self, state: LDAState):
         g_vals = {f"close_{i}_{j}": lda_closeness(state, i, j, eps)

@@ -10,6 +10,7 @@ regeneration construction is attempted).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Protocol
 
@@ -24,6 +25,7 @@ __all__ = [
     "STModel",
     "MixtureRatio",
     "lattice_anchors",
+    "lattice_neighbours",
     "st_step",
     "run_st",
     "tune_zeta",
@@ -38,21 +40,41 @@ OCCUPANCY_RATIO_TARGET = 2.0
 
 @dataclass(frozen=True)
 class STGrid:
-    """Anchor hyperparameters with tuning constants and occupancy diagnostics."""
+    """Anchor hyperparameters with tuning constants, label moves and
+    occupancy diagnostics.
+
+    A label move from anchor j proposes ``neighbours[j, i]`` with i uniform
+    over the table's columns; j itself stands for a move that stays.  The
+    default is the path ``[j + 1, j - 1]`` along the anchors' order.  The
+    table must list k in row j as often as j in row k, so that the proposal
+    is symmetric and cancels in the acceptance ratio.
+    """
 
     anchors: np.ndarray                 # (m, k)
     zetas: np.ndarray                   # (m,)
     occupancies: np.ndarray | None = None
+    neighbours: np.ndarray | None = None    # (m, width) labels
 
     def __post_init__(self):
         anchors = np.atleast_2d(np.asarray(self.anchors, dtype=float))
         zetas = np.asarray(self.zetas, dtype=float)
+        m = anchors.shape[0]
+        nb = lattice_neighbours(m) if self.neighbours is None else np.asarray(self.neighbours)
         object.__setattr__(self, "anchors", anchors)
         object.__setattr__(self, "zetas", zetas)
-        if zetas.shape != (anchors.shape[0],):
+        object.__setattr__(self, "neighbours", nb)
+        if zetas.shape != (m,):
             raise ValueError("need one zeta per anchor")
         if not np.all(np.isfinite(zetas) & (zetas > 0)):
             raise ValueError("zetas must be finite and positive")
+        if not (nb.ndim == 2 and nb.shape[0] == m and nb.shape[1] >= 1
+                and nb.dtype.kind in "iu" and np.all((nb >= 0) & (nb < m))):
+            raise ValueError("need a row of anchor labels per anchor as neighbours")
+        pairs = np.bincount((np.arange(m)[:, None] * m + nb).ravel(),
+                            minlength=m * m).reshape(m, m)
+        if not np.array_equal(pairs, pairs.T):
+            raise ValueError("neighbours must be symmetric: row j lists k as often "
+                             "as row k lists j")
 
     @property
     def m(self) -> int:
@@ -61,14 +83,34 @@ class STGrid:
 
 def lattice_anchors(rect: HyperRect, shape) -> np.ndarray:
     """Uniform anchor lattice over the rectangle (k <= 2), snaked so that
-    consecutive indices are lattice neighbors (nearest-neighbor label
-    proposals stay local): the rows of ``rect.grid(shape)`` along the first
-    axis, every odd row reversed."""
+    consecutive indices are lattice neighbors: the rows of
+    ``rect.grid(shape)`` along the first axis, every odd row reversed."""
     if rect.k > 2:
         raise ValueError("anchor lattices supported for k <= 2; pass explicit anchors")
     rows = rect.grid(shape).reshape(np.atleast_1d(shape)[0], -1, rect.k)
     rows[1::2] = rows[1::2, ::-1]
     return rows.reshape(-1, rect.k)
+
+
+def lattice_neighbours(shape) -> np.ndarray:
+    """The :class:`STGrid` neighbour table of ``lattice_anchors(rect, shape)``:
+    for each label, the labels one lattice step away, +1 then -1 along each
+    axis in turn, and the label itself where the step leaves the lattice.
+    For one axis it is the path table ``[j + 1, j - 1]``."""
+    shape = tuple(int(size) for size in np.atleast_1d(shape))
+    label = np.arange(math.prod(shape)).reshape(shape[0], -1)
+    label[1::2] = label[1::2, ::-1]         # lattice_anchors' snake
+    label = label.reshape(shape)
+    at = np.indices(shape)
+    moves = []
+    for axis, size in enumerate(shape):
+        for step in (1, -1):
+            to = at.copy()
+            to[axis] = np.clip(at[axis] + step, 0, size - 1)   # off the lattice: stay
+            moves.append(label[tuple(to)])
+    table = np.empty((label.size, len(moves)), dtype=np.intp)
+    table[label.ravel()] = np.stack(moves, axis=-1).reshape(label.size, -1)
+    return table
 
 
 # ------------------------------------------------------------------
@@ -81,6 +123,7 @@ class MixtureRatio(ExpFamilyRatio):
     def __init__(self, spec: ExpFamilySpec, grid: STGrid):
         super().__init__(spec, grid.anchors, grid.zetas)
         self.grid = grid
+        self.moves = grid.neighbours.tolist()     # st_step's proposals, as ints
 
 
 # ------------------------------------------------------------------
@@ -97,24 +140,25 @@ class STModel(Protocol):
     def observe(self, theta) -> tuple[np.ndarray, dict[str, float]]: ...
 
 
-def st_step(state, ratio: ExpFamilyRatio, model: STModel,
+def st_step(state, ratio: MixtureRatio, model: STModel,
             rng: np.random.Generator, T=None):
     """One serial-tempering transition on (label, theta).
 
     ``ratio`` is the chain's :class:`MixtureRatio`, whose per-anchor table
     (omegas, As, log_zetas) gives log nu_{h_j}(theta)/zeta_j.  The label
-    proposal is uniform on {j-1, j+1}; an out-of-range proposal leaves the
-    label unchanged (symmetric proposal, so it cancels in the acceptance
-    ratio).  The likelihood cancels too, leaving only prior ratios through
-    the sufficient statistic: ``T`` when the caller has it for this theta,
-    else ``model.suffstat(theta)``.  Then theta moves by the kernel of the
+    proposal is uniform over row j of its grid's neighbour table; a proposal
+    of j itself leaves the label unchanged and draws no acceptance uniform
+    (symmetric proposal, so it cancels in the acceptance ratio).  The
+    likelihood cancels too, leaving only prior ratios through the sufficient
+    statistic: ``T`` when the caller has it for this theta, else
+    ``model.suffstat(theta)``.  Then theta moves by the kernel of the
     (possibly new) label.
     """
     j, theta = state
-    m = ratio.m
-    if m > 1:
-        jp = j + (1 if rng.random() < 0.5 else -1)
-        if 0 <= jp < m:
+    if ratio.m > 1:
+        moves = ratio.moves[j]
+        jp = moves[int(rng.random() * len(moves))]
+        if jp != j:
             if T is None:
                 T = model.suffstat(theta)
             T = np.asarray(T, dtype=float)
@@ -221,5 +265,5 @@ def tune_zeta(model: STModel, spec: ExpFamilySpec, grid: STGrid, *,
         if r + 1 < rounds:          # the last round's update would go unused
             shift, c, _, _ = _grid_sums(MixtureRatio(spec, grid), grid.anchors, trace.Tmat)
             log_z = np.where(occ == floor, np.log(grid.zetas), shift + np.log(c))
-            grid = STGrid(anchors=grid.anchors, zetas=zetas_from_logs(log_z))
+            grid = replace(grid, zetas=zetas_from_logs(log_z))
     return best, False, ratios

@@ -593,6 +593,11 @@ class TestConfigErrors:
          ("model = lda-dirichlet", "corpus = no-such-corpus.txt\nK = 2", "R = 50")),
         ("surface", ("n = 4000", "grid = 3"),
          ("R = 50", "grid = 3\n\n[st]\nanchors = lattice:2x2")),
+        # synth counts: m = 0 wrote a header-only CSV with a RuntimeWarning,
+        # D = 0 an empty corpus, and q = -2 exited 3
+        ("synth", "grid = 3", "grid = 3\n\n[synth]\nkind = regression\nm = 0"),
+        ("synth", "grid = 3", "grid = 3\n\n[synth]\nkind = corpus\nD = 0"),
+        ("synth", "grid = 3", "grid = 3\n\n[synth]\nkind = regression\nq = -2"),
     ], ids=["surface-grid", "surface-M", "argmax-alpha", "argmax-alpha-range",
             "band-M", "oracle-check-grid", "st-run-grid", "grid-zero",
             "grid-negative", "band-M-zero", "band-M-one", "argmax-M-zero",
@@ -601,7 +606,8 @@ class TestConfigErrors:
             "st-steps-zero", "st-steps-negative", "st-rounds-zero",
             "kernel-unknown", "kernel-case", "h1-dims", "rect-dims", "lda-K-zero",
             "replicate-negative", "lda-toy-keys", "st-steps-typo", "default-section",
-            "section-typo", "lda-R", "st-R"])
+            "section-typo", "lda-R", "st-R", "synth-m-zero", "synth-D-zero",
+            "synth-q-negative"])
     def test_checked_before_the_chain(self, tmp_path, capsys, monkeypatch,
                                       command, old, new):
         # ``command`` may carry options; ``old`` and ``new`` are one
@@ -688,6 +694,74 @@ def test_shipped_configs_parse(tmp_path, monkeypatch):
             cli.RunConfig(_write(tmp_path, text, f"{i}.ini"))
         except cli.ConfigError as exc:
             raise AssertionError(f"{where}: {exc}") from exc
+
+
+@pytest.mark.parametrize("seed", [21, 32])
+def test_lda_st_occupancies_in_the_window(tmp_path, monkeypatch, seed):
+    # the benchmark's lda-st st-run; with label moves along the lattice's
+    # snake alone, these seeds left its occupancy window
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from workloads import OUT, WORKLOADS, _occupancy_window, parse_output, render_configs
+
+    for name, text in render_configs(WORKLOADS["lda-st"].params, seed).items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PRIORSCAN_OUT", raising=False)
+    assert main(["synth", "synth.ini"]) == EXIT_OK
+    assert main(["st-run", "st.ini"]) == EXIT_OK
+    ok, detail = _occupancy_window({name: parse_output(tmp_path / OUT / name)
+                                    for name in ("occupancy.csv", "st_trace.txt")})
+    assert ok, detail
+
+
+LDA_ARGMAX = """\
+[run]
+model = lda-dirichlet
+seed = 1
+n = 100
+
+[model]
+corpus = {corpus}
+K = 2
+
+[hyper]
+rect_lower = 0.5, 0.5
+rect_upper = 2, 2
+h1 = 1, 1
+grid = 3
+"""
+
+
+@pytest.mark.parametrize("command, want", [("surface", EXIT_OK), ("argmax", cli.EXIT_WARN),
+                                           ("surface", EXIT_CONFIG)],
+                         ids=["toy-surface", "lda-argmax-warning", "config-error"])
+def test_process_exit_matches_main(tmp_path, monkeypatch, capsys, command, want):
+    # ``python -m priorscan.cli`` ends through cli.entry, which freezes the
+    # collector before exit: the same exit code, stderr and output bytes
+    from priorscan.models.lda import save_corpus, synth_corpus
+
+    if command == "argmax":
+        save_corpus(synth_corpus(seed=10, D=6, V=12, K=2, n_d=30), tmp_path / "corpus.txt")
+        text = LDA_ARGMAX.format(corpus=tmp_path / "corpus.txt")
+    else:
+        text = TOY_COMMON.format(out="unused").replace(
+            "grid = 3", "grid = 3" if want == EXIT_OK else "grid = 0")
+    cfg = _write(tmp_path, text)
+    monkeypatch.setenv("PRIORSCAN_OUT", str(tmp_path / "main"))
+    code = main([command, cfg])
+    out, err = capsys.readouterr()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-m", "priorscan.cli", command, cfg],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src,
+                              "PRIORSCAN_OUT": str(tmp_path / "process")})
+    assert code == res.returncode == want
+    assert (out, err) == (res.stdout, res.stderr)
+    assert (want == cli.EXIT_WARN) == err.startswith("warning: weight ESS"), err
+    main_files, process_files = ({p.name: p.read_bytes() for p in (tmp_path / d).glob("*")}
+                                 for d in ("main", "process"))
+    assert main_files == process_files
+    assert len(main_files) == {EXIT_OK: 2, cli.EXIT_WARN: 2, EXIT_CONFIG: 0}[want]
 
 
 def test_start_up_and_toy_surface_leave_out_scipy(tmp_path):

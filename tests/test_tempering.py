@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from priorscan import cli
 from priorscan.chain_runtime import simulate
 from priorscan.cli import stream_rng
 from priorscan.estimators import batch_se, estimate_B, estimate_I
@@ -14,6 +15,7 @@ from priorscan.serial_tempering import (
     STGrid,
     STKernel,
     lattice_anchors,
+    lattice_neighbours,
     occupancies,
     run_st,
     tune_zeta,
@@ -64,6 +66,83 @@ class TestLattice:
     def test_k3_rejected(self):
         with pytest.raises(ValueError):
             lattice_anchors(HyperRect([0, 0, 0], [1, 1, 1]), 2)
+
+
+class SnakeKernel(STKernel):
+    """The label move before neighbour tables: j + 1 or j - 1 with
+    probability 1/2 each, an out-of-range proposal staying without an
+    acceptance uniform."""
+
+    def step(self, state, rng):
+        (j, theta), ratio = state, self.ratio
+        jp = j + (1 if rng.random() < 0.5 else -1)
+        if 0 <= jp < ratio.m:
+            T = self.model.suffstat(theta)
+            log_num = float(ratio.omegas[jp] @ T) - ratio.As[jp] - ratio.log_zetas[jp]
+            log_den = float(ratio.omegas[j] @ T) - ratio.As[j] - ratio.log_zetas[j]
+            if np.log(rng.random()) < log_num - log_den:
+                j = jp
+        return (j, self.model.anchor_step(j, theta, rng)), False
+
+
+class TestNeighbours:
+    @pytest.mark.parametrize("shape", [[3, 3], [2, 4], 5])
+    def test_symmetric_lattice_steps(self, shape):
+        counts = np.atleast_1d(shape)
+        k = counts.size
+        anchors = lattice_anchors(HyperRect([0.0] * k, [1.0] * k), shape)
+        nb = lattice_neighbours(shape)
+        m = len(anchors)
+        assert nb.shape == (m, 2 * k)
+        moves = np.zeros((m, m), dtype=int)
+        np.add.at(moves, (np.repeat(np.arange(m), 2 * k), nb.ravel()), 1)
+        assert np.array_equal(moves, moves.T)
+        # each anchor lists the anchors one lattice step away once, itself
+        # for every step that leaves the lattice
+        steps = np.abs(anchors[:, None, :] - anchors[None, :, :]) * (counts - 1)
+        adjacent = np.isclose(steps.sum(axis=2), 1.0)
+        for j in range(m):
+            near = np.flatnonzero(adjacent[j]).tolist()
+            assert sorted(nb[j].tolist()) == sorted(near + [j] * (2 * k - len(near)))
+
+    def test_one_axis_is_the_path(self):
+        path = [[1, 0], [2, 0], [3, 1], [4, 2], [4, 3]]
+        assert lattice_neighbours(5).tolist() == path
+        grid = STGrid(anchors=np.arange(10.0).reshape(5, 2), zetas=np.ones(5))
+        assert grid.neighbours.tolist() == path
+
+    @pytest.mark.parametrize("bad", [
+        [[1, 1], [0, 2], [1, 2]],       # 0 proposes 1 twice, 1 proposes 0 once
+        [[1, 0], [2, 0], [3, 1]],       # no anchor 3
+        [[1, 0], [0, 1]],               # a row short
+        [[1.0, 0.0], [2.0, 0.0], [2.0, 1.0]],
+    ])
+    def test_bad_table_rejected(self, bad):
+        with pytest.raises(ValueError, match="neighbours"):
+            STGrid(anchors=np.zeros((3, 2)), zetas=np.ones(3), neighbours=bad)
+
+    def test_explicit_anchors_move_along_the_path(self, tmp_path):
+        st = "[st]\nanchors = -0.6, 0.7; 0, 1; 0.6, 1.6; 0.3, 0.9\nzetas = 1, 2, 1, 3\n"
+        path = tmp_path / "st.ini"
+        path.write_text("[run]\nmodel = normal-hier\nn = 10\n[model]\ny = -2, -1, 0, 1, 2\n"
+                        "[hyper]\nrect_lower = -0.6, 0.7\nrect_upper = 0.6, 1.6\nh1 = 0, 1\n"
+                        + st)
+        cfg = cli.RunConfig(path)
+        model = cli.build_model(cfg)
+        grid, st_model = cli.st_chain(model, cfg)
+        hand = STGrid(anchors=grid.anchors, zetas=grid.zetas,
+                      neighbours=[[1, 0], [2, 0], [3, 1], [3, 2]])
+        got, want = (run_st(st_model, model.spec(), g, n=3000, seed=5) for g in (grid, hand))
+        snake = simulate(SnakeKernel(st_model, model.spec(), grid), n=3000, seed=5)
+        for other in (want, snake):
+            assert np.array_equal(got.Tmat, other.Tmat)
+            assert np.array_equal(got.g[LABEL_FUNCTIONAL], other.g[LABEL_FUNCTIONAL])
+        assert np.unique(got.g[LABEL_FUNCTIONAL]).size == 4
+        # a lattice moves along both of its axes
+        path.write_text(path.read_text().replace(st, "[st]\nanchors = lattice:2x3\n"))
+        cfg = cli.RunConfig(path)
+        grid, _ = cli.st_chain(model, cfg)
+        assert np.array_equal(grid.neighbours, lattice_neighbours((2, 3)))
 
 
 class TestSTGrid:
