@@ -542,8 +542,8 @@ def entry() -> None:
     code.  ``gc.freeze()`` first moves every object out of the collector's
     reach, so the interpreter's exit skips the full collection over the
     ~23k objects in module reference cycles (numpy's and ours), whose memory
-    the OS takes back anyway; ~15 ms a process.  Not in ``main``, which
-    tests call in-process."""
+    the OS takes back anyway: 15-25 ms a command on a 2-vCPU host.  Not in
+    ``main``, which tests call in-process."""
     code = main()
     gc.freeze()
     sys.exit(code)

@@ -83,8 +83,9 @@ class STGrid:
 
 def lattice_anchors(rect: HyperRect, shape) -> np.ndarray:
     """Uniform anchor lattice over the rectangle (k <= 2), snaked so that
-    consecutive indices are lattice neighbors: the rows of
-    ``rect.grid(shape)`` along the first axis, every odd row reversed."""
+    consecutive indices are lattice neighbors (nearest-neighbor label
+    proposals stay local): the rows of ``rect.grid(shape)`` along the first
+    axis, every odd row reversed."""
     if rect.k > 2:
         raise ValueError("anchor lattices supported for k <= 2; pass explicit anchors")
     rows = rect.grid(shape).reshape(np.atleast_1d(shape)[0], -1, rect.k)
