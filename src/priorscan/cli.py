@@ -1,7 +1,9 @@
 """Command-line orchestration: config parsing, seeding, and CSV/JSON emission.
 
-Commands: surface, argmax, band, st-tune, st-run, synth, oracle-check; an
-[st] section puts every command's chain on serial tempering (see run_chain).
+Commands: surface, argmax, band, st-tune, st-run, synth, oracle-check.  Every
+command but synth takes its model, grid and chain from one Run, built and
+checked before any chain runs, and every output goes through RunConfig.write;
+an [st] section puts every command's chain on serial tempering (see run_chain).
 Configuration is an INI file whose every key SCHEMA parses and checks;
 all randomness flows from per-stream generators derived from (seed, stream
 name), so identical configs produce byte-identical outputs.  Exit codes:
@@ -36,7 +38,8 @@ from priorscan.argmax_inference import (
     v_n_sq,
 )
 from priorscan.band_inference import global_band
-from priorscan.chain_runtime import ChainTrace, save_trace, segment_tours, tour_sums
+from priorscan.chain_runtime import (ChainTrace, TourIndex, save_trace, segment_tours,
+                                     tour_sums)
 from priorscan.estimators import (ESS_UNRELIABLE, _segmentation, grid_estimates,
                                   surface_on_grid)
 from priorscan.models.lda import LDAModel, load_corpus, save_corpus, synth_corpus
@@ -44,6 +47,7 @@ from priorscan.models.normal_hier import NormalHierModel
 from priorscan.models.varsel import VSModel, synth_regression
 from priorscan.prior_family import ExpFamilyRatio, HyperRect, logsumexp
 from priorscan.serial_tempering import (
+    LABEL_FUNCTIONAL,
     MixtureRatio,
     STGrid,
     lattice_anchors,
@@ -158,7 +162,8 @@ def _unread(what: str, name: str, known: list) -> ConfigError:
 
 class RunConfig:
     """The config file, every key parsed through SCHEMA when it is read:
-    ``cfg[section, key]`` is the key's value, or its default."""
+    ``cfg[section, key]`` is the key's value, or its default.  ``write`` is
+    the one writer of the command outputs, each stamped with the file's hash."""
 
     def __init__(self, path: str):
         self.path = Path(path)
@@ -226,75 +231,123 @@ class RunConfig:
     def grid(self, rect: HyperRect) -> np.ndarray:
         return rect.grid(_per_axis(self["hyper", "grid"], rect.k, "[hyper] grid"))
 
+    def write(self, name: str, what, header: str | None = None, **extra) -> None:
+        """Write ``what`` to the output directory as ``name``, stamped with the
+        config's SHA-256.  A ``.json`` name takes a report (its ``to_json``)
+        or a dict, plus ``extra``, and adds a ``config_sha256`` key; any other
+        takes rows under ``header``, or an estimate or band table (its
+        ``to_csv``), after a ``# config_sha256=`` line."""
+        path = self.out_dir / name
+        if name.endswith(".json"):
+            extra["config_sha256"] = self.sha256
+            path.write_text(what.to_json(extra=extra) if hasattr(what, "to_json")
+                            else json.dumps({**what, **extra}, sort_keys=True, indent=1))
+            return
+        with open(path, "w") as fh:
+            fh.write(f"# config_sha256={self.sha256}\n")
+            if header is None:
+                what.to_csv(fh)
+            else:
+                np.savetxt(fh, what, fmt="%.17g", delimiter=",", comments="", header=header)
+
 
 # ------------------------------------------------------------------
-# model construction + chain running
+# command set-up: the model and its chain
 # ------------------------------------------------------------------
 
-def build_model(cfg: RunConfig):
-    """The config's model.  Every command builds it first, so the rectangle
-    and an [st] section are checked against it here, before any chain runs."""
-    mid, rect = cfg["run", "model"], cfg.rect()
-    if mid == TOY:
-        model = NormalHierModel(y=cfg["model", "y"], sigma0=cfg["model", "sigma0"], rect=rect)
-    elif mid == VS:
-        # first non-comment line is the header
-        lines = [ln for ln in Path(cfg["model", "data"]).read_text().splitlines()
-                 if ln.strip() and not ln.lstrip().startswith("#")]
-        body = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
-        model = VSModel(y=body[:, 0], X=body[:, 1:], rect=rect)
-    elif mid == LDA:
-        model = LDAModel(K=cfg["model", "K"], corpus=load_corpus(cfg["model", "corpus"]),
-                         rect=rect)
-    else:
-        raise ConfigError(f"unknown model id {mid!r}")
-    k = model.spec().k
-    if rect.k != k:
-        raise ConfigError(f"[hyper] rect_lower, rect_upper: the {mid} model has "
-                          f"{k} hyperparameters, the rectangle {rect.k}")
-    st_chain(model, cfg)
-    return model
+MODELS = {TOY: NormalHierModel, VS: VSModel, LDA: LDAModel}
 
 
-def st_chain(model, cfg: RunConfig, always: bool = False):
-    """(STGrid, per-anchor model) of the serial-tempering chain from the [st]
-    section.  Without one: None, or with ``always`` lattice:3x3, unit zetas.
-    Labels on a lattice move between its neighbours along every axis."""
-    if not (always or "st" in cfg.sections):
-        return None
-    if not hasattr(model, "st_model"):
-        raise ConfigError(f"[st]: the {cfg['run', 'model']} model has no serial-tempering chain")
-    if cfg["run", "R"] is not None:
-        raise ConfigError("[run] R: serial tempering runs use [run] n")
-    rect, anchors, zetas = cfg.rect(), cfg["st", "anchors"], cfg["st", "zetas"]
-    neighbours = None               # explicit anchors: moves along the rows' order
-    if isinstance(anchors, tuple):
-        shape = _per_axis(anchors, rect.k, "[st] anchors")
-        anchors, neighbours = lattice_anchors(rect, shape), lattice_neighbours(shape)
-    elif anchors.shape[1] != rect.k:
-        raise ConfigError(f"[st] anchors: each anchor needs {rect.k} coordinates")
-    try:
-        grid = STGrid(anchors=anchors, neighbours=neighbours,
-                      zetas=np.ones(anchors.shape[0]) if zetas is None else zetas)
-    except ValueError as exc:       # a zeta count or value from the config
-        raise ConfigError(f"[st] zetas: {exc}") from exc
-    return grid, model.st_model(anchors)
+class Run:
+    """A command's set-up, built once before any chain runs: the model, its
+    rectangle and grid, the [inference] keys, and the serial-tempering grid
+    and per-anchor model of an [st] section or, with ``st`` (st-tune,
+    st-run), of lattice:3x3 with unit zetas.  Labels on a lattice move
+    between its neighbours along every axis.  The hyperparameters are
+    checked against the model's open domain box before its data are read."""
+
+    def __init__(self, cfg: RunConfig, st: bool = False):
+        mid, rect = cfg["run", "model"], cfg.rect()
+        if mid not in MODELS:
+            raise ConfigError(f"unknown model id {mid!r}")
+        model_cls = MODELS[mid]
+        domain = model_cls.DOMAIN
+        if rect.k != len(domain):
+            raise ConfigError(f"[hyper] rect_lower, rect_upper: the {mid} model has "
+                              f"{len(domain)} hyperparameters, the rectangle {rect.k}")
+
+        def in_domain(what: str, points) -> None:
+            lo, hi = np.transpose(domain)
+            for h in np.atleast_2d(points):
+                if not np.all((lo < h) & (h < hi)):
+                    raise ConfigError(
+                        f"{what}: {', '.join(f'{v:g}' for v in h)} lies outside the {mid} "
+                        f"model's domain {' x '.join(f'({a:g}, {b:g})' for a, b in domain)}")
+
+        in_domain("[hyper] rect_lower", rect.lower)
+        in_domain("[hyper] rect_upper", rect.upper)
+        if ("hyper", "h1") in cfg.values:
+            in_domain("[hyper] h1", cfg.h1())
+        self.cfg, self.rect, self.grid = cfg, rect, cfg.grid(rect)
+        self.alpha, self.M, self.g_name = (cfg["inference", key]
+                                           for key in ("alpha", "M", "functional"))
+        self.st_grid = None
+        if st or "st" in cfg.sections:
+            if not hasattr(model_cls, "st_model"):
+                raise ConfigError(f"[st]: the {mid} model has no serial-tempering chain")
+            if cfg["run", "R"] is not None:
+                raise ConfigError("[run] R: serial tempering runs use [run] n")
+            anchors, zetas = cfg["st", "anchors"], cfg["st", "zetas"]
+            neighbours = None           # explicit anchors: moves along the rows' order
+            if isinstance(anchors, tuple):
+                shape = _per_axis(anchors, rect.k, "[st] anchors")
+                anchors, neighbours = lattice_anchors(rect, shape), lattice_neighbours(shape)
+            elif anchors.shape[1] != rect.k:
+                raise ConfigError(f"[st] anchors: each anchor needs {rect.k} coordinates")
+            in_domain("[st] anchors", anchors)
+            try:
+                self.st_grid = STGrid(anchors=anchors, neighbours=neighbours,
+                                      zetas=np.ones(anchors.shape[0]) if zetas is None else zetas)
+            except ValueError as exc:   # a zeta count or value from the config
+                raise ConfigError(f"[st] zetas: {exc}") from exc
+
+        if mid == TOY:
+            model = NormalHierModel(y=cfg["model", "y"], sigma0=cfg["model", "sigma0"], rect=rect)
+        elif mid == VS:
+            # first non-comment line is the header
+            lines = [ln for ln in Path(cfg["model", "data"]).read_text().splitlines()
+                     if ln.strip() and not ln.lstrip().startswith("#")]
+            body = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+            model = VSModel(y=body[:, 0], X=body[:, 1:], rect=rect)
+        else:
+            model = LDAModel(K=cfg["model", "K"], corpus=load_corpus(cfg["model", "corpus"]),
+                             rect=rect)
+        self.model, self.spec = model, model.spec()
+        self.st_model = None if self.st_grid is None else model.st_model(self.st_grid.anchors)
+        recorded = [*model.functionals] + [LABEL_FUNCTIONAL] * (self.st_grid is not None)
+        if self.g_name is not None and self.g_name not in recorded:
+            raise ConfigError(f"[inference] functional: unknown {self.g_name!r}; "
+                              f"recorded: {', '.join(recorded)}")
+
+    def chain(self, stream: str) -> tuple[ChainTrace, ExpFamilyRatio, TourIndex | None]:
+        """(trace, ratio, tours) of the chain on ``stream``; tours is None
+        without regeneration marks (the estimators then use batch means)."""
+        trace, ratio = run_chain(self, stream)
+        tours = segment_tours(trace) if trace.delta.sum() >= 2 or trace.ends_at_regen else None
+        return trace, ratio, tours
 
 
-def run_chain(model, cfg: RunConfig, stream: str,
-              st: bool = False) -> tuple[ChainTrace, ExpFamilyRatio]:
-    """The command's chain and the prior ratio that reweights it.
-
-    With an [st] section, or ``st`` (st-run), the serial-tempering chain over
-    its anchors and their MixtureRatio, so that B_n is relative to the anchor
-    mixture; otherwise the model's chain at h1 and ExpFamilyRatio(spec, h1).
-    """
+def run_chain(run: Run, stream: str) -> tuple[ChainTrace, ExpFamilyRatio]:
+    """The chain on ``stream`` and the prior ratio that reweights it: with an
+    ST grid the serial-tempering chain over its anchors and their
+    MixtureRatio, so that B_n is relative to the anchor mixture; otherwise
+    the model's chain at h1 and ExpFamilyRatio(spec, h1)."""
+    cfg, model, spec = run.cfg, run.model, run.spec
     rng = stream_rng(cfg["run", "seed"], stream)
     target = cfg.chain_target()
-    spec, tempering = model.spec(), st_chain(model, cfg, st)
-    if tempering is not None:
-        grid, st_model = tempering
-        return run_st(st_model, spec, grid, n=target["n"], rng=rng), MixtureRatio(spec, grid)
+    if run.st_grid is not None:
+        return (run_st(run.st_model, spec, run.st_grid, n=target["n"], rng=rng),
+                MixtureRatio(spec, run.st_grid))
     h1 = cfg.h1()
     if not isinstance(model, NormalHierModel):      # [run] R is the toy's alone
         trace = model.trace(h1, target["n"], rng=rng)
@@ -306,200 +359,128 @@ def run_chain(model, cfg: RunConfig, stream: str,
     return trace, ExpFamilyRatio(spec, h1)
 
 
-def check_functional(trace: ChainTrace, g_name: str | None) -> None:
-    """Raise ConfigError unless ``[inference] functional`` is unset or one
-    the chain recorded."""
-    if g_name is not None and g_name not in trace.g:
-        raise ConfigError(f"[inference] functional: unknown {g_name!r}; "
-                          f"recorded: {', '.join(trace.functional_names)}")
-
-
-def trace_tours(trace: ChainTrace):
-    """The trace's tours when it carries regeneration marks, else None (the
-    estimators then use batch means)."""
-    return segment_tours(trace) if trace.delta.sum() >= 2 or trace.ends_at_regen else None
-
-
-# ------------------------------------------------------------------
-# output helpers
-# ------------------------------------------------------------------
-
-def write_csv(path: Path, header: str, rows, cfg_hash: str) -> None:
-    np.savetxt(path, rows, fmt="%.17g", delimiter=",", comments="",
-               header=f"# config_sha256={cfg_hash}\n{header}")
-
-
-def write_json(path: Path, payload: dict, cfg_hash: str) -> None:
-    payload = dict(payload)
-    payload["config_sha256"] = cfg_hash
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=1))
-
-
-def write_table(path: Path, table, cfg_hash: str) -> None:
-    """The config hash line, then ``table.to_csv`` (an estimate or a band)."""
-    with open(path, "w") as fh:
-        fh.write(f"# config_sha256={cfg_hash}\n")
-        table.to_csv(fh)
-
-
 # ------------------------------------------------------------------
 # commands
 # ------------------------------------------------------------------
 
 def cmd_surface(cfg: RunConfig) -> int:
-    model = build_model(cfg)
-    grid = cfg.grid(cfg.rect())
-    M, g_name = cfg["inference", "M"], cfg["inference", "functional"]
-    trace, family = run_chain(model, cfg, "surface")
-    check_functional(trace, g_name)
-    est, fest = grid_estimates(trace, family, grid, g_name, tours=trace_tours(trace), M=M)
-    write_table(cfg.out_dir / "surface.csv", est, cfg.sha256)
+    run = Run(cfg)
+    trace, family, tours = run.chain("surface")
+    est, fest = grid_estimates(trace, family, run.grid, run.g_name, tours=tours, M=run.M)
+    cfg.write("surface.csv", est)
     if fest is not None:
-        write_table(cfg.out_dir / f"functional_{g_name}.csv", fest, cfg.sha256)
+        cfg.write(f"functional_{run.g_name}.csv", fest)
     save_trace(trace, cfg.out_dir / "trace.txt")
     return EXIT_OK
 
 
 def cmd_argmax(cfg: RunConfig) -> int:
-    model = build_model(cfg)
-    rect = cfg.rect()
-    alpha, M = cfg["inference", "alpha"], cfg["inference", "M"]
-    trace, family = run_chain(model, cfg, "argmax")
-    tours = trace_tours(trace)
-    segments = _segmentation(trace.n, tours, M)[1]
+    run = Run(cfg)
+    trace, family, tours = run.chain("argmax")
+    segments = _segmentation(trace.n, tours, run.M)[1]
     n_eff, R = segments.n_eff, segments.R
     # over the complete tours' or batches' rows, which the sandwich at h_n uses
-    res = maximize_surface(_slice_trace(trace, 0, n_eff), family, rect)
+    res = maximize_surface(_slice_trace(trace, 0, n_eff), family, run.rect)
     if res.ess < ESS_UNRELIABLE:
         print(f"warning: weight ESS {res.ess:.3g} at h_n is below "
               f"{ESS_UNRELIABLE:g}", file=sys.stderr)
     tsums = tour_sums(trace, segments, family, res.h, [])
     J, tau = hessian_Jn(tsums), tau_n_sq(tsums)
     v = v_n_sq(J, tau)
-    ellipse = confidence_ellipse(res.h, v, R, alpha)
+    ellipse = confidence_ellipse(res.h, v, R, run.alpha)
     report = ArgmaxReport(
         h_n=res.h, J_n=J, tau_n_sq=tau, v_n_sq=v, R=R, n=n_eff,
-        E_N1_hat=n_eff / R, alpha=alpha, chi2_threshold=ellipse.threshold,
+        E_N1_hat=n_eff / R, alpha=run.alpha, chi2_threshold=ellipse.threshold,
         boundary_flag=res.boundary, ellipse=ellipse,
         method="batch" if tours is None else "tour")
-    (cfg.out_dir / "argmax.json").write_text(report.to_json(extra={
-        "multistart_consistent": res.multistart_consistent,
-        "ess_h_n": res.ess,
-        "optimizer": res.optimizer,
-        "config_sha256": cfg.sha256,
-    }))
+    cfg.write("argmax.json", report, multistart_consistent=res.multistart_consistent,
+              ess_h_n=res.ess, optimizer=res.optimizer)
     if ellipse.boundary.size:
-        write_csv(cfg.out_dir / "ellipse.csv", "h_1,h_2",
-                  ellipse.boundary, cfg.sha256)
+        cfg.write("ellipse.csv", ellipse.boundary, "h_1,h_2")
     return EXIT_WARN if res.boundary else EXIT_OK
 
 
 def cmd_band(cfg: RunConfig, replicate: int = 0) -> int:
     if replicate < 0:
         raise ConfigError(f"--replicate must be at least 0, got {replicate}")
-    model = build_model(cfg)
-    rect = cfg.rect()
-    grid = cfg.grid(rect)
-    g_name, alpha, M = (cfg["inference", key] for key in ("functional", "alpha", "M"))
-    if replicate > 0 and (not isinstance(model, NormalHierModel) or g_name != "theta1"):
+    run = Run(cfg)
+    if replicate > 0 and (not isinstance(run.model, NormalHierModel) or run.g_name != "theta1"):
         raise ConfigError("--replicate coverage needs the normal-hier model "
                           "with functional theta1 (analytic truth)")
 
     def one_band(stream: str):
-        trace, family = run_chain(model, cfg, stream)
-        check_functional(trace, g_name)
-        return global_band(trace, family, g_name, grid, M=M, alpha=alpha)
+        trace, family, _ = run.chain(stream)
+        return global_band(trace, family, run.g_name, run.grid, M=run.M, alpha=run.alpha)
 
     band = one_band("band")
-    write_table(cfg.out_dir / "band.csv", band, cfg.sha256)
-    (cfg.out_dir / "band.json").write_text(
-        band.to_json(extra={"config_sha256": cfg.sha256}))
-
+    cfg.write("band.csv", band)
+    cfg.write("band.json", band)
     if replicate > 0:
-        truth = np.array([model.oracle_I_theta1(h) for h in grid])
+        truth = np.array([run.model.oracle_I_theta1(h) for h in run.grid])
         hits = int(band.covers(truth))
         for r in range(1, replicate):
             hits += int(one_band(f"band-rep-{r}").covers(truth))
-        write_json(cfg.out_dir / "coverage.json", {
-            "replications": replicate,
-            "covered": hits,
-            "coverage": hits / replicate,
-            "alpha": alpha,
-        }, cfg.sha256)
+        cfg.write("coverage.json", {"replications": replicate, "covered": hits,
+                                    "coverage": hits / replicate, "alpha": run.alpha})
     return EXIT_OK
 
 
-def _zeta_csv(path: Path, grid: STGrid, occ, cfg_hash: str) -> None:
-    k = grid.anchors.shape[1]
-    header = ",".join(f"h_{i+1}" for i in range(k)) + ",zeta,occupancy"
-    rows = np.column_stack([grid.anchors, grid.zetas, occ])
-    write_csv(path, header, rows, cfg_hash)
-
-
 def cmd_st_tune(cfg: RunConfig) -> int:
-    model = build_model(cfg)
-    grid, st_model = st_chain(model, cfg, always=True)
-    tuned, converged, ratios = tune_zeta(st_model, model.spec(), grid,
+    run = Run(cfg, st=True)
+    tuned, converged, ratios = tune_zeta(run.st_model, run.spec, run.st_grid,
                                          rounds=cfg["st", "rounds"],
                                          steps_per_round=cfg["st", "steps_per_round"],
                                          seed=stream_rng(cfg["run", "seed"], "st-tune"))
-    _zeta_csv(cfg.out_dir / "zeta.csv", tuned, tuned.occupancies, cfg.sha256)
-    write_json(cfg.out_dir / "st_tune.json", {
-        "converged": bool(converged),
-        "zetas": tuned.zetas.tolist(),
-        "occupancies": tuned.occupancies.tolist(),
-        "occupancy_ratios": ratios,
-    }, cfg.sha256)
+    cfg.write("zeta.csv", np.column_stack([tuned.anchors, tuned.zetas, tuned.occupancies]),
+              ",".join(f"h_{i+1}" for i in range(run.rect.k)) + ",zeta,occupancy")
+    cfg.write("st_tune.json", {"converged": bool(converged), "zetas": tuned.zetas.tolist(),
+                               "occupancies": tuned.occupancies.tolist(),
+                               "occupancy_ratios": ratios})
     return EXIT_OK if converged else EXIT_WARN
 
 
 def cmd_st_run(cfg: RunConfig) -> int:
-    model = build_model(cfg)
-    surface_grid, M = cfg.grid(cfg.rect()), cfg["inference", "M"]
-    trace, family = run_chain(model, cfg, "st-run", st=True)
-    occ = occupancies(trace, family.grid.m)
-    _zeta_csv(cfg.out_dir / "occupancy.csv", family.grid, occ, cfg.sha256)
+    run = Run(cfg, st=True)
+    trace, family, _ = run.chain("st-run")
+    occ = occupancies(trace, run.st_grid.m)
+    cfg.write("occupancy.csv", np.column_stack([run.st_grid.anchors, run.st_grid.zetas, occ]),
+              ",".join(f"h_{i+1}" for i in range(run.rect.k)) + ",zeta,occupancy")
     save_trace(trace, cfg.out_dir / "st_trace.txt")
-    est = surface_on_grid(trace, family, surface_grid, M=M)
-    write_table(cfg.out_dir / "st_surface.csv", est, cfg.sha256)
+    cfg.write("st_surface.csv", surface_on_grid(trace, family, run.grid, M=run.M))
     return EXIT_OK
 
 
 def cmd_synth(cfg: RunConfig) -> int:
-    kind, seed, out = cfg["synth", "kind"], cfg["run", "seed"], cfg.out_dir
+    kind, seed = cfg["synth", "kind"], cfg["run", "seed"]
     if kind == "regression":
         data = synth_regression(seed=seed, **{key: cfg["synth", key]
                                               for key in ("m", "q", "sparsity", "snr")})
-        path = out / "regression.csv"
-        header = "y," + ",".join(f"x_{j+1}" for j in range(data.X.shape[1]))
-        write_csv(path, header, np.column_stack([data.y, data.X]), cfg.sha256)
-        write_json(out / "regression.json", dict(data.meta), cfg.sha256)
+        cfg.write("regression.csv", np.column_stack([data.y, data.X]),
+                  "y," + ",".join(f"x_{j+1}" for j in range(data.X.shape[1])))
+        cfg.write("regression.json", data.meta)
         return EXIT_OK
     corpus = synth_corpus(seed=seed, **{key: cfg["synth", key]
                                         for key in ("D", "V", "K", "n_d", "eta", "alpha")})
-    save_corpus(corpus, out / "corpus.txt")
+    corpus.meta["config_sha256"] = cfg.sha256       # into the corpus.txt.json sidecar
+    save_corpus(corpus, cfg.out_dir / "corpus.txt")
     return EXIT_OK
 
 
 def cmd_oracle_check(cfg: RunConfig) -> int:
-    model = build_model(cfg)
-    if not isinstance(model, NormalHierModel):
+    run = Run(cfg)
+    if not isinstance(run.model, NormalHierModel):
         raise ConfigError("oracle-check applies to the normal-hier model")
-    grid, M = cfg.grid(cfg.rect()), cfg["inference", "M"]
-    trace, family = run_chain(model, cfg, "oracle-check")
-    est = surface_on_grid(trace, family, grid, tours=trace_tours(trace), M=M)
+    trace, family, tours = run.chain("oracle-check")
+    est = surface_on_grid(trace, family, run.grid, tours=tours, M=run.M)
     # B_n is m(h) over the chain's mixture (1/m) sum_j m(h_j)/zeta_j: m(h1) at one anchor
-    log_ref = logsumexp(np.array([model.log_marginal(a) for a in np.atleast_2d(family.h1)])
+    log_marginal = run.model.log_marginal
+    log_ref = logsumexp(np.array([log_marginal(a) for a in np.atleast_2d(family.h1)])
                         - family.log_zetas) - np.log(family.m)
-    truth = np.array([np.exp(model.log_marginal(h) - log_ref) for h in grid])
+    truth = np.array([np.exp(log_marginal(h) - log_ref) for h in run.grid])
     z = np.abs(est.values - truth) / np.maximum(est.se, 1e-300)
     frac_ok = float(np.mean(z <= 4.0))
-    write_json(cfg.out_dir / "oracle_check.json", {
-        "grid_points": int(grid.shape[0]),
-        "fraction_within_4se": frac_ok,
-        "max_z": float(z.max()),
-    }, cfg.sha256)
+    cfg.write("oracle_check.json", {"grid_points": int(run.grid.shape[0]),
+                                    "fraction_within_4se": frac_ok, "max_z": float(z.max())})
     return EXIT_OK if frac_ok >= 0.95 else EXIT_WARN
 
 
@@ -522,13 +503,10 @@ def main(argv=None) -> int:
         if name == "band":
             p.add_argument("--replicate", type=int, default=0,
                            help="run a coverage study with this many replications")
-    args = parser.parse_args(argv)
-
+    args = vars(parser.parse_args(argv))
     try:
-        cfg = RunConfig(args.config)
-        if args.command == "band":
-            return cmd_band(cfg, replicate=args.replicate)
-        return commands[args.command](cfg)
+        cfg = RunConfig(args.pop("config"))
+        return commands[args.pop("command")](cfg, **args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -205,6 +205,8 @@ def lda_closeness(state: LDAState, i: int, j: int, eps: float) -> float:
 class LDAModel:
     """Blocked Gibbs machinery over a fixed corpus."""
 
+    DOMAIN = ((0.0, np.inf), (0.0, np.inf))     # the open box of h = (eta, alpha)
+
     def __init__(self, corpus: Corpus, K: int,
                  rect: HyperRect | None = None,
                  closeness_pairs: tuple = ((0, 1, 0.05),)):
@@ -217,6 +219,8 @@ class LDAModel:
         self.rect = rect if rect is not None else HyperRect(
             lower=[0.1, 0.1], upper=[2.0, 2.0])
         self.closeness_pairs = tuple(closeness_pairs)
+        # what its chains record: one closeness indicator per pair
+        self.functionals = tuple(f"close_{i}_{j}" for i, j, _ in self.closeness_pairs)
         self.doc_ids = np.concatenate([
             np.full(len(doc), d, dtype=np.int64)
             for d, doc in enumerate(corpus.docs)])
@@ -296,8 +300,8 @@ class LDAModel:
         return np.array([np.add.reduce(logb, axis=None), np.add.reduce(logt, axis=None)])
 
     def observe(self, state: LDAState):
-        g_vals = {f"close_{i}_{j}": lda_closeness(state, i, j, eps)
-                  for i, j, eps in self.closeness_pairs}
+        g_vals = {name: lda_closeness(state, i, j, eps)
+                  for name, (i, j, eps) in zip(self.functionals, self.closeness_pairs)}
         return self.suffstat(state), g_vals
 
     def kernel(self, h1, burn: int = 50) -> "_LDAKernel":

@@ -91,6 +91,10 @@ def normal_hier_spec(J: int) -> ExpFamilySpec:
 class NormalHierModel:
     """The toy model: data, sampling sd, hyperparameter rectangle."""
 
+    # the open box of h = (mu, tau^2), and the functionals its chains record
+    DOMAIN = ((-np.inf, np.inf), (0.0, np.inf))
+    functionals = ("theta1",)
+
     y: np.ndarray
     sigma0: float = 1.0
     rect: HyperRect = field(

@@ -141,6 +141,10 @@ def synth_regression(seed: int, m: int, q: int, sparsity: float = 0.3,
 class VSModel:
     """Collapsed-Gibbs sampler machinery for the variable-selection model."""
 
+    # the open box of h = (w, g), and the functionals its chain records
+    DOMAIN = ((0.0, 1.0), (0.0, np.inf))
+    functionals = ("qgamma", "incl1")
+
     def __init__(self, y, X, rect: HyperRect | None = None):
         y = np.asarray(y, dtype=float)
         X = np.atleast_2d(np.asarray(X, dtype=float))

@@ -142,9 +142,9 @@ class ExpFamilySpec:
     """Exponential family ``nu_h(theta) = b(theta) exp(omega(h).T(theta) - A(omega(h)))``.
 
     ``canon`` maps the user-facing hyperparameter to canonical coordinates;
-    ``log_norm`` is the log-normalizer as a function of ``h`` directly.
-    Derivative callables may be omitted, in which case central finite
-    differences (step ``1e-5 * (1 + |h|)``) are used.
+    ``log_norm`` is the log-normalizer as a function of ``h`` directly.  The
+    four derivative callables are closed forms; ``check_consistency``
+    compares them against central finite differences.
 
     ``log_norm_canon`` evaluates the log-normalizer at an arbitrary canonical
     point; it is required only by the envelope construction, whose corner
@@ -155,10 +155,10 @@ class ExpFamilySpec:
     stat_dim: int
     canon: Callable[[np.ndarray], np.ndarray]
     log_norm: Callable[[np.ndarray], float]
-    canon_jac: Callable[[np.ndarray], np.ndarray] | None = None
-    canon_hess: Callable[[np.ndarray], np.ndarray] | None = None
-    log_norm_grad: Callable[[np.ndarray], np.ndarray] | None = None
-    log_norm_hess: Callable[[np.ndarray], np.ndarray] | None = None
+    canon_jac: Callable[[np.ndarray], np.ndarray]
+    canon_hess: Callable[[np.ndarray], np.ndarray]
+    log_norm_grad: Callable[[np.ndarray], np.ndarray]
+    log_norm_hess: Callable[[np.ndarray], np.ndarray]
     log_norm_canon: Callable[[np.ndarray], float] | None = None
     name: str = ""
 
@@ -167,42 +167,29 @@ class ExpFamilySpec:
         return (np.array([self.canon(h) for h in hs], dtype=float),
                 np.array([self.log_norm(h) for h in hs], dtype=float))
 
-    # -- derivative access with fallbacks ---------------------------------
+    # -- derivative access ------------------------------------------------
     def jac(self, h: np.ndarray) -> np.ndarray:
-        if self.canon_jac is not None:
-            return np.asarray(self.canon_jac(h), dtype=float)
-        return fd_jac(self.canon, h)
+        return np.asarray(self.canon_jac(h), dtype=float)
 
     def hess_canon(self, h: np.ndarray) -> np.ndarray:
         """Second derivatives of each canonical coordinate: (stat_dim, k, k)."""
-        if self.canon_hess is not None:
-            return np.asarray(self.canon_hess(h), dtype=float)
-        out = np.empty((self.stat_dim, len(h), len(h)))
-        for s in range(self.stat_dim):
-            out[s] = fd_hess(lambda x, s=s: float(np.asarray(self.canon(x))[s]), h)
-        return out
+        return np.asarray(self.canon_hess(h), dtype=float)
 
     def grad_A(self, h: np.ndarray) -> np.ndarray:
-        if self.log_norm_grad is not None:
-            return np.asarray(self.log_norm_grad(h), dtype=float)
-        return fd_grad(self.log_norm, h)
+        return np.asarray(self.log_norm_grad(h), dtype=float)
 
     def hess_A(self, h: np.ndarray) -> np.ndarray:
-        if self.log_norm_hess is not None:
-            return np.asarray(self.log_norm_hess(h), dtype=float)
-        return fd_hess(self.log_norm, h)
+        return np.asarray(self.log_norm_hess(h), dtype=float)
 
     def check_consistency(self, h, rtol: float = 1e-4) -> None:
-        """Finite-difference cross-check of the supplied analytic derivatives."""
+        """Finite-difference cross-check of the analytic derivatives."""
         h = np.asarray(h, dtype=float)
-        if self.log_norm_grad is not None:
-            g, gf = self.grad_A(h), fd_grad(self.log_norm, h)
-            if not np.allclose(g, gf, rtol=rtol, atol=1e-8 * (1 + np.abs(gf).max())):
-                raise InvalidSpecError(f"grad A inconsistent at h={h}: {g} vs {gf}")
-        if self.canon_jac is not None:
-            j, jf = self.jac(h), fd_jac(self.canon, h)
-            if not np.allclose(j, jf, rtol=rtol, atol=1e-8 * (1 + np.abs(jf).max())):
-                raise InvalidSpecError(f"canon Jacobian inconsistent at h={h}")
+        g, gf = self.grad_A(h), fd_grad(self.log_norm, h)
+        if not np.allclose(g, gf, rtol=rtol, atol=1e-8 * (1 + np.abs(gf).max())):
+            raise InvalidSpecError(f"grad A inconsistent at h={h}: {g} vs {gf}")
+        j, jf = self.jac(h), fd_jac(self.canon, h)
+        if not np.allclose(j, jf, rtol=rtol, atol=1e-8 * (1 + np.abs(jf).max())):
+            raise InvalidSpecError(f"canon Jacobian inconsistent at h={h}")
 
 
 # ------------------------------------------------------------------

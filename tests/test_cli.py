@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -10,8 +11,7 @@ import numpy as np
 import pytest
 
 from priorscan import cli
-from priorscan.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main, stream_rng,
-                           write_csv)
+from priorscan.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main, stream_rng
 from priorscan.argmax_inference import confidence_ellipse, hessian_Jn, tau_n_sq, v_n_sq
 from priorscan.chain_runtime import tour_sums
 from priorscan.estimators import SurfaceEstimate, _segmentation
@@ -76,24 +76,26 @@ def _read_csv(path):
 
 def test_write_csv_matches_row_loop(tmp_path):
     # the writer before it became one np.savetxt call, kept as the reference
+    cfg = cli.RunConfig(_write(tmp_path, f"[run]\nout = {tmp_path}\n"))
     rows = np.array([[-0.0, 5e-324, 1e300, -1e300], [3.0, np.nan, np.inf, -np.inf],
                      [0.1, 1.0 / 3.0, 2.0 ** 53, -7.0]])
     with open(tmp_path / "loop.csv", "w") as fh:
-        fh.write("# config_sha256=abc\n" + "a,b,c,d\n")
+        fh.write(f"# config_sha256={cfg.sha256}\n" + "a,b,c,d\n")
         for row in rows:
             fh.write(",".join("%.17g" % v for v in row) + "\n")
-    write_csv(tmp_path / "bulk.csv", "a,b,c,d", rows, "abc")
+    cfg.write("bulk.csv", rows, "a,b,c,d")
     assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
 
 def test_write_table_matches_write_csv(tmp_path):
-    # an estimate's to_csv after the hash line: the bytes write_csv gives
+    # an estimate's to_csv after the hash line: the bytes of the same rows
+    cfg = cli.RunConfig(_write(tmp_path, f"[run]\nout = {tmp_path}\n"))
     rows = np.array([[-0.0, 5e-324, 1e300, -1e300, np.nan],
                      [3.0, np.inf, -np.inf, 0.1, 1.0 / 3.0]])
     est = SurfaceEstimate(grid=rows[:, :2], values=rows[:, 2], se=rows[:, 3],
                           ess=rows[:, 4], n=2)
-    cli.write_table(tmp_path / "table.csv", est, "abc")
-    write_csv(tmp_path / "rows.csv", "h_1,h_2,value,se,ess", rows, "abc")
+    cfg.write("table.csv", est)
+    cfg.write("rows.csv", rows, "h_1,h_2,value,se,ess")
     assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
@@ -170,12 +172,9 @@ class TestArgmax:
                           .replace("kernel = exact", "kernel = mh"))
         assert main(["argmax", cfg_path]) == EXIT_OK
         d = json.loads((out / "argmax.json").read_text())
-        cfg = cli.RunConfig(cfg_path)
-        model = cli.build_model(cfg)
-        trace, _ = cli.run_chain(model, cfg, "argmax")
-        tours = cli.trace_tours(trace)
+        run = cli.Run(cli.RunConfig(cfg_path))
+        trace, family, tours = run.chain("argmax")
         assert d["n"] == tours.n_eff < trace.n
-        family = cli.ExpFamilyRatio(model.spec(), cfg.h1())
         h_n = np.array(d["h_n"])
         _, grad, _, _ = log_B_derivs(family, h_n, trace.Tmat[:tours.n_eff])
         bound = 1e-6 * (1.0 + np.abs(family.spec.grad_A(h_n)).max())
@@ -235,11 +234,8 @@ M = 10
         # the sandwich over the M = 10 batches of 40 draws, as on the tour path
         assert np.asarray(d["J_n"]).shape == np.asarray(d["tau_n_sq"]).shape == (2, 2)
         assert (d["R"], d["n"], d["E_N1_hat"]) == (10, 400, 40)
-        run = cli.RunConfig(cfg)
-        model = cli.build_model(run)
-        trace, _ = cli.run_chain(model, run, "argmax")
-        ts = tour_sums(trace, _segmentation(400, None, 10)[1],
-                       cli.ExpFamilyRatio(model.spec(), run.h1()), d["h_n"])
+        trace, family, _ = cli.Run(cli.RunConfig(cfg)).chain("argmax")
+        ts = tour_sums(trace, _segmentation(400, None, 10)[1], family, d["h_n"])
         v = v_n_sq(hessian_Jn(ts), tau_n_sq(ts))
         assert np.allclose(d["v_n_sq"], v, rtol=1e-12, atol=0.0)
 
@@ -266,8 +262,8 @@ class TestBand:
                      + "\n[inference]\nfunctional = theta1\nM = 20\n")
         run_chain = cli.run_chain
 
-        def with_nan(model, cfg, stream):
-            trace, family = run_chain(model, cfg, stream)
+        def with_nan(run, stream):
+            trace, family = run_chain(run, stream)
             trace.g["theta1"][1234] = np.nan
             return trace, family
 
@@ -381,14 +377,14 @@ class TestEveryCommandOnST:
         d = json.loads((out / "argmax.json").read_text())
         assert d["method"] == "batch"    # an ST chain has no regeneration marks
         ellipse = confidence_ellipse(d["h_n"], np.array(d["v_n_sq"]), d["R"], d["alpha"])
-        assert ellipse.contains(cli.build_model(cli.RunConfig(cfg)).oracle_argmax())
+        assert ellipse.contains(cli.Run(cli.RunConfig(cfg)).model.oracle_argmax())
 
     def test_band_covers_the_oracle_curve(self, tuned_toy_st, st_runs):
         cfg, out = tuned_toy_st
         assert main(["band", cfg]) == EXIT_OK
         assert st_runs == [9]
         _, body = _read_csv(out / "band.csv")
-        model = cli.build_model(cli.RunConfig(cfg))
+        model = cli.Run(cli.RunConfig(cfg)).model
         truth = np.array([model.oracle_I_theta1(h) for h in body[:, :2]])
         assert body.shape == (121, 5)
         assert np.all((body[:, 3] <= truth) & (truth <= body[:, 4]))
@@ -502,6 +498,20 @@ n_d = 12
         assert d["grid_points"] == 9
 
 
+# the toy config's model and hyperparameter lines, and the same for the
+# variable-selection and LDA models, whose data files need not exist
+TOY_LINES = ("model = normal-hier", "y = -2, -1, 0, 1, 2\nkernel = exact",
+             "rect_lower = -1, 0.5\nrect_upper = 1, 1.5\nh1 = 0, 1")
+VS_LINES = ("model = vs-bernoulli-zellner", "data = no-such-data.csv",
+            "rect_lower = 0.1, 2\nrect_upper = 0.9, 20\nh1 = 0.5, 8")
+LDA_LINES = ("model = lda-dirichlet", "corpus = no-such-corpus.txt\nK = 2",
+             "rect_lower = 0.5, 0.5\nrect_upper = 2, 2\nh1 = 1, 1")
+
+
+def _swap(lines, old, new):
+    return tuple(line.replace(old, new) for line in lines)
+
+
 class TestConfigErrors:
     def test_missing_file(self):
         assert main(["surface", "/nonexistent/run.ini"]) == EXIT_CONFIG
@@ -598,6 +608,19 @@ class TestConfigErrors:
         ("synth", "grid = 3", "grid = 3\n\n[synth]\nkind = regression\nm = 0"),
         ("synth", "grid = 3", "grid = 3\n\n[synth]\nkind = corpus\nD = 0"),
         ("synth", "grid = 3", "grid = 3\n\n[synth]\nkind = regression\nq = -2"),
+        # hyperparameters outside the model's open domain box, found before its
+        # data file is read: numpy warned, then they exited 3, some after the chain
+        ("argmax", "rect_lower = -1, 0.5", "rect_lower = -1, -0.5"),
+        ("argmax", "h1 = 0, 1", "h1 = 0, inf"),
+        ("surface", "h1 = 0, 1", "h1 = 0, -1"),
+        ("st-run", "grid = 3", "grid = 3\n\n[st]\nanchors = 0, 1; 0, -0.5"),
+        ("argmax", TOY_LINES, _swap(VS_LINES, "0.9, 20", "1.2, 20")),
+        ("surface", TOY_LINES, _swap(VS_LINES, "0.1, 2", "0, 1")),
+        ("surface", TOY_LINES, _swap(LDA_LINES, "lower = 0.5", "lower = -0.5")),
+        ("band", TOY_LINES, _swap(LDA_LINES, "h1 = 1, 1", "h1 = 1, 0")),
+        # a functional that the chain does not record
+        *[(command, "grid = 3", "grid = 3\n\n[inference]\nfunctional = theta9")
+          for command in ("argmax", "st-run", "st-tune", "oracle-check")],
     ], ids=["surface-grid", "surface-M", "argmax-alpha", "argmax-alpha-range",
             "band-M", "oracle-check-grid", "st-run-grid", "grid-zero",
             "grid-negative", "band-M-zero", "band-M-one", "argmax-M-zero",
@@ -607,7 +630,10 @@ class TestConfigErrors:
             "kernel-unknown", "kernel-case", "h1-dims", "rect-dims", "lda-K-zero",
             "replicate-negative", "lda-toy-keys", "st-steps-typo", "default-section",
             "section-typo", "lda-R", "st-R", "synth-m-zero", "synth-D-zero",
-            "synth-q-negative"])
+            "synth-q-negative", "toy-rect-tau2", "toy-h1-inf", "toy-h1-tau2",
+            "toy-st-anchor", "vs-rect-w", "vs-rect-w-zero", "lda-rect-eta", "lda-h1-alpha",
+            "argmax-functional", "st-run-functional", "st-tune-functional",
+            "oracle-check-functional"])
     def test_checked_before_the_chain(self, tmp_path, capsys, monkeypatch,
                                       command, old, new):
         # ``command`` may carry options; ``old`` and ``new`` are one
@@ -620,10 +646,12 @@ class TestConfigErrors:
         monkeypatch.setattr(cli, "tune_zeta", no_chain)
         text = TOY_COMMON.format(out=tmp_path)
         for o, n in [(old, new)] if isinstance(old, str) else zip(old, new):
+            assert o in text, o
             text = text.replace(o, n)
         cfg = _write(tmp_path, text)
         assert main([*command.split(), cfg]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("config error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("command, old, new, message", [
         ("st-tune", "grid = 3", "grid = 3\n\n[st]\nsteps_per_rond = 10",
@@ -648,16 +676,76 @@ class TestConfigErrors:
         assert main(["surface", cfg]) == EXIT_OK
         assert (out / "surface.csv").is_file()
 
-    @pytest.mark.parametrize("command", ["surface", "band"])
+    @pytest.mark.parametrize("command", ["surface", "argmax", "band", "st-run",
+                                         "oracle-check", "st-tune"])
     def test_unknown_functional(self, tmp_path, capsys, command):
         out = tmp_path / "out"
         cfg = _write(tmp_path, TOY_COMMON.format(out=out)
                      + "\n[inference]\nfunctional = theta9\n")
         assert main([command, cfg]) == EXIT_CONFIG
         err = capsys.readouterr().err
+        recorded = "theta1, _label" if command.startswith("st-") else "theta1"
         assert err == ("config error: [inference] functional: unknown 'theta9'; "
-                       "recorded: theta1\n")
-        assert not any(out.glob("*.csv"))
+                       f"recorded: {recorded}\n")
+        assert not any(out.glob("*"))
+
+
+def test_every_output_carries_the_config_hash(tmp_path, monkeypatch):
+    # every CSV's first line and every JSON's keys, each command's own config
+    # hash; the trace files and corpus.txt keep their own formats
+    toy = TOY_COMMON.format(out="unused") + "\n[inference]\nfunctional = theta1\nM = 20\n"
+    st = toy + "\n[st]\nanchors = lattice:2x2\nrounds = 1\nsteps_per_round = 500\n"
+    runs = [("synth", "[run]\nseed = 3\n[synth]\nkind = regression\nm = 20\nq = 3\n"),
+            ("synth", "[run]\nseed = 4\n[synth]\nkind = corpus\n"),
+            ("surface", toy), ("argmax", toy), ("band --replicate 2", toy),
+            ("oracle-check", toy), ("st-tune", st), ("st-run", st)]
+    seen = set()
+    for i, (command, text) in enumerate(runs):
+        out = tmp_path / f"out{i}"
+        monkeypatch.setenv("PRIORSCAN_OUT", str(out))
+        cfg = _write(tmp_path, text, f"{i}.ini")
+        assert main([*command.split(), cfg]) in (EXIT_OK, cli.EXIT_WARN), command
+        sha = hashlib.sha256(Path(cfg).read_bytes()).hexdigest()
+        for path in out.iterdir():
+            if path.suffix == ".csv":
+                first = path.read_text().split("\n", 1)[0]
+                assert first == f"# config_sha256={sha}", (command, path.name)
+            elif path.suffix == ".json":
+                assert json.loads(path.read_text()).get("config_sha256") == sha, (
+                    command, path.name)
+            else:
+                assert path.name in ("trace.txt", "st_trace.txt", "corpus.txt"), path.name
+            seen.add(path.name)
+    assert seen == {"regression.csv", "regression.json", "corpus.txt", "corpus.txt.json",
+                    "surface.csv", "functional_theta1.csv", "trace.txt", "argmax.json",
+                    "ellipse.csv", "band.csv", "band.json", "coverage.json",
+                    "oracle_check.json", "zeta.csv", "st_tune.json", "occupancy.csv",
+                    "st_surface.csv", "st_trace.txt"}
+
+
+def test_models_name_the_functionals_their_chains_record():
+    # Run checks [inference] functional against these names before any chain
+    from priorscan.models.lda import LDAModel, synth_corpus
+    from priorscan.models.normal_hier import NormalHierModel
+    from priorscan.models.varsel import VSModel, synth_regression
+    from priorscan.serial_tempering import STGrid
+
+    rng = np.random.default_rng(0)
+    toy = NormalHierModel(y=[-1.0, 0.0, 2.0])
+    data = synth_regression(seed=1, m=20, q=3)
+    vs = VSModel(y=data.y, X=data.X)
+    lda = LDAModel(synth_corpus(seed=2, D=3, V=6, K=2, n_d=5), K=2,
+                   closeness_pairs=((0, 1, 0.05), (1, 2, 0.1)))
+    anchors = np.array([[0.0, 1.0], [0.5, 2.0]])
+    st_trace = cli.run_st(toy.st_model(anchors), toy.spec(),
+                          STGrid(anchors=anchors, zetas=np.ones(2)), n=5, rng=rng)
+    assert st_trace.functional_names == ["theta1", "_label"]
+    for model, trace in [(toy, toy.exact_trace([0, 1], 5, rng=rng)),
+                         (toy, toy.mh_trace([0, 1], n=5, rng=rng)),
+                         (vs, vs.trace([0.5, 8], 5, rng=rng)),
+                         (lda, lda.trace([1, 1], 3, rng=rng, burn=1))]:
+        assert trace.functional_names == list(model.functionals)
+    assert lda.functionals == ("close_0_1", "close_1_2")
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -877,47 +965,25 @@ h1 = 0.5, 0.5
         assert err == "runtime error: need at least 2 complete tours\n"
         assert not any(out.glob("*.csv"))
 
-    # at w = 0 the variable-selection canonical map is -inf, so log f_h is
-    # NaN or -inf on every draw there: numpy warns, then the grid pass raises
-    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    # an infinite sum of squares in one draw makes log f_h NaN where tau^2 =
+    # tau_1^2, so the grid pass raises at the first such point
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("command, output", [("surface", "surface.csv"),
                                                  ("argmax", "argmax.json"),
                                                  ("band", "band.csv")])
-    def test_non_finite_log_ratio(self, tmp_path, capsys, command, output):
+    def test_non_finite_log_ratio(self, tmp_path, capsys, monkeypatch, command, output):
         out = tmp_path / "out"
-        synth = _write(tmp_path, f"""\
-[run]
-model = none
-seed = 3
-out = {tmp_path}
+        cfg = _write(tmp_path, TOY_COMMON.format(out=out)
+                     + "\n[inference]\nfunctional = theta1\nM = 20\n")
+        run_chain = cli.run_chain
 
-[synth]
-kind = regression
-m = 30
-q = 4
-""", "synth.ini")
-        assert main(["synth", synth]) == EXIT_OK
-        cfg = _write(tmp_path, f"""\
-[run]
-model = vs-bernoulli-zellner
-seed = 1
-n = 400
-out = {out}
+        def with_inf(run, stream):
+            trace, family = run_chain(run, stream)
+            trace.Tmat[1234, 1] = np.inf
+            return trace, family
 
-[model]
-data = {tmp_path}/regression.csv
-
-[hyper]
-rect_lower = 0, 1
-rect_upper = 0.9, 20
-h1 = 0.5, 5
-grid = 3
-
-[inference]
-functional = qgamma
-""")
+        monkeypatch.setattr(cli, "run_chain", with_inf)
         assert main([command, cfg]) == EXIT_RUNTIME
         err = capsys.readouterr().err
-        assert err == "runtime error: non-finite log ratio at h=[0. 1.]\n"
+        assert err == "runtime error: non-finite log ratio at h=[-1.  1.]\n"
         assert not (out / output).exists()

@@ -156,7 +156,7 @@ class TestLogRatio:
 
 
 # ------------------------------------------------------------------
-# ExpFamilySpec consistency and FD fallbacks
+# ExpFamilySpec consistency
 # ------------------------------------------------------------------
 
 class TestSpecConsistency:
@@ -166,16 +166,6 @@ class TestSpecConsistency:
     ])
     def test_check_consistency(self, spec, h):
         spec.check_consistency(np.asarray(h, dtype=float))
-
-    def test_fd_fallbacks_match_analytic(self):
-        bare = ExpFamilySpec(k=2, stat_dim=2, canon=TOY5.canon,
-                             log_norm=TOY5.log_norm)
-        h = np.array([0.3, 1.1])
-        assert np.allclose(bare.jac(h), TOY5.jac(h), rtol=1e-6)
-        assert np.allclose(bare.grad_A(h), TOY5.grad_A(h), rtol=1e-6)
-        assert np.allclose(bare.hess_A(h), TOY5.hess_A(h), rtol=1e-4)
-        assert np.allclose(bare.hess_canon(h), TOY5.hess_canon(h),
-                           rtol=1e-3, atol=1e-6)
 
     def test_log_norm_canon_consistent(self):
         rng = np.random.default_rng(2)
@@ -189,30 +179,31 @@ class TestSpecConsistency:
 # envelope construction
 # ------------------------------------------------------------------
 
-def _flat_1d_spec():
-    """stat_dim = 1 family with A identically zero."""
+def _flat_spec(k: int, log_norm_canon=lambda w: 0.0) -> ExpFamilySpec:
+    """The family with omega(h) = h and A identically zero, in k dimensions."""
     return ExpFamilySpec(
-        k=1, stat_dim=1,
+        k=k, stat_dim=k,
         canon=lambda h: np.asarray(h, dtype=float),
         log_norm=lambda h: 0.0,
-        log_norm_canon=lambda w: 0.0)
+        canon_jac=lambda h: np.eye(k),
+        canon_hess=lambda h: np.zeros((k, k, k)),
+        log_norm_grad=lambda h: np.zeros(k),
+        log_norm_hess=lambda h: np.zeros((k, k)), log_norm_canon=log_norm_canon)
 
 
 class TestEnvelope:
     def test_flat_normalizer_coeffs_one(self):
-        env = envelope_corners(_flat_1d_spec(), HyperRect(lower=[0.0], upper=[1.0]))
+        env = envelope_corners(_flat_spec(1), HyperRect(lower=[0.0], upper=[1.0]))
         assert env.d == 2
         assert np.allclose(env.coeffs, 1.0, atol=1e-6)
 
     def test_rejects_large_stat_dim(self):
-        spec = ExpFamilySpec(k=9, stat_dim=9, canon=lambda h: h,
-                             log_norm=lambda h: 0.0, log_norm_canon=lambda w: 0.0)
+        spec = _flat_spec(9)
         with pytest.raises(ValueError):
             envelope_corners(spec, HyperRect(lower=[0.0] * 9, upper=[1.0] * 9))
 
     def test_requires_log_norm_canon(self):
-        spec = ExpFamilySpec(k=1, stat_dim=1, canon=lambda h: h,
-                             log_norm=lambda h: 0.0)
+        spec = _flat_spec(1, log_norm_canon=None)
         with pytest.raises(ValueError):
             envelope_corners(spec, HyperRect(lower=[0.0], upper=[1.0]))
 
@@ -239,9 +230,9 @@ class TestEnvelope:
         assert check_envelope(halved, TOY5, rect, T, h_grid) > 0
 
     def test_check_envelope_empty_inputs(self):
-        env = envelope_corners(_flat_1d_spec(), HyperRect(lower=[0.0], upper=[1.0]))
+        env = envelope_corners(_flat_spec(1), HyperRect(lower=[0.0], upper=[1.0]))
         with pytest.raises(ValueError):
-            check_envelope(env, _flat_1d_spec(), HyperRect(lower=[0.0], upper=[1.0]),
+            check_envelope(env, _flat_spec(1), HyperRect(lower=[0.0], upper=[1.0]),
                            np.empty((0, 1)), np.empty((0, 1)))
 
 

@@ -127,9 +127,8 @@ class TestNeighbours:
         path.write_text("[run]\nmodel = normal-hier\nn = 10\n[model]\ny = -2, -1, 0, 1, 2\n"
                         "[hyper]\nrect_lower = -0.6, 0.7\nrect_upper = 0.6, 1.6\nh1 = 0, 1\n"
                         + st)
-        cfg = cli.RunConfig(path)
-        model = cli.build_model(cfg)
-        grid, st_model = cli.st_chain(model, cfg)
+        run = cli.Run(cli.RunConfig(path))
+        model, grid, st_model = run.model, run.st_grid, run.st_model
         hand = STGrid(anchors=grid.anchors, zetas=grid.zetas,
                       neighbours=[[1, 0], [2, 0], [3, 1], [3, 2]])
         got, want = (run_st(st_model, model.spec(), g, n=3000, seed=5) for g in (grid, hand))
@@ -140,8 +139,7 @@ class TestNeighbours:
         assert np.unique(got.g[LABEL_FUNCTIONAL]).size == 4
         # a lattice moves along both of its axes
         path.write_text(path.read_text().replace(st, "[st]\nanchors = lattice:2x3\n"))
-        cfg = cli.RunConfig(path)
-        grid, _ = cli.st_chain(model, cfg)
+        grid = cli.Run(cli.RunConfig(path)).st_grid
         assert np.array_equal(grid.neighbours, lattice_neighbours((2, 3)))
 
 
