@@ -1,10 +1,13 @@
-"""Chain traces, kernel simulation, and tour statistics.
+"""Chain traces, kernel simulation, the models' chains, and tour statistics.
 
 A :class:`ChainTrace` stores, per draw, the sufficient statistic ``T_i``, the
 recorded functional values ``g_i`` and a regeneration flag ``delta_i`` — never
 full states.  Tours are the segments between regenerations; per-tour sums of
 ``f_h`` and its hyperparameter derivatives feed every downstream variance
-formula.
+formula.  :class:`ModelChain` is the one chain of every model that is
+``start`` plus ``sweep`` at h: at one hyperparameter the kernel that
+:func:`simulate` runs, and over m anchors the per-anchor moves of serial
+tempering.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ __all__ = [
     "TourIndex",
     "TourSums",
     "Kernel",
+    "ModelChain",
     "simulate",
     "log_regen_prob",
     "segment_tours",
@@ -152,6 +156,46 @@ class Kernel(Protocol):
     def start(self, rng: np.random.Generator): ...
     def step(self, state, rng: np.random.Generator): ...
     def observe(self, state) -> tuple[np.ndarray, dict[str, float]]: ...
+
+
+class ModelChain:
+    """A model's chain at the rows of ``anchors``: with one anchor the
+    :class:`Kernel` at that h, with m the per-anchor model that serial
+    tempering moves by ``anchor_step(j, state, rng)``, a sweep at anchor j.
+
+    ``model`` supplies ``KERNEL_ID`` and four methods: ``start(rng, h)`` (a
+    first state, its first sweep at h included), ``sweep(state, h, rng)``
+    (one transition leaving the posterior at h invariant), ``suffstat(state)``
+    (the prior's statistic T) and ``observe(state)`` (T and the recorded
+    functionals).  ``start`` here sweeps ``burn - 1`` more times at the
+    first anchor.
+    """
+
+    has_regen = False
+
+    def __init__(self, model, anchors, burn: int = 0):
+        self.model = model
+        self.anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
+        self.burn = burn
+        self.kernel_id = model.KERNEL_ID
+
+    def start(self, rng):
+        state = self.model.start(rng, self.anchors[0])
+        for _ in range(self.burn - 1):
+            state = self.model.sweep(state, self.anchors[0], rng)
+        return state
+
+    def step(self, state, rng):
+        return self.model.sweep(state, self.anchors[0], rng), False
+
+    def anchor_step(self, j: int, state, rng):
+        return self.model.sweep(state, self.anchors[j], rng)
+
+    def suffstat(self, state) -> np.ndarray:
+        return self.model.suffstat(state)
+
+    def observe(self, state):
+        return self.model.observe(state)
 
 
 def log_regen_prob(lw_x, lw_y, log_c):

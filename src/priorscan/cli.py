@@ -38,8 +38,8 @@ from priorscan.argmax_inference import (
     v_n_sq,
 )
 from priorscan.band_inference import global_band
-from priorscan.chain_runtime import (ChainTrace, TourIndex, save_trace, segment_tours,
-                                     tour_sums)
+from priorscan.chain_runtime import (ChainTrace, ModelChain, TourIndex, save_trace,
+                                     segment_tours, tour_sums)
 from priorscan.estimators import (ESS_UNRELIABLE, _segmentation, grid_estimates,
                                   surface_on_grid)
 from priorscan.models.lda import LDAModel, load_corpus, save_corpus, synth_corpus
@@ -125,8 +125,10 @@ SCHEMA = {
     ("run", "out"): ("path", str, ".", ALL),
     ("run", "n"): ("integer >= 1", COUNT, None, ALL),
     ("run", "R"): ("integer >= 1", COUNT, None, (TOY,)),
-    ("model", "y"): ("numbers", _floats, REQUIRED, (TOY,)),
-    ("model", "sigma0"): ("number", float, 1.0, (TOY,)),
+    ("model", "y"): ("finite numbers", _checked(_floats, lambda y: np.all(np.isfinite(y))),
+                     REQUIRED, (TOY,)),
+    ("model", "sigma0"): ("finite number > 0", _checked(float, lambda s: 0 < s < np.inf),
+                          1.0, (TOY,)),
     ("model", "kernel"): ("mh or exact", _checked(str, KERNELS.__contains__), "mh", (TOY,)),
     ("model", "data"): ("path", str, REQUIRED, (VS,)),
     ("model", "corpus"): ("path", str, REQUIRED, (LDA,)),
@@ -261,17 +263,16 @@ MODELS = {TOY: NormalHierModel, VS: VSModel, LDA: LDAModel}
 class Run:
     """A command's set-up, built once before any chain runs: the model, its
     rectangle and grid, the [inference] keys, and the serial-tempering grid
-    and per-anchor model of an [st] section or, with ``st`` (st-tune,
-    st-run), of lattice:3x3 with unit zetas.  Labels on a lattice move
-    between its neighbours along every axis.  The hyperparameters are
+    of an [st] section or, with ``st`` (st-tune, st-run), of lattice:3x3 with
+    unit zetas, with the model's ModelChain over its anchors.  Labels on a
+    lattice move between its neighbours along every axis.  The hyperparameters are
     checked against the model's open domain box before its data are read."""
 
     def __init__(self, cfg: RunConfig, st: bool = False):
         mid, rect = cfg["run", "model"], cfg.rect()
         if mid not in MODELS:
             raise ConfigError(f"unknown model id {mid!r}")
-        model_cls = MODELS[mid]
-        domain = model_cls.DOMAIN
+        domain = MODELS[mid].DOMAIN
         if rect.k != len(domain):
             raise ConfigError(f"[hyper] rect_lower, rect_upper: the {mid} model has "
                               f"{len(domain)} hyperparameters, the rectangle {rect.k}")
@@ -293,8 +294,6 @@ class Run:
                                            for key in ("alpha", "M", "functional"))
         self.st_grid = None
         if st or "st" in cfg.sections:
-            if not hasattr(model_cls, "st_model"):
-                raise ConfigError(f"[st]: the {mid} model has no serial-tempering chain")
             if cfg["run", "R"] is not None:
                 raise ConfigError("[run] R: serial tempering runs use [run] n")
             anchors, zetas = cfg["st", "anchors"], cfg["st", "zetas"]
@@ -323,7 +322,7 @@ class Run:
             model = LDAModel(K=cfg["model", "K"], corpus=load_corpus(cfg["model", "corpus"]),
                              rect=rect)
         self.model, self.spec = model, model.spec()
-        self.st_model = None if self.st_grid is None else model.st_model(self.st_grid.anchors)
+        self.st_model = None if self.st_grid is None else ModelChain(model, self.st_grid.anchors)
         recorded = [*model.functionals] + [LABEL_FUNCTIONAL] * (self.st_grid is not None)
         if self.g_name is not None and self.g_name not in recorded:
             raise ConfigError(f"[inference] functional: unknown {self.g_name!r}; "

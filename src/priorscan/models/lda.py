@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from priorscan.chain_runtime import ChainTrace, simulate
+from priorscan.chain_runtime import ChainTrace, ModelChain, simulate
 from priorscan.prior_family import ExpFamilySpec, HyperRect
 
 __all__ = [
@@ -206,6 +206,7 @@ class LDAModel:
     """Blocked Gibbs machinery over a fixed corpus."""
 
     DOMAIN = ((0.0, np.inf), (0.0, np.inf))     # the open box of h = (eta, alpha)
+    KERNEL_ID = "lda-blocked-gibbs"
 
     def __init__(self, corpus: Corpus, K: int,
                  rect: HyperRect | None = None,
@@ -241,11 +242,12 @@ class LDAModel:
         return lda_spec(self.K, self.V, self.D)
 
     # -- state updates ----------------------------------------------------
-    def init_state(self, rng: np.random.Generator) -> LDAState:
+    def start(self, rng: np.random.Generator, h) -> LDAState:
+        """Every token's topic uniform at random, then one sweep at h."""
         z = rng.integers(0, self.K, size=self.word_ids.size)
         c, ckv, cdk = self._counts(z)
-        return LDAState(z, ckv, cdk, beta=np.zeros((self.K, self.V)),
-                        theta=np.zeros((self.D, self.K)), counts=c)
+        return self.sweep(LDAState(z, ckv, cdk, beta=np.zeros((self.K, self.V)),
+                                   theta=np.zeros((self.D, self.K)), counts=c), h, rng)
 
     def _counts(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The count vector of the token topics ``z``, then its topic-word and
@@ -304,56 +306,12 @@ class LDAModel:
                   for name, (i, j, eps) in zip(self.functionals, self.closeness_pairs)}
         return self.suffstat(state), g_vals
 
-    def kernel(self, h1, burn: int = 50) -> "_LDAKernel":
-        return _LDAKernel(self, np.asarray(h1, dtype=float), burn=burn)
+    def kernel(self, h1, burn: int = 50) -> ModelChain:
+        return ModelChain(self, h1, burn=burn)
 
     def trace(self, h1, n: int, seed=None, rng=None, burn: int = 50) -> ChainTrace:
         return simulate(self.kernel(h1, burn=burn), n=n, seed=seed, rng=rng,
                         meta={"h1": list(np.asarray(h1, dtype=float))})
 
-    # -- serial tempering -------------------------------------------------
-    def st_model(self, anchors: np.ndarray) -> "_LDASTModel":
-        return _LDASTModel(self, np.atleast_2d(np.asarray(anchors, dtype=float)))
-
-
-class _LDAKernel:
-    has_regen = False
-
-    def __init__(self, model: LDAModel, h1: np.ndarray, burn: int = 50):
-        self.model = model
-        self.h1 = h1
-        self.burn = burn
-        self.kernel_id = "lda-blocked-gibbs"
-
-    def start(self, rng):
-        state = self.model.init_state(rng)
-        for _ in range(max(1, self.burn)):
-            state = self.model.sweep(state, self.h1, rng)
-        return state
-
-    def step(self, state, rng):
-        return self.model.sweep(state, self.h1, rng), False
-
-    def observe(self, state):
-        return self.model.observe(state)
-
-
-class _LDASTModel:
-    """Per-anchor Gibbs sweeps for serial tempering over (eta, alpha)."""
-
-    def __init__(self, model: LDAModel, anchors: np.ndarray):
-        self.model = model
-        self.anchors = anchors
-
-    def start(self, rng):
-        state = self.model.init_state(rng)
-        return self.model.sweep(state, self.anchors[0], rng)
-
-    def anchor_step(self, j, state, rng):
-        return self.model.sweep(state, self.anchors[j], rng)
-
-    def suffstat(self, state):
-        return self.model.suffstat(state)
-
-    def observe(self, state):
-        return self.model.observe(state)
+    def st_model(self, anchors: np.ndarray) -> ModelChain:
+        return ModelChain(self, anchors)

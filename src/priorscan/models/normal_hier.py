@@ -93,6 +93,7 @@ class NormalHierModel:
 
     # the open box of h = (mu, tau^2), and the functionals its chains record
     DOMAIN = ((-np.inf, np.inf), (0.0, np.inf))
+    KERNEL_ID = "toy-exact"
     functionals = ("theta1",)
 
     y: np.ndarray
@@ -159,6 +160,14 @@ class NormalHierModel:
         return self.suffstat(theta), {"theta1": float(theta[0])}
 
     # -- samplers ---------------------------------------------------------
+    def start(self, rng: np.random.Generator, h) -> np.ndarray:
+        """An exact posterior draw at h; ``sweep`` draws the next one afresh."""
+        mean, sd = self.posterior_params(h)
+        return mean + sd * rng.standard_normal(self.J)
+
+    def sweep(self, theta, h, rng: np.random.Generator) -> np.ndarray:
+        return self.start(rng, h)
+
     def exact_trace(self, h1, n: int, seed=None, rng=None) -> ChainTrace:
         """iid posterior draws, vectorized; every step is a regeneration."""
         if rng is None:
@@ -169,7 +178,7 @@ class NormalHierModel:
             Tmat=self.suffstat(theta), g={"theta1": theta[:, 0]},
             delta=np.ones(n, dtype=bool),
             meta={"h1": list(np.asarray(h1, dtype=float)),
-                  "kernel": "toy-exact", "n": n},
+                  "kernel": self.KERNEL_ID, "n": n},
             ends_at_regen=True)
 
     def mh_kernel(self, h1, c: float | None = None) -> "MHKernel":
@@ -182,10 +191,6 @@ class NormalHierModel:
             rng = np.random.default_rng(seed)
         return kernel.trace(rng, n=n, R=R,
                             meta={"h1": list(np.asarray(h1, dtype=float))})
-
-    # -- serial tempering -------------------------------------------------
-    def st_model(self, anchors: np.ndarray) -> "_ToySTModel":
-        return _ToySTModel(self, np.atleast_2d(np.asarray(anchors, dtype=float)))
 
 
 class MHKernel:
@@ -393,24 +398,3 @@ def mh_ensemble_traces(model: NormalHierModel, h1, n: int, n_chains: int,
     return [kernel.trace(np.random.default_rng(s), n=n, meta=meta)
             for s in np.random.SeedSequence(seed).spawn(n_chains)]
 
-
-class _ToySTModel:
-    """Per-anchor exact posterior draws for serial tempering on the toy."""
-
-    def __init__(self, model: NormalHierModel, anchors: np.ndarray):
-        self.model = model
-        self.params = [model.posterior_params(h) for h in anchors]
-
-    def start(self, rng):
-        mean, sd = self.params[0]
-        return mean + sd * rng.standard_normal(self.model.J)
-
-    def anchor_step(self, j, theta, rng):
-        mean, sd = self.params[j]
-        return mean + sd * rng.standard_normal(self.model.J)
-
-    def suffstat(self, theta):
-        return self.model.suffstat(theta)
-
-    def observe(self, theta):
-        return self.model.observe(theta)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from priorscan.chain_runtime import ChainTrace, simulate
+from priorscan.chain_runtime import ChainTrace, ModelChain, simulate
 from priorscan.prior_family import ExpFamilySpec, HyperRect
 
 __all__ = [
@@ -143,6 +143,7 @@ class VSModel:
 
     # the open box of h = (w, g), and the functionals its chain records
     DOMAIN = ((0.0, 1.0), (0.0, np.inf))
+    KERNEL_ID = "vs-collapsed-gibbs"
     functionals = ("qgamma", "incl1")
 
     def __init__(self, y, X, rect: HyperRect | None = None):
@@ -194,7 +195,17 @@ class VSModel:
                 - 0.5 * qg * np.log(1.0 + g) - 0.5 * (self.m - 1) * np.log(S))
 
     # -- Gibbs ------------------------------------------------------------
-    def gibbs_step(self, state: VSState, h, rng: np.random.Generator) -> VSState:
+    def start(self, rng: np.random.Generator, h) -> VSState:
+        """Inclusions iid Bernoulli(w) (none where that design is
+        rank-deficient), then the continuous block's exact draw given them."""
+        gamma = rng.random(self.q) < h[0]
+        try:
+            return self.draw_continuous(gamma, h, rng)
+        except np.linalg.LinAlgError:
+            return self.draw_continuous(np.zeros(self.q, dtype=bool), h, rng)
+
+    def sweep(self, state: VSState, h, rng: np.random.Generator) -> VSState:
+        """A collapsed Gibbs scan over gamma, then the continuous block."""
         gamma = state.gamma.copy()
         for j in range(self.q):
             lp = np.empty(2)
@@ -232,38 +243,16 @@ class VSModel:
                        beta_gamma=beta_g, u=u)
 
     # -- trace plumbing ---------------------------------------------------
-    def observe(self, state: VSState):
-        T = np.array([float(state.q_gamma), state.u])
-        g_vals = {"qgamma": float(state.q_gamma),
-                  "incl1": float(state.gamma[0])}
-        return T, g_vals
+    def suffstat(self, state: VSState) -> np.ndarray:
+        return np.array([float(state.q_gamma), state.u])
 
-    def kernel(self, h1) -> "_VSKernel":
-        return _VSKernel(self, np.asarray(h1, dtype=float))
+    def observe(self, state: VSState):
+        return self.suffstat(state), {"qgamma": float(state.q_gamma),
+                                      "incl1": float(state.gamma[0])}
+
+    def kernel(self, h1) -> ModelChain:
+        return ModelChain(self, h1)
 
     def trace(self, h1, n: int, seed=None, rng=None) -> ChainTrace:
         return simulate(self.kernel(h1), n=n, seed=seed, rng=rng,
                         meta={"h1": list(np.asarray(h1, dtype=float))})
-
-
-class _VSKernel:
-    has_regen = False
-
-    def __init__(self, model: VSModel, h1: np.ndarray):
-        self.model = model
-        self.h1 = h1
-        self.kernel_id = "vs-collapsed-gibbs"
-
-    def start(self, rng):
-        gamma = rng.random(self.model.q) < self.h1[0]
-        try:
-            return self.model.draw_continuous(gamma, self.h1, rng)
-        except np.linalg.LinAlgError:
-            return self.model.draw_continuous(
-                np.zeros(self.model.q, dtype=bool), self.h1, rng)
-
-    def step(self, state, rng):
-        return self.model.gibbs_step(state, self.h1, rng), False
-
-    def observe(self, state):
-        return self.model.observe(state)

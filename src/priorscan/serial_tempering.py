@@ -4,7 +4,10 @@ The invariant distribution is a mixture over anchor hyperparameters h_1..h_m
 with tuning constants zeta controlling label occupancy; replacing the
 single-chain denominator by the mixture density keeps every downstream
 estimator formula unchanged while stabilizing weights across all of the
-rectangle.  Uncertainty for serial-tempering traces uses batching (no
+rectangle.  The state moves by the model's
+:class:`~priorscan.chain_runtime.ModelChain` over the anchors, a sweep at the
+current label's anchor, so every model with ``start`` and ``sweep`` at h runs
+here.  Uncertainty for serial-tempering traces uses batching (no
 regeneration construction is attempted).
 """
 
@@ -12,17 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Protocol
 
 import numpy as np
 
-from priorscan.chain_runtime import ChainTrace, simulate
+from priorscan.chain_runtime import ChainTrace, ModelChain, simulate
 from priorscan.estimators import _grid_sums
 from priorscan.prior_family import ExpFamilyRatio, ExpFamilySpec, HyperRect
 
 __all__ = [
     "STGrid",
-    "STModel",
     "MixtureRatio",
     "lattice_anchors",
     "lattice_neighbours",
@@ -131,17 +132,7 @@ class MixtureRatio(ExpFamilyRatio):
 # the serial-tempering chain
 # ------------------------------------------------------------------
 
-class STModel(Protocol):
-    """Per-anchor machinery a model must supply to run serial tempering;
-    the T that ``observe`` returns is ``suffstat(theta)``."""
-
-    def start(self, rng): ...
-    def anchor_step(self, j: int, theta, rng): ...
-    def suffstat(self, theta) -> np.ndarray: ...
-    def observe(self, theta) -> tuple[np.ndarray, dict[str, float]]: ...
-
-
-def st_step(state, ratio: MixtureRatio, model: STModel,
+def st_step(state, ratio: MixtureRatio, model: ModelChain,
             rng: np.random.Generator, T=None):
     """One serial-tempering transition on (label, theta).
 
@@ -181,7 +172,7 @@ class STKernel:
     has_regen = False
     kernel_id = "serial-tempering"
 
-    def __init__(self, model: STModel, spec: ExpFamilySpec, grid: STGrid):
+    def __init__(self, model: ModelChain, spec: ExpFamilySpec, grid: STGrid):
         self.model = model
         self.spec = spec
         self.grid = grid
@@ -211,7 +202,7 @@ def occupancies(trace: ChainTrace, m: int) -> np.ndarray:
     return np.bincount(labels, minlength=m) / labels.size
 
 
-def run_st(model: STModel, spec: ExpFamilySpec, grid: STGrid, n: int,
+def run_st(model: ModelChain, spec: ExpFamilySpec, grid: STGrid, n: int,
            seed=None, rng=None, meta: dict | None = None) -> ChainTrace:
     """Run the serial-tempering chain for n steps; occupancies go in meta."""
     kernel = STKernel(model, spec, grid)
@@ -235,7 +226,7 @@ def zetas_from_logs(log_z: np.ndarray) -> np.ndarray:
     return zetas
 
 
-def tune_zeta(model: STModel, spec: ExpFamilySpec, grid: STGrid, *,
+def tune_zeta(model: ModelChain, spec: ExpFamilySpec, grid: STGrid, *,
               rounds: int = 10, steps_per_round: int = 5000,
               seed=None) -> tuple[STGrid, bool, list[float]]:
     """Iteratively adjust zeta toward uniform label occupancy.

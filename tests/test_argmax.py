@@ -17,7 +17,7 @@ from priorscan.argmax_inference import (
     tau_n_sq,
     v_n_sq,
 )
-from priorscan.chain_runtime import segment_tours, tour_sums
+from priorscan.chain_runtime import ModelChain, segment_tours, tour_sums
 from priorscan.cli import stream_rng
 from priorscan.estimators import _grid_sums, _segmentation, estimate_B
 from priorscan.models.lda import LDAModel, synth_corpus
@@ -359,7 +359,7 @@ def derivative_cases(toy_model):
     lda = _lda_model()
     grid = STGrid(anchors=lattice_anchors(HyperRect([-1.0, 0.3], [1.0, 3.0]),
                                           [2, 2]), zetas=np.ones(4))
-    st = run_st(toy_model.st_model(grid.anchors), toy_model.spec(), grid,
+    st = run_st(ModelChain(toy_model, grid.anchors), toy_model.spec(), grid,
                 n=3000, rng=np.random.default_rng(1))
     return {
         "toy": (ExpFamilyRatio(toy_model.spec(), H1),

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -13,8 +14,9 @@ import pytest
 from priorscan import cli
 from priorscan.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main, stream_rng
 from priorscan.argmax_inference import confidence_ellipse, hessian_Jn, tau_n_sq, v_n_sq
-from priorscan.chain_runtime import tour_sums
+from priorscan.chain_runtime import ModelChain, tour_sums
 from priorscan.estimators import SurfaceEstimate, _segmentation
+from priorscan.prior_family import logsumexp
 
 TOY_COMMON = """\
 [run]
@@ -424,34 +426,56 @@ anchors = lattice:2x2
         for key in ("h_n", "J_n", "tau_n_sq", "v_n_sq"):
             assert np.all(np.isfinite(d[key])), key
 
-    @pytest.mark.parametrize("command, st", [("surface", "\n[st]\nanchors = lattice:2x2\n"),
-                                             ("st-run", "")])
-    def test_variable_selection_has_no_st_chain(self, tmp_path, capsys, command, st):
-        synth = _write(tmp_path, f"[run]\nseed = 3\nout = {tmp_path}\n"
-                                 "[synth]\nkind = regression\nm = 30\nq = 3\n", "synth.ini")
+    def test_variable_selection_against_enumeration(self, tmp_path, st_runs):
+        # snr = 1 and g in [2, 20] keep neighbouring anchors' posteriors close
+        # enough for st-tune to converge; at snr = 2, labels left anchors all but
+        # unvisited.  Over [run] seeds 1-25 tuning converged in 3-8 rounds, every
+        # grid point had ESS >= 50, and the largest |z| of a seed exceeded 4
+        # once (4.84, seed 24; 3.42 next); seed 1's is 1.31
+        synth = _write(tmp_path, f"[run]\nseed = 3\nout = {tmp_path}\n[synth]\n"
+                                 "kind = regression\nm = 50\nq = 8\nsnr = 1\n", "synth.ini")
         assert main(["synth", synth]) == EXIT_OK
-        capsys.readouterr()
         out = tmp_path / "out"
-        cfg = _write(tmp_path, f"""\
+        base = f"""\
 [run]
 model = vs-bernoulli-zellner
 seed = 1
-n = 200
+n = 10000
 out = {out}
 
 [model]
 data = {tmp_path}/regression.csv
 
 [hyper]
-rect_lower = 0.1, 2
-rect_upper = 0.9, 20
-h1 = 0.5, 8
-grid = 3
-""" + st)
-        assert main([command, cfg]) == EXIT_CONFIG
-        assert capsys.readouterr().err == ("config error: [st]: the vs-bernoulli-zellner "
-                                           "model has no serial-tempering chain\n")
-        assert not any(out.glob("*"))
+rect_lower = 0.2, 2
+rect_upper = 0.8, 20
+grid = 5
+
+[st]
+steps_per_round = 2000
+"""
+        assert main(["st-tune", _write(tmp_path, base, "tune.ini")]) == EXIT_OK
+        zetas = json.loads((out / "st_tune.json").read_text())["zetas"]
+        cfg = _write(tmp_path, base + f"zetas = {', '.join(map(repr, zetas))}\n")
+        assert main(["surface", cfg]) == EXIT_OK
+        assert st_runs == [9]
+        # B_n is m(h) over the anchor mixture (1/m) sum_j m(h_j)/zeta_j, as in
+        # oracle-check; m(h) sums log_collapsed over all 2^q models
+        run = cli.Run(cli.RunConfig(cfg))
+        models = list(itertools.product([False, True], repeat=run.model.q))
+
+        def log_m(h):
+            return logsumexp(np.array([run.model.log_collapsed(np.array(g), h)
+                                       for g in models]))
+
+        grid = run.st_grid
+        log_ref = (logsumexp(np.array([log_m(a) for a in grid.anchors]) - np.log(grid.zetas))
+                   - np.log(grid.m))
+        _, body = _read_csv(out / "surface.csv")
+        truth = np.exp([log_m(h) - log_ref for h in body[:, :2]])
+        sure = body[:, 4] >= 50
+        assert sure.sum() >= 20
+        assert np.all(np.abs(body[sure, 2] - truth[sure]) <= 4 * body[sure, 3])
 
     def test_tune_on_a_wide_rectangle_keeps_zetas_finite(self, tmp_path):
         # the tuning rounds' log zetas span ~1200-1400 nats here; centred on
@@ -618,6 +642,11 @@ class TestConfigErrors:
         ("surface", TOY_LINES, _swap(VS_LINES, "0.1, 2", "0, 1")),
         ("surface", TOY_LINES, _swap(LDA_LINES, "lower = 0.5", "lower = -0.5")),
         ("band", TOY_LINES, _swap(LDA_LINES, "h1 = 1, 1", "h1 = 1, 0")),
+        # toy data the model cannot take: they exited 3, y after the chain
+        ("surface", "y = -2, -1, 0, 1, 2", "y = 1, nan, 2"),
+        ("argmax", "y = -2, -1, 0, 1, 2", "y = 1, inf, 2"),
+        ("surface", "kernel = exact", "kernel = exact\nsigma0 = -5"),
+        ("band", "kernel = exact", "kernel = exact\nsigma0 = nan"),
         # a functional that the chain does not record
         *[(command, "grid = 3", "grid = 3\n\n[inference]\nfunctional = theta9")
           for command in ("argmax", "st-run", "st-tune", "oracle-check")],
@@ -632,6 +661,7 @@ class TestConfigErrors:
             "section-typo", "lda-R", "st-R", "synth-m-zero", "synth-D-zero",
             "synth-q-negative", "toy-rect-tau2", "toy-h1-inf", "toy-h1-tau2",
             "toy-st-anchor", "vs-rect-w", "vs-rect-w-zero", "lda-rect-eta", "lda-h1-alpha",
+            "toy-y-nan", "toy-y-inf", "toy-sigma0-negative", "toy-sigma0-nan",
             "argmax-functional", "st-run-functional", "st-tune-functional",
             "oracle-check-functional"])
     def test_checked_before_the_chain(self, tmp_path, capsys, monkeypatch,
@@ -737,7 +767,7 @@ def test_models_name_the_functionals_their_chains_record():
     lda = LDAModel(synth_corpus(seed=2, D=3, V=6, K=2, n_d=5), K=2,
                    closeness_pairs=((0, 1, 0.05), (1, 2, 0.1)))
     anchors = np.array([[0.0, 1.0], [0.5, 2.0]])
-    st_trace = cli.run_st(toy.st_model(anchors), toy.spec(),
+    st_trace = cli.run_st(ModelChain(toy, anchors), toy.spec(),
                           STGrid(anchors=anchors, zetas=np.ones(2)), n=5, rng=rng)
     assert st_trace.functional_names == ["theta1", "_label"]
     for model, trace in [(toy, toy.exact_trace([0, 1], 5, rng=rng)),

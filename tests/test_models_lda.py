@@ -134,7 +134,7 @@ class TestCorpus:
 class TestSweep:
     def test_invariants_preserved(self, model):
         rng = np.random.default_rng(1)
-        state = model.init_state(rng)
+        state = model.start(rng, [0.6, 0.9])
         n_tok = model.word_ids.size
         doc_lens = np.array([len(d) for d in model.corpus.docs])
         for _ in range(5):
@@ -148,7 +148,7 @@ class TestSweep:
 
     def test_bad_h_rejected(self, model):
         rng = np.random.default_rng(0)
-        state = model.init_state(rng)
+        state = model.start(rng, [1.0, 1.0])
         with pytest.raises(ValueError):
             model.sweep(state, [0.0, 1.0], rng)
 

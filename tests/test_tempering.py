@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from priorscan import cli
-from priorscan.chain_runtime import simulate
+from priorscan.chain_runtime import ModelChain, simulate
 from priorscan.cli import stream_rng
 from priorscan.estimators import batch_se, estimate_B, estimate_I
 from priorscan.prior_family import ExpFamilyRatio, HyperRect
@@ -45,7 +45,7 @@ def exact_grid(toy_model, anchors):
 
 @pytest.fixture(scope="module")
 def st_trace(toy_model, exact_grid, anchors):
-    return run_st(toy_model.st_model(anchors), toy_model.spec(), exact_grid,
+    return run_st(ModelChain(toy_model, anchors), toy_model.spec(), exact_grid,
                   n=30000, seed=31)
 
 
@@ -249,7 +249,7 @@ class TestSTChain:
         zetas = exact_grid.zetas.copy()
         zetas[-1] *= 1e6  # make the last anchor essentially unreachable
         grid = STGrid(anchors=anchors, zetas=zetas)
-        trace = run_st(toy_model.st_model(anchors), toy_model.spec(), grid,
+        trace = run_st(ModelChain(toy_model, anchors), toy_model.spec(), grid,
                        n=8000, seed=1)
         assert occupancies(trace, grid.m)[-1] < 0.01
 
@@ -274,7 +274,7 @@ class TestSTChain:
         assert est == pytest.approx(toy_model.oracle_I_theta1(h), abs=0.05)
 
     def test_kernel_deterministic(self, toy_model, exact_grid, anchors):
-        kern = STKernel(toy_model.st_model(anchors), toy_model.spec(), exact_grid)
+        kern = STKernel(ModelChain(toy_model, anchors), toy_model.spec(), exact_grid)
         a = simulate(kern, n=200, seed=7)
         b = simulate(kern, n=200, seed=7)
         assert np.array_equal(a.Tmat, b.Tmat)
@@ -283,7 +283,7 @@ class TestSTChain:
 
 class TestTuning:
     def test_already_tuned_returns_quickly(self, toy_model, anchors, exact_grid):
-        tuned, converged, _ = tune_zeta(toy_model.st_model(anchors),
+        tuned, converged, _ = tune_zeta(ModelChain(toy_model, anchors),
                                         toy_model.spec(), exact_grid,
                                         rounds=3, steps_per_round=4000, seed=2)
         assert converged
@@ -292,7 +292,7 @@ class TestTuning:
 
     def test_tunes_from_uniform_start(self, toy_model, anchors):
         grid0 = STGrid(anchors=anchors, zetas=np.ones(len(anchors)))
-        tuned, converged, _ = tune_zeta(toy_model.st_model(anchors),
+        tuned, converged, _ = tune_zeta(ModelChain(toy_model, anchors),
                                         toy_model.spec(), grid0,
                                         rounds=8, steps_per_round=4000, seed=3)
         assert converged
@@ -307,7 +307,7 @@ class TestTuning:
         anchors = lattice_anchors(HyperRect([-6.0, 0.05], [6.0, 20.0]), 3)
         grid0 = STGrid(anchors=anchors, zetas=np.ones(len(anchors)))
         tuned, converged, ratios = tune_zeta(
-            toy_model.st_model(anchors), toy_model.spec(), grid0, rounds=11,
+            ModelChain(toy_model, anchors), toy_model.spec(), grid0, rounds=11,
             steps_per_round=5000, seed=stream_rng(1, "st-tune"))
         assert np.all(np.isfinite(tuned.zetas) & (tuned.zetas > 0))
         assert len(ratios) == 11 and not converged
