@@ -74,32 +74,30 @@ def global_band(trace: ChainTrace, family, g_name: str | None,
                 grid, M: int | None = None, alpha: float = 0.05) -> BandReport:
     """Simultaneous (1 - alpha) band for I_g(·) over the grid.
 
-    ``g_name=None`` produces the analogous band for B(·).  The trace is split
-    into M consecutive batches of L = floor(n/M) draws, and the center and the
-    batch deviations (``estimators._deviations``) use those M L draws; the
-    half-width is (M L)^{-1/2} times the ceil((1-alpha) M)-th order statistic
-    of the batch sup deviations scaled by sqrt(L).  A non-finite deviation,
+    ``g_name=None`` produces the analogous band for B(·).  The center and the
+    batch deviations (``estimators._deviations``) use all n draws, like the
+    grid estimates, in M consecutive batches of floor(n/M) or ceil(n/M); the
+    half-width is n^{-1/2} times the ceil((1-alpha) M)-th order statistic of
+    the batch sup deviations scaled by sqrt(n/M).  A non-finite deviation,
     from a NaN or infinite functional value, raises ValueError.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    batches = _segmentation(trace.n, None, M)[1]
-    M, n_used = batches.R, batches.n_eff
-    L = n_used // M
-    if L < MIN_BATCH_LEN:
-        raise ValueError(f"batch length {L} < {MIN_BATCH_LEN}; reduce M")
-    (shift, c, ess, I), deviations = _deviations(trace, family, grid, g_name,
-                                                 n_used, batches)
+    batches = _segmentation(trace.n, None, M)
+    M, n = batches.R, batches.n_eff
+    if n // M < MIN_BATCH_LEN:
+        raise ValueError(f"batch length {n // M} < {MIN_BATCH_LEN}; reduce M")
+    (shift, c, ess, I), deviations = _deviations(trace, family, grid, g_name, batches)
     sup_stats = np.empty(M)
     for ids, dB, dI in deviations:
         dev = dB * np.exp(shift) if g_name is None else dI
-        sup_stats[ids] = np.sqrt(L) * np.abs(dev).max(axis=1)
+        sup_stats[ids] = np.sqrt(n / M) * np.abs(dev).max(axis=1)
     if not np.all(np.isfinite(sup_stats)):
         raise ValueError(f"{np.count_nonzero(~np.isfinite(sup_stats))} of {M} batch "
                          "deviations are not finite")
     order = int(np.ceil((1.0 - alpha) * M))                    # 1-based index
-    half_width = float(np.sort(sup_stats)[order - 1] / np.sqrt(n_used))
+    half_width = float(np.sort(sup_stats)[order - 1] / np.sqrt(n))
     return BandReport(grid=grid, center=c * np.exp(shift) if g_name is None else I[0],
                       half_width=half_width, M=M, alpha=alpha, sup_stats=sup_stats,
-                      n=n_used, target="B" if g_name is None else f"I:{g_name}", ess=ess)
+                      n=n, target="B" if g_name is None else f"I:{g_name}", ess=ess)

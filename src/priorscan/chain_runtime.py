@@ -254,13 +254,14 @@ def simulate(kernel: Kernel, *, n: int, seed=None,
 
 @dataclass(frozen=True)
 class TourIndex:
-    """Regeneration boundaries tau_0 < ... < tau_R, 1-based, tau_R = n_eff + 1.
-
-    ``n_eff`` is the trace length after dropping any partial final tour.
-    """
+    """Regeneration boundaries tau_0 < ... < tau_R, 1-based, tau_R = n_eff + 1."""
 
     boundaries: np.ndarray  # (R + 1,) ints
-    n_eff: int
+
+    @property
+    def n_eff(self) -> int:
+        """The draws the segments cover: the trace without any partial final tour."""
+        return int(self.boundaries[-1]) - 1
 
     @property
     def R(self) -> int:
@@ -291,7 +292,7 @@ def segment_tours(trace: ChainTrace) -> TourIndex:
         boundaries = np.append(flags, trace.n + 1)
     else:
         boundaries = flags
-    return TourIndex(boundaries=boundaries.astype(int), n_eff=int(boundaries[-1] - 1))
+    return TourIndex(boundaries=boundaries.astype(int))
 
 
 @dataclass(frozen=True)

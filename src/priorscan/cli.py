@@ -376,7 +376,7 @@ def cmd_surface(cfg: RunConfig) -> int:
 def cmd_argmax(cfg: RunConfig) -> int:
     run = Run(cfg)
     trace, family, tours = run.chain("argmax")
-    segments = _segmentation(trace.n, tours, run.M)[1]
+    segments = _segmentation(trace.n, tours, run.M)
     n_eff, R = segments.n_eff, segments.R
     # over the complete tours' or batches' rows, which the sandwich at h_n uses
     res = maximize_surface(_slice_trace(trace, 0, n_eff), family, run.rect)

@@ -170,11 +170,11 @@ def cov_I_pair(tsums1: TourSums, tsums2: TourSums, g_name: str) -> float:
 def batch_se(trace: ChainTrace, family: ExpFamilyRatio, h, M: int,
              g_name: str | None = None) -> float:
     """Batch-means SE of B_n (or I_hat_g): :func:`pointwise_se_B` (or
-    :func:`pointwise_se_I`) with M consecutive batches of floor(n/M) draws as
-    tours, the trailing remainder dropped.  Where M divides n it is the batch
-    SE of :func:`grid_estimates` at h."""
+    :func:`pointwise_se_I`) with the M batches of :func:`_segmentation` as
+    tours.  It is the batch SE of :func:`grid_estimates` at h, from a
+    separate pass."""
     names = [] if g_name is None else [g_name]
-    ts = tour_sums(trace, _segmentation(trace.n, None, M)[1], family, h, names,
+    ts = tour_sums(trace, _segmentation(trace.n, None, M), family, h, names,
                    with_derivs=False)
     return pointwise_se_B(ts) if g_name is None else pointwise_se_I(ts, g_name)
 
@@ -321,27 +321,26 @@ def _segment_sums(family: ExpFamilyRatio, grid: np.ndarray, Tmat: np.ndarray,
 
 
 def _deviations(trace: ChainTrace, family: ExpFamilyRatio, grid: np.ndarray,
-                g_name: str | None, rows: int, segments: TourIndex):
-    """((shift, c, ess, I), deviations): :func:`_grid_sums` over the first
-    ``rows`` draws, and an iterator of (ids, dB, dI), the deviations of the
-    tours or batches ``segments`` from those values, in the order of
-    :func:`_segment_sums`.
+                g_name: str | None, segments: TourIndex):
+    """((shift, c, ess, I), deviations): :func:`_grid_sums` over the n_eff
+    draws the tours or batches ``segments`` cover, and an iterator of
+    (ids, dB, dI), the deviations of the segments from those values, in the
+    order of :func:`_segment_sums`.
 
     With S_r, T_r the sums over segment r of f = f_h exp(-shift) and g f, N_r
     its length and n/R the mean, both in draws: dB_r = (S_r - N_r c) / (n/R)
     and dI_r = (T_r - I S_r) / (c n/R) (None without ``g_name``), the
     delta-method linearization of the self-normalized ratio (Owen 2013,
-    ch. 9) for tours and batches alike.
+    ch. 9) for tours and batches alike.  The values and the segments sum the
+    same draws, so each set of deviations sums to 0.
     """
-    g = None if g_name is None else trace.functional(g_name)[:rows, None]
-    # runs break at the segment starts and at n_eff, which ends the segments
-    Tmat, g, w, cuts = _runs(trace.Tmat[:rows], g, segments.boundaries - 1)
+    n, lengths, R = segments.n_eff, segments.lengths, segments.R
+    g = None if g_name is None else trace.functional(g_name)[:n, None]
+    Tmat, g, w, cuts = _runs(trace.Tmat[:n], g, segments.starts0)
     sums = shift, c, _, I = _grid_sums(family, grid, Tmat, g, w)
-    m, cuts = cuts[-1], cuts[:-1]
-    lengths, n, R = segments.lengths, segments.n_eff, segments.R
 
     def deviations():
-        for ids, P in _segment_sums(family, grid, Tmat[:m], shift, cuts, g, w[:m]):
+        for ids, P in _segment_sums(family, grid, Tmat, shift, cuts, g, w):
             S = P[:, 0]
             dB = (S - lengths[ids, None] * c) / (n / R)
             yield ids, dB, None if g is None else (P[:, 1] - I * S) / (c * n / R)
@@ -349,18 +348,17 @@ def _deviations(trace: ChainTrace, family: ExpFamilyRatio, grid: np.ndarray,
     return sums, deviations()
 
 
-def _segmentation(n: int, tours: TourIndex | None, M: int | None):
-    """(rows used, segments): the tours and their n_eff rows, or all n rows
-    and M consecutive batches of floor(n/M) draws as a TourIndex (default
-    M = ceil(sqrt(n))), which leaves out the trailing n mod M draws."""
+def _segmentation(n: int, tours: TourIndex | None, M: int | None) -> TourIndex:
+    """The tours, or M consecutive batches (default M = ceil(sqrt(n))) of
+    floor(n/M) or ceil(n/M) draws that cover all n draws."""
     if tours is not None:
-        return tours.n_eff, tours
+        return tours
     M = max(2, int(np.ceil(np.sqrt(n)))) if M is None else M
     if M < 2:
         raise ValueError("need at least 2 batches")
     if n < M:
         raise ValueError("more batches than draws")
-    return n, TourIndex(boundaries=np.arange(M + 1) * (n // M) + 1, n_eff=M * (n // M))
+    return TourIndex(boundaries=np.arange(M + 1) * n // M + 1)
 
 
 def grid_estimates(trace: ChainTrace, family: ExpFamilyRatio, grid,
@@ -374,21 +372,19 @@ def grid_estimates(trace: ChainTrace, family: ExpFamilyRatio, grid,
     batch-means with ``M`` batches (default ceil(sqrt(n))).
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    n_eff, segments = _segmentation(trace.n, tours, M)
-    if segments.R < 2:
+    segments = _segmentation(trace.n, tours, M)
+    R = segments.R
+    if R < 2:
         raise ValueError("need at least 2 complete tours")
-    (shift, c, ess_vals, I), deviations = _deviations(trace, family, grid, g_name,
-                                                      n_eff, segments)
-    # sums of the deviations and of their squares, for B then for I; the
-    # SEs center them at their mean over the R segments
-    acc = np.zeros((4, grid.shape[0]))
+    (shift, c, ess_vals, I), deviations = _deviations(trace, family, grid, g_name, segments)
+    # the deviations sum to 0, so each SE is sqrt(sum d^2 / (R (R - 1))), as in
+    # pointwise_se_B and pointwise_se_I; sums of squares for B then for I
+    acc = np.zeros((2, grid.shape[0]))
     for _, *devs in deviations:
         for k, d in enumerate(devs if g_name is not None else devs[:1]):
-            acc[2 * k] += d.sum(axis=0)
-            acc[2 * k + 1] += np.einsum("rj,rj->j", d, d)
-    R = segments.R
-    se = np.sqrt(np.maximum(acc[1::2] - acc[::2] ** 2 / R, 0.0) / (R - 1) / R)
-    common = dict(grid=grid, ess=ess_vals, n=n_eff, R=None if tours is None else R,
+            acc[k] += np.einsum("rj,rj->j", d, d)
+    se = np.sqrt(acc / (R - 1) / R)
+    common = dict(grid=grid, ess=ess_vals, n=segments.n_eff, R=None if tours is None else R,
                   se_method="batch" if tours is None else "tour")
     est = SurfaceEstimate(values=c * np.exp(shift), se=se[0] * np.exp(shift), **common)
     if g_name is None:

@@ -124,7 +124,6 @@ class MixtureRatio(ExpFamilyRatio):
 
     def __init__(self, spec: ExpFamilySpec, grid: STGrid):
         super().__init__(spec, grid.anchors, grid.zetas)
-        self.grid = grid
         self.moves = grid.neighbours.tolist()     # st_step's proposals, as ints
 
 

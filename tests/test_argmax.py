@@ -212,7 +212,7 @@ def test_batch_sandwich_calibrated(toy_model, fam, toy_rect):
     # the sandwich over ceil(sqrt(n)) batches tracks the replicate spread of
     # h_n over 100 iid runs of 20k draws; the spread of per-batch argmaxes
     # (batch_argmax_cov) overstates it 5.6-9.4 fold on these runs
-    segments = _segmentation(20_000, None, None)[1]
+    segments = _segmentation(20_000, None, None)
     n_eff, R = segments.n_eff, segments.R
     h_ns, v_diag, covered = [], [], 0
     for s in range(100):

@@ -24,23 +24,31 @@ class TestMechanics:
     def test_default_M(self, toy_trace, fam, grid):
         rep = global_band(toy_trace, fam, "theta1", grid)
         assert rep.M == int(np.ceil(np.sqrt(toy_trace.n)))
-        assert rep.n == rep.M * (toy_trace.n // rep.M)
+        assert rep.n == toy_trace.n
         assert rep.sup_stats.shape == (rep.M,)
 
     def test_center_matches_pointwise(self, toy_trace, fam, grid):
         from priorscan.estimators import estimate_B, estimate_I
         rep_I = global_band(toy_trace, fam, "theta1", grid, M=100)
         rep_B = global_band(toy_trace, fam, None, grid, M=100)
-        n_used = rep_I.n
-        sub = ChainTrace(Tmat=toy_trace.Tmat[:n_used],
-                         g={"theta1": toy_trace.g["theta1"][:n_used]},
-                         delta=toy_trace.delta[:n_used])
         for j, h in enumerate(grid):
             assert rep_I.center[j] == pytest.approx(
-                estimate_I(sub, fam, "theta1", h), rel=1e-10)
+                estimate_I(toy_trace, fam, "theta1", h), rel=1e-10)
             assert rep_B.center[j] == pytest.approx(
-                estimate_B(sub, fam, h), rel=1e-10)
+                estimate_B(toy_trace, fam, h), rel=1e-10)
         assert rep_I.target == "I:theta1" and rep_B.target == "B"
+
+    def test_center_is_the_grid_estimate(self, toy_trace, fam, grid):
+        # M = 7 does not divide n = 20000; the band's batches and the grid
+        # estimates' cover the same n draws, so the centers are their values
+        from priorscan.estimators import functional_on_grid, surface_on_grid
+        rep_I = global_band(toy_trace, fam, "theta1", grid, M=7)
+        rep_B = global_band(toy_trace, fam, None, grid, M=7)
+        assert rep_I.n == rep_B.n == toy_trace.n
+        np.testing.assert_array_equal(
+            rep_I.center, functional_on_grid(toy_trace, fam, "theta1", grid, M=7).values)
+        np.testing.assert_array_equal(rep_B.center,
+                                      surface_on_grid(toy_trace, fam, grid, M=7).values)
 
     def test_constant_functional_zero_width(self, toy_trace, fam, grid):
         tr = ChainTrace(Tmat=toy_trace.Tmat, g={"one": np.ones(toy_trace.n)},

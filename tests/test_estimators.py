@@ -172,10 +172,10 @@ class TestBatchSE:
         with pytest.raises(ValueError):
             batch_se(toy_trace, fam, H1, M=1)
 
-    @pytest.mark.parametrize("M", [2, 100, 400])
+    @pytest.mark.parametrize("M", [2, 3, 7, 100, 142, 400])
     def test_batch_se_is_the_grid_batch_se(self, toy_trace, fam, toy_rect, M):
-        # M divides n = 20000, so the grid's values and its batches cover the
-        # same draws; the two SEs come from separate passes
+        # the grid's values and its batches cover the same n = 20000 draws,
+        # also where M does not divide n; the two SEs come from separate passes
         grid = toy_rect.grid(4)
         est, fest = grid_estimates(toy_trace, fam, grid, "theta1", M=M)
         for e, g_name in ((est, None), (fest, "theta1")):
@@ -221,8 +221,7 @@ class TestGridSweeps:
         n = tours.n_eff
         ts = np.full(n // 2, 2)
         from priorscan.chain_runtime import TourIndex
-        slow = TourIndex(boundaries=np.concatenate([[1], 1 + np.cumsum(ts)]),
-                         n_eff=int(ts.sum()))
+        slow = TourIndex(boundaries=np.concatenate([[1], 1 + np.cumsum(ts)]))
         est_slow = surface_on_grid(toy_trace, fam, grid, tours=slow)
         # same values (point estimate independent of segmentation up to n_eff)
         assert est_slow.se_method == "tour"
