@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from priorscan.chain_runtime import ChainTrace, TourSums
-from priorscan.estimators import _grid_sums, _moment_columns, _runs
+from priorscan.estimators import _grid_sums, _runs
 from priorscan.prior_family import HyperRect
 
 __all__ = [
@@ -55,25 +55,24 @@ class MaxResult:
 MAX_NEWTON_ITERS = 100
 
 
-def log_B_derivs(family, h, Tmat, X=None, w=None):
+def log_B_derivs(family, h, Tmat, w=None):
     """(log B_n, gradient, Hessian, weight ESS) at ``h`` from one
-    :func:`_grid_sums` pass over the :func:`_moment_columns` ``X`` of Tmat
-    about Tmat[0] (built here unless given; a search builds them once), row
-    i weighted by ``w[i]`` draws (a search passes its run lengths).
+    :func:`_grid_sums` pass over the moments of Tmat about Tmat[0], formed
+    chunk by chunk, row i weighted by ``w[i]`` draws (a search passes its run
+    lengths).
 
     log B_n(h) = K_n(omega_h - omega_1) - (A_h - A_1), K_n the empirical CGF
     of T, so its gradient and Hessian are ``family.score_sums`` at the
     weighted mean (S = 1, m1 = 0, m2 = Cov_w[T]), minus grad grad^T."""
     h, d = np.asarray(h, dtype=float), Tmat.shape[1]
-    X = _moment_columns(Tmat, Tmat[0]) if X is None else X
-    shift, c, ess, m = _grid_sums(family, h[None, :], Tmat, X, w)
+    shift, c, ess, m = _grid_sums(family, h[None, :], Tmat, w=w, T0=Tmat[0])
     cov = m[d:, 0].reshape(d, d) - np.outer(m[:d, 0], m[:d, 0])
     grad, hess = family.score_sums(h, m[:d, 0] + Tmat[0], 1.0, np.zeros(d), cov)
     hess = hess - np.outer(grad, grad)
     return shift[0] + np.log(c[0]), grad, 0.5 * (hess + hess.T), ess[0]
 
 
-def _newton(family, Tmat, X, w, rect: HyperRect, h, tol: float):
+def _newton(family, Tmat, w, rect: HyperRect, h, tol: float):
     """Projected Newton ascent of log B_n from ``h`` (Bertsekas 1982):
     (h, log B_n, weight ESS, iterations, moment passes).  Coordinates near a
     face the gradient points out of stay on it; the rest take Newton's step
@@ -81,7 +80,7 @@ def _newton(family, Tmat, X, w, rect: HyperRect, h, tol: float):
     gradient.  Projected steps are halved until Armijo's condition holds; the
     search ends when a step moves h by at most ``tol``."""
     width = rect.upper - rect.lower
-    val, g, H, ess = log_B_derivs(family, h, Tmat, X, w)
+    val, g, H, ess = log_B_derivs(family, h, Tmat, w)
     passes = 1
     for it in range(1, MAX_NEWTON_ITERS + 1):
         eps = np.minimum(1e-3 * width, np.linalg.norm(h - rect.clip(h + g)))
@@ -92,7 +91,7 @@ def _newton(family, Tmat, X, w, rect: HyperRect, h, tol: float):
             d[free] = np.linalg.solve(-Hf, g[free])
         for step in 0.5 ** np.arange(60):
             h_new = rect.clip(h + step * d)
-            trial = log_B_derivs(family, h_new, Tmat, X, w)
+            trial = log_B_derivs(family, h_new, Tmat, w)
             passes += 1
             moved = np.abs(h_new - h).max()
             if moved <= tol or trial[0] >= val + 1e-4 * max(g @ (h_new - h), 0.0):
@@ -129,17 +128,17 @@ def maximize_surface(trace: ChainTrace, family, rect: HyperRect, *,
     (ties broken by lowest lexicographic index).  The log is maximized since
     the argmax is invariant to strictly increasing transforms.  Every pass
     runs over the trace's runs of equal rows
-    (:func:`~priorscan.estimators._runs`), collapsed once here.
+    (:func:`~priorscan.estimators._runs`), collapsed once here: the only
+    arrays over the runs the search holds.
     """
     if trace.n == 0:
         raise ValueError("empty trace")
     grid, (Tmat, _, w, _) = rect.grid(grid_points), _runs(trace.Tmat)
     shift, c, _, _ = _grid_sums(family, grid, Tmat, w=w)
     starts = grid[_grid_modes(shift + np.log(c), (grid_points,) * rect.k)[:1 + multi_starts]]
-    X = _moment_columns(Tmat, Tmat[0])
     consistent, iters, passes = True, 0, 0
     for i, x0 in enumerate(starts):
-        h, v, ess, n_it, n_pass = _newton(family, Tmat, X, w, rect, x0, tol)
+        h, v, ess, n_it, n_pass = _newton(family, Tmat, w, rect, x0, tol)
         iters, passes = iters + n_it, passes + n_pass
         if i == 0 or v > v_best + 1e-10:
             if i and np.linalg.norm(h - h_best) > 10 * tol:

@@ -223,51 +223,52 @@ def _runs(Tmat: np.ndarray, X: np.ndarray | None = None,
             None if starts is None else np.searchsorted(first, starts))
 
 
+def _columns(Tmat: np.ndarray, X: np.ndarray | None, T0: np.ndarray | None, a: int, b: int):
+    """Rows a:b of the p columns a pass weights, as a new (b - a, p) array: those
+    of ``X``, then with ``T0`` D = T - T0 and D D^T (about a draw, moments do
+    not cancel)."""
+    cols = [np.empty((b - a, 0)) if X is None else X[a:b]]
+    if T0 is not None:
+        D = Tmat[a:b] - T0
+        cols += [D, (D[:, :, None] * D[:, None, :]).reshape(-1, D.shape[1] ** 2)]
+    return np.hstack(cols)
+
+
 def _grid_sums(family: ExpFamilyRatio, grid: np.ndarray, Tmat: np.ndarray,
-               X: np.ndarray | None = None, w: np.ndarray | None = None):
+               X: np.ndarray | None = None, w: np.ndarray | None = None,
+               T0: np.ndarray | None = None):
     """(shift, c, ess, I) over the grid from one pass over the draws.
 
     ``shift`` is the column max of log f_h and ``c`` the mean of
-    f_h exp(-shift), so B_n = c exp(shift); ``I`` (None without ``X``) holds
-    the f_h-weighted means of the (n, p) columns ``X``, shape (p, G).  Row i
+    f_h exp(-shift), so B_n = c exp(shift); ``I`` holds the f_h-weighted
+    means of the p :func:`_columns` of ``X`` and ``T0``, shape (p, G).  Row i
     stands for ``w[i]`` draws (the run lengths of :func:`_runs`; unit weights
-    without ``w``): the sums take f w, (f w) f and X^T (f w), and ``c``
+    without ``w``): each chunk adds w f, w f^2 and (w cols)^T f, and ``c``
     divides by the draw count sum(w).  The pass keeps a running column max
     and sums rescaled to it, the online normalizer of Milakov & Gimelshein
     (2018); that max also sees every non-finite log f_h, which raises
     :class:`InvalidSpecError`.
     """
     w = np.ones(Tmat.shape[0]) if w is None else w
+    p = _columns(Tmat, X, T0, 0, 0).shape[1]
     shift = np.full(grid.shape[0], -np.inf)
-    f_sum = f2_sum = xf_sum = np.zeros_like(shift)
-    # the chunk holds f; with columns also f w, formed once for three sums
-    for a, logf in _log_f_chunks(family, grid, Tmat, 1 if X is None else 1 + X.shape[1]):
+    f_sum = f2_sum = np.zeros_like(shift)
+    xf_sum = np.zeros((p, grid.shape[0]))
+    for a, logf in _log_f_chunks(family, grid, Tmat, 1 + p):
         new = np.maximum(shift, logf.max(axis=0))
         scale = np.exp(shift - new)
         f = np.exp(np.subtract(logf, new, out=logf), out=logf)
         wa = w[a:a + f.shape[0]]
-        if X is None:
-            f_sum = f_sum * scale + wa @ f
-            f2_sum = f2_sum * scale ** 2 + wa @ np.square(f, out=f)
-        else:
-            fw = f * wa[:, None]
-            f_sum = f_sum * scale + fw.sum(axis=0)
-            f2_sum = f2_sum * scale ** 2 + np.einsum("ij,ij->j", fw, f)
-            xf_sum = xf_sum * scale + X[a:a + f.shape[0]].T @ fw
-            del fw
+        cols = _columns(Tmat, X, T0, a, a + f.shape[0])
+        xf_sum = xf_sum * scale + np.multiply(cols, wa[:, None], out=cols).T @ f
+        f_sum = f_sum * scale + wa @ f
+        f2_sum = f2_sum * scale ** 2 + wa @ np.square(f, out=f)
         shift = new
-        del logf, f                     # before the next chunk is evaluated
+        del logf, f, cols               # before the next chunk is evaluated
     if not np.all(np.isfinite(shift)):
         raise InvalidSpecError(
             f"non-finite log ratio at h={grid[~np.isfinite(shift)][0]}")
-    return (shift, f_sum / w.sum(), f_sum ** 2 / f2_sum,
-            None if X is None else xf_sum / f_sum)
-
-
-def _moment_columns(Tmat: np.ndarray, T0: np.ndarray) -> np.ndarray:
-    """(rows, d + d^2) columns D = T - T0 and D D^T: about a draw, moments do not cancel."""
-    D = Tmat - T0
-    return np.hstack([D, (D[:, :, None] * D[:, None, :]).reshape(D.shape[0], -1)])
+    return shift, f_sum / w.sum(), f_sum ** 2 / f2_sum, xf_sum / f_sum
 
 
 def _segment_sums(family: ExpFamilyRatio, grid: np.ndarray, Tmat: np.ndarray,
@@ -275,24 +276,21 @@ def _segment_sums(family: ExpFamilyRatio, grid: np.ndarray, Tmat: np.ndarray,
                   w: np.ndarray, T0: np.ndarray | None = None):
     """Yield (ids, P) in segment order: the sums over the segments ``ids`` of
     rows beginning at ``starts`` (the last ends with Tmat), shape
-    (ids.size, 1 + p, G), of f w in P[:, 0] and of the (n, p) columns ``X``
-    times f w in P[:, 1:], f = f_h exp(-shift) and ``w`` the rows' run
-    lengths; with ``T0`` the :func:`_moment_columns` about it, formed per
-    chunk, follow X.  The segment open at a chunk's end is carried on.
+    (ids.size, 1 + p, G), of f w in P[:, 0] and of the p :func:`_columns` of
+    ``X`` and ``T0`` times f w in P[:, 1:], f = f_h exp(-shift) and ``w`` the
+    rows' run lengths.  The segment open at a chunk's end is carried on.
 
     A chunk's sums are one matrix product: w and w X scattered by segment
     into a ((1 + p) segments, rows) block, times the chunk's block of f; with
     ``T0`` the columns multiply f instead, and the block holds w alone.  Up
     to sqrt(CHUNK_FLOATS / block rows per segment) rows bound the block."""
-    X = np.empty((Tmat.shape[0], 0)) if X is None else X
-    p = X.shape[1] + (0 if T0 is None else Tmat.shape[1] * (Tmat.shape[1] + 1))
+    p = _columns(Tmat, X, T0, 0, 0).shape[1]
     q = 1 if T0 is not None else 1 + p              # block rows per segment
     open_id, carry = 0, 0.0
     for a, logf in _log_f_chunks(family, grid, Tmat, 1 + p, math.isqrt(CHUNK_FLOATS // q)):
         rows = logf.shape[0]
         f = np.exp(np.subtract(logf, shift, out=logf), out=logf)
-        cols = np.hstack([np.ones((rows, 1)), X[a:a + rows]]
-                         + ([] if T0 is None else [_moment_columns(Tmat[a:a + rows], T0)]))
+        cols = np.hstack([np.ones((rows, 1)), _columns(Tmat, X, T0, a, a + rows)])
         c = w[None, a:a + rows] if T0 is not None else (w[a:a + rows, None] * cols).T
         if T0 is not None:
             f = (cols[:, :, None] * f[:, None]).reshape(rows, -1)

@@ -113,9 +113,9 @@ class TestGridModes:
         """maximize_surface on a 5 x 5 grid whose log B_n values are
         ``values`` and whose Newton search maps a start x0 to ``newton(x0)``."""
         rect = HyperRect([0.0, 0.0], [1.0, 1.0])
-        fake_sums = lambda family, grid, Tmat, X=None, w=None: (
+        fake_sums = lambda family, grid, Tmat, X=None, w=None, T0=None: (
             np.asarray(values, dtype=float), np.ones(grid.shape[0]), None, None)
-        fake_newton = lambda family, Tmat, X, w, rect, x0, tol: (*newton(x0), 50.0, 2, 3)
+        fake_newton = lambda family, Tmat, w, rect, x0, tol: (*newton(x0), 50.0, 2, 3)
         with mock.patch.object(argmax_inference, "_grid_sums", fake_sums), \
                 mock.patch.object(argmax_inference, "_newton", fake_newton):
             return maximize_surface(toy_trace, None, rect, grid_points=5, **kw)

@@ -19,9 +19,8 @@ from priorscan import argmax_inference, estimators
 from priorscan.argmax_inference import log_B_derivs, maximize_surface
 from priorscan.band_inference import global_band
 from priorscan.chain_runtime import ChainTrace, segment_tours, tour_sums
-from priorscan.estimators import (_grid_sums, _moment_columns, _runs, _segment_sums,
-                                  _segmentation, functional_on_grid, grid_estimates,
-                                  surface_on_grid)
+from priorscan.estimators import (_grid_sums, _runs, _segment_sums, _segmentation,
+                                  functional_on_grid, grid_estimates, surface_on_grid)
 from priorscan.prior_family import ExpFamilyRatio
 
 H1 = [0.0, 1.0]
@@ -322,7 +321,7 @@ def test_repeated_rows_match_dense(toy_trace, toy_rect, fam, k, offset, reps, ch
     names = ["theta1"] if functionals else []
     T, _, w, _ = _runs(Tmat)
     with mock.patch.object(estimators, "CHUNK_FLOATS", rows):
-        derivs_h = log_B_derivs(fam, h, T, _moment_columns(T, T[0]), w)
+        derivs_h = log_B_derivs(fam, h, T, w)
         ts = None if tours is None else tour_sums(trace, tours, fam, h, names, derivs)
     ref = dense_log_B_derivs(fam, h, Tmat)
     _close(derivs_h[0], ref[0])
@@ -409,22 +408,39 @@ def test_tour_sums_memory(toy_model, fam, segments, bound_mb):
     assert peak_mb < bound_mb
 
 
-@pytest.mark.parametrize("columns", [False, True])
-@pytest.mark.parametrize("which", ["grid", "segments"])
+def test_maximize_surface_memory(toy_model, toy_rect, fam):
+    """Each Newton pass forms the moments of T chunk by chunk, so beside the
+    run-length collapse the search holds no per-run column: over n = 200k
+    exact draws (every run one draw) those columns alone would take 9.6 MB."""
+    trace = toy_model.exact_trace(h1=H1, n=200_000, seed=5)
+    tracemalloc.start()
+    try:
+        maximize_surface(trace, fam, toy_rect, multi_starts=0)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 12.0
+
+
+@pytest.mark.parametrize("which, columns", [("grid", False), ("grid", True), ("grid", "moments"),
+                                            ("segments", False), ("segments", True)])
 def test_chunk_holds_chunk_floats(toy_model, toy_rect, fam, which, columns):
     # beside its inputs a pass holds one chunk of CHUNK_FLOATS floats, the
     # next chunk being evaluated after the last is dropped; the segment pass
     # also holds the sums of the segments its chunk closes.  The slack is
-    # per-point sums and NumPy's fixed 64 kB ufunc buffer.
+    # per-point sums and NumPy's fixed 64 kB ufunc buffer.  True adds the
+    # functional's column, "moments" the d + d^2 moments of T about a draw.
     trace = toy_model.mh_trace(H1, n=60_000, seed=2)
     tours = segment_tours(trace)
     g = trace.functional("theta1")[:tours.n_eff, None]
     Tmat, g, w, starts = _runs(trace.Tmat[:tours.n_eff], g, tours.starts0)
-    X = g if columns else None
+    X = g if columns is True else None
+    T0 = Tmat[0] if columns == "moments" else None
     grid = toy_rect.grid(21)
     shift = _grid_sums(fam, grid, Tmat, w=w)[0]
     budget = 2 ** 16
-    cols = 1 + columns
+    d = Tmat.shape[1]
+    cols = 1 + d + d * d if columns == "moments" else 1 + columns
     rows = budget // (len(grid) * cols)
     closed = 0 if which == "grid" else 1 + max(
         np.count_nonzero((starts >= a) & (starts < a + rows))
@@ -434,7 +450,7 @@ def test_chunk_holds_chunk_floats(toy_model, toy_rect, fam, which, columns):
         try:
             base = tracemalloc.get_traced_memory()[0]
             if which == "grid":
-                _grid_sums(fam, grid, Tmat, X, w)
+                _grid_sums(fam, grid, Tmat, X, w, T0)
             else:
                 for _ in _segment_sums(fam, grid, Tmat, shift, starts, X, w):
                     pass
