@@ -77,8 +77,8 @@ def _newton(family, Tmat, w, rect: HyperRect, h, tol: float):
     (h, log B_n, weight ESS, iterations, moment passes).  Coordinates near a
     face the gradient points out of stay on it; the rest take Newton's step
     where their Hessian block is negative definite, else the width-scaled
-    gradient.  Projected steps are halved until Armijo's condition holds; the
-    search ends when a step moves h by at most ``tol``."""
+    gradient.  Projected steps are halved until Armijo's condition holds or
+    the step moves h by at most ``tol``; the search ends after such a step."""
     width = rect.upper - rect.lower
     val, g, H, ess = log_B_derivs(family, h, Tmat, w)
     passes = 1
@@ -96,8 +96,6 @@ def _newton(family, Tmat, w, rect: HyperRect, h, tol: float):
             moved = np.abs(h_new - h).max()
             if moved <= tol or trial[0] >= val + 1e-4 * max(g @ (h_new - h), 0.0):
                 break
-        if not trial[0] >= val:
-            break                       # no ascent left at working precision
         h, (val, g, H, ess) = h_new, trial
         if moved <= tol:
             break

@@ -24,7 +24,6 @@ has unit weights and the same sums.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,11 +189,10 @@ def batch_se(trace: ChainTrace, family: ExpFamilyRatio, h, M: int,
 CHUNK_FLOATS = 2 ** 17
 
 
-def _log_f_chunks(family: ExpFamilyRatio, grid: np.ndarray, Tmat: np.ndarray,
-                  cols: int = 1, max_rows: int | None = None):
+def _log_f_chunks(family: ExpFamilyRatio, grid: np.ndarray, Tmat: np.ndarray, cols: int = 1):
     """Yield (first row, (rows, G) block of log f_h) over consecutive chunks
-    of CHUNK_FLOATS / (G * cols) rows, and at most ``max_rows``."""
-    rows = max(1, min(CHUNK_FLOATS // (grid.shape[0] * cols), max_rows or Tmat.shape[0]))
+    of CHUNK_FLOATS / (G * cols) rows."""
+    rows = max(1, CHUNK_FLOATS // (grid.shape[0] * cols))
     for a in range(0, Tmat.shape[0], rows):
         yield a, family.log_f_many(grid, Tmat[a:a + rows])
 
@@ -280,40 +278,33 @@ def _segment_sums(family: ExpFamilyRatio, grid: np.ndarray, Tmat: np.ndarray,
     ``X`` and ``T0`` times f w in P[:, 1:], f = f_h exp(-shift) and ``w`` the
     rows' run lengths.  The segment open at a chunk's end is carried on.
 
-    A chunk's sums are one matrix product: w and w X scattered by segment
-    into a ((1 + p) segments, rows) block, times the chunk's block of f; with
-    ``T0`` the columns multiply f instead, and the block holds w alone.  Up
-    to sqrt(CHUNK_FLOATS / block rows per segment) rows bound the block."""
+    A chunk weights its columns once, c = w [1, columns], and sums each
+    segment's rows as one product c[s:e]^T f[s:e]; where every segment of
+    the chunk is one row (unit tours), the products are c f row by row."""
     p = _columns(Tmat, X, T0, 0, 0).shape[1]
-    q = 1 if T0 is not None else 1 + p              # block rows per segment
     open_id, carry = 0, 0.0
-    for a, logf in _log_f_chunks(family, grid, Tmat, 1 + p, math.isqrt(CHUNK_FLOATS // q)):
+    for a, logf in _log_f_chunks(family, grid, Tmat, 1 + p):
         rows = logf.shape[0]
         f = np.exp(np.subtract(logf, shift, out=logf), out=logf)
-        cols = np.hstack([np.ones((rows, 1)), _columns(Tmat, X, T0, a, a + rows)])
-        c = w[None, a:a + rows] if T0 is not None else (w[a:a + rows, None] * cols).T
-        if T0 is not None:
-            f = (cols[:, :, None] * f[:, None]).reshape(rows, -1)
+        c = np.hstack([np.ones((rows, 1)), _columns(Tmat, X, T0, a, a + rows)])
+        c *= w[a:a + rows, None]
         first = int(np.searchsorted(starts, a, side="right")) - 1
         if first != open_id:                  # the carried segment ended at a
             yield np.array([open_id]), carry[None]
             carry = 0.0
         last = np.searchsorted(starts, a + rows)    # first segment after the chunk
-        cuts = np.concatenate(([0], starts[first + 1:last] - a))
-        if cuts.size == rows:                  # one segment per row (unit tours)
-            P = c[:, :, None] * f
+        cuts = np.concatenate(([0], starts[first + 1:last] - a, [rows]))
+        if cuts.size > rows:                   # one segment per row (unit tours)
+            P = c[:, :, None] * f[:, None]
         else:
-            C = np.zeros((q, cuts.size, rows))
-            C[:, np.searchsorted(cuts, np.arange(rows), "right") - 1, np.arange(rows)] = c
-            P = C.reshape(-1, rows) @ f
-            del C
+            P, b = np.empty((cuts.size - 1, 1 + p, grid.shape[0])), cuts.tolist()
+            for P_i, s, e in zip(P, b[:-1], b[1:]):
+                np.dot(c[s:e].T, f[s:e], out=P_i)
         del logf, f
-        P = P.reshape(q, cuts.size, -1, grid.shape[0])
-        P = P[0] if T0 is not None else P[:, :, 0].transpose(1, 0, 2)
         P[0] += carry
-        open_id, carry = first + cuts.size - 1, P[-1].copy()
-        if cuts.size > 1:
-            yield first + np.arange(cuts.size - 1), P[:-1]
+        open_id, carry = first + P.shape[0] - 1, P[-1].copy()
+        if P.shape[0] > 1:
+            yield first + np.arange(P.shape[0] - 1), P[:-1]
         del P                           # before the next chunk is evaluated
     yield np.array([open_id]), carry[None]
 

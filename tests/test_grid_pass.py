@@ -148,7 +148,7 @@ def _close(a, b, scale=0.0):
 @given(n=st.integers(24, 90),
        offset=st.integers(0, 5000),
        chunk=st.sampled_from(["one", "prime", "non-divisor", "larger"]),
-       segments=st.sampled_from(["tours", "unit-tours", "batches"]),
+       segments=st.sampled_from(["tours", "unit-tours", "mixed", "batches"]),
        flags=st.lists(st.booleans(), min_size=90, max_size=90),
        M=st.integers(2, 7),
        point=st.integers(0, 15),
@@ -167,6 +167,12 @@ def test_chunked_matches_dense(toy_trace, toy_rect, fam, n, offset, chunk,
         delta = np.array([True] + flags[1:n])
         delta[1:] &= np.arange(1, n) % 3 == 0
         delta[[n // 3, 2 * n // 3]] = True        # at least 2 complete tours
+    elif segments == "mixed":
+        # unit tours over the first half, then tours of 3 draws or more: a
+        # small chunk's sums are row by row in one half and per segment in
+        # the other, within one pass
+        i = np.arange(n)
+        delta = (i <= n // 2) | ((i - n // 2) % 3 == 0) & np.array(flags[:n])
     else:
         delta = np.full(n, segments == "unit-tours")
         delta[0] = True
@@ -349,11 +355,14 @@ def test_repeated_rows_match_dense(toy_trace, toy_rect, fam, k, offset, reps, ch
     np.testing.assert_allclose(res.h, dense.h, rtol=0, atol=1e-6)   # Newton's tol
 
 
+@pytest.mark.parametrize("seed", range(1, 21))
 @pytest.mark.parametrize("k", [2, 3, 5])
-def test_multiplicity(toy_model, toy_rect, fam, k):
+def test_multiplicity(toy_model, toy_rect, fam, k, seed):
     """Each draw repeated k times (delta on its first copy) leaves B_n, I_g
-    and the argmax unchanged, and multiplies the weight ESS by k."""
-    base = toy_model.mh_trace(H1, n=3000, seed=4)
+    and the argmax unchanged, and multiplies the weight ESS by k.  Newton
+    keeps its last step, so two searches that differ only by rounding stop
+    at the same h."""
+    base = toy_model.mh_trace(H1, n=3000, seed=seed)
     rep = ChainTrace(Tmat=np.repeat(base.Tmat, k, axis=0),
                      g={"theta1": np.repeat(base.functional("theta1"), k)},
                      delta=np.repeat(base.delta, k) & (np.arange(k * base.n) % k == 0),
@@ -423,7 +432,8 @@ def test_maximize_surface_memory(toy_model, toy_rect, fam):
 
 
 @pytest.mark.parametrize("which, columns", [("grid", False), ("grid", True), ("grid", "moments"),
-                                            ("segments", False), ("segments", True)])
+                                            ("segments", False), ("segments", True),
+                                            ("segments", "moments")])
 def test_chunk_holds_chunk_floats(toy_model, toy_rect, fam, which, columns):
     # beside its inputs a pass holds one chunk of CHUNK_FLOATS floats, the
     # next chunk being evaluated after the last is dropped; the segment pass
@@ -452,7 +462,7 @@ def test_chunk_holds_chunk_floats(toy_model, toy_rect, fam, which, columns):
             if which == "grid":
                 _grid_sums(fam, grid, Tmat, X, w, T0)
             else:
-                for _ in _segment_sums(fam, grid, Tmat, shift, starts, X, w):
+                for _ in _segment_sums(fam, grid, Tmat, shift, starts, X, w, T0):
                     pass
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
@@ -463,8 +473,8 @@ def test_chunk_holds_chunk_floats(toy_model, toy_rect, fam, which, columns):
 @pytest.mark.parametrize("segments", ["tours", "batches", "unit-tours"])
 def test_chunk_size_does_not_matter(toy_model, toy_rect, fam, segments):
     # chunks of 2^12 and of 2^17 floats cut the rows at other places, and so
-    # change which segments one matrix product sums and which are carried
-    # across a chunk edge; the sums, the moment columns' among them, agree
+    # change which segments one chunk sums and which are carried across a
+    # chunk edge; the sums, the moment columns' among them, agree
     trace = (toy_model.exact_trace(H1, n=20_000, seed=3) if segments == "unit-tours"
              else toy_model.mh_trace(H1, n=20_000, seed=3))
     seg = (_segmentation(trace.n, None, 50) if segments == "batches"
